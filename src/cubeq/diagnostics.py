@@ -52,9 +52,11 @@ class AuditContext:
     c_trial: Optional[Array]  # c(x + d); None when no correction was computed
 
 
-def rebuild_context(problem: Problem, record: IterationRecord) -> AuditContext:
+def rebuild_context(problem: Problem, record: IterationRecord,
+                    rank_tol: float = SolverConfig.rank_tol) -> AuditContext:
+    """Recompute the iterate's quantities; ``rank_tol`` is the run's own."""
     point = evaluate(problem, record.x)
-    fact = factorize_jacobian(point.A)
+    fact = factorize_jacobian(point.A, rank_tol)
     H = lagrangian_hessian(point, record.lam)
     c_trial = None
     if record.correction_computed:
@@ -225,7 +227,7 @@ def audit_run(problem: Problem, records, config: SolverConfig) -> list:
     """Audit every recorded iteration; returns the concatenated violations."""
     violations: list = []
     for record in records:
-        context = rebuild_context(problem, record)
+        context = rebuild_context(problem, record, config.rank_tol)
         violations.extend(audit_iteration(record, context, config))
     return violations
 

@@ -1,14 +1,20 @@
 """Outer loop: step assembly, acceptance, penalty and weight updates.
 
-Each iteration evaluates the problem, factorizes the Jacobian, builds the
-normal step v = beta v_c toward the linearized constraints, estimates
-multipliers, checks stationarity, and if not done solves the reduced cubic
-model for the tangential step u.  The composite d = v + u is accepted when
-the achieved l1-merit decrease covers at least eta1 of the model's predicted
-decrease; otherwise, close to the constraint surface, one correction step is
-attempted before the iteration is declared unsuccessful.  The cubic weight
-sigma falls after very successful iterations and rises after failures, and
-the penalty mu only ever ratchets up.
+At each new iterate the solver completes the point with its derivatives,
+factorizes the Jacobian, estimates multipliers, forms the Lagrangian Hessian
+and the eigendecomposition of its reduction Z^T H Z, and checks
+stationarity; none of that depends on sigma, so it is done once per
+distinct iterate and reused after an unsuccessful step.  Each iteration then
+builds the normal step v = beta v_c toward the linearized constraints and
+solves the reduced cubic model, with the stored eigendecomposition, for the
+tangential step u.  The composite d = v + u is accepted when the achieved
+l1-merit decrease covers at least eta1 of the model's predicted decrease;
+otherwise, close to the constraint surface, one correction step is
+attempted before the iteration is declared unsuccessful.  Trial and
+corrected points are evaluated for f and c only, and one where either is
+not finite is rejected with rho = -inf.  The cubic weight sigma falls after
+very successful iterations and rises after failures, and the penalty mu
+only ever ratchets up.
 
 Termination requires all three stationarity measures at once: the Lagrangian
 gradient norm, the l1 infeasibility, and the smallest reduced Hessian
@@ -18,6 +24,7 @@ two satisfied reports the first-order status as a courtesy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,11 +34,12 @@ from . import merit
 from .correction import compute_correction, in_correction_region
 from .errors import (ConfigError, NonFiniteValue, NonpositivePredictedReduction,
                      RankDeficient, ResidualConditionUnmet, SecularSolveFailed)
-from .linalg import factorize_jacobian, min_eig_reduced
+from .linalg import FactorizedJacobian, factorize_jacobian
 from .multipliers import estimate_multipliers
 from .normal_step import assemble_normal
-from .problems import Problem, evaluate, lagrangian_hessian
-from .tangential import build_reduced_model, solve_cubic
+from .problems import (EvalPoint, Problem, TrialPoint, complete_point,
+                       evaluate_trial, lagrangian_hessian)
+from .tangential import ReducedCubicModel, build_reduced_model, solve_cubic
 
 Array = np.ndarray
 
@@ -204,6 +212,39 @@ def _merit_noise(f: float, mu: float, c_l1: float) -> float:
     return _NOISE_ULPS * np.finfo(float).eps * scale
 
 
+@dataclass
+class _Iterate:
+    """The sigma-free work at one iterate, kept while x stays put."""
+
+    point: EvalPoint
+    fact: FactorizedJacobian
+    lam: Array
+    H: Array
+    model: ReducedCubicModel  # carries Z^T H Z and its eigendecomposition
+    report: StationarityReport
+
+
+def _at_iterate(problem: Problem, at: TrialPoint, sigma: float,
+                config: SolverConfig) -> _Iterate:
+    """Derivatives, factorization, multipliers and the reduced spectrum at ``at``."""
+    point = complete_point(problem, at)
+    fact = factorize_jacobian(point.A, config.rank_tol)
+    lam = estimate_multipliers(fact, point.g)
+    H = lagrangian_hessian(point, lam)
+    grad_l_norm = float(np.linalg.norm(point.g + point.A.T @ lam))
+    model = build_reduced_model(fact, point.g, H, np.zeros(problem.n), sigma, f0=point.f)
+    report = check_stationarity(grad_l_norm, point.c_l1, float(model.eigvals[0]), config)
+    return _Iterate(point, fact, lam, H, model, report)
+
+
+def _merit_terms(problem: Problem, x) -> Optional[TrialPoint]:
+    """f and c at a trial or corrected point; None where they are not finite."""
+    try:
+        return evaluate_trial(problem, x)
+    except NonFiniteValue:
+        return None
+
+
 def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> SolveResult:
     """Run the solver from ``x0`` (default: the problem's default start)."""
     config = (config or SolverConfig()).validate()
@@ -222,26 +263,25 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
         if config.audit:
             # deferred import; diagnostics depends on this module
             from .diagnostics import audit_iteration, rebuild_context
-            context = rebuild_context(problem, record)
+            context = rebuild_context(problem, record, config.rank_tol)
             violations.extend(audit_iteration(record, context, config))
 
     try:
+        at = evaluate_trial(problem, x)
+        it = None  # work at x; None until computed, and again after x moves
         for k in range(config.max_iter):
-            point = evaluate(problem, x)
-            fact = factorize_jacobian(point.A, config.rank_tol)
+            if it is None:
+                it = _at_iterate(problem, at, sigma, config)
+                lam, report = it.lam, it.report
+                if report.sosp:
+                    return SolveResult(CONVERGED_SOSP, x, lam, history, counts,
+                                       report, violations=violations)
+            point, fact, H = it.point, it.fact, it.H
+
             normal = assemble_normal(fact, point.c, sigma,
                                      r_v=config.r_v, theta=config.theta)
-            lam = estimate_multipliers(fact, point.g, config.r_lambda,
-                                       float(np.linalg.norm(normal.v)))
-            H = lagrangian_hessian(point, lam)
-            grad_l_norm = float(np.linalg.norm(point.g + point.A.T @ lam))
-            lam_min, _ = min_eig_reduced(fact, H)
-            report = check_stationarity(grad_l_norm, point.c_l1, lam_min, config)
-            if report.sosp:
-                return SolveResult(CONVERGED_SOSP, x, lam, history, counts,
-                                   report, violations=violations)
-
-            model = build_reduced_model(fact, point.g, H, normal.v, sigma, f0=point.f)
+            model = build_reduced_model(fact, point.g, H, normal.v, sigma,
+                                        f0=point.f, reuse=it.model)
             tang = solve_cubic(model, config.delta)
             d = normal.v + tang.u
             norm_d = float(np.linalg.norm(d))
@@ -261,42 +301,47 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
                 )
 
             phi_x = merit.merit_value(point.f, point.c_l1, mu)
-            trial = evaluate(problem, x + d)
-            phi_trial = merit.merit_value(trial.f, trial.c_l1, mu)
-            rho = merit.ratio(phi_x, phi_trial, delta_q)
+            trial = _merit_terms(problem, x + d)
+            if trial is None:
+                rho = -math.inf
+            else:
+                phi_trial = merit.merit_value(trial.f, trial.c_l1, mu)
+                rho = merit.ratio(phi_x, phi_trial, delta_q)
 
             rho_corr = None
             w = None
             norm_w = 0.0
             correction_computed = False
+            taken = trial  # the point x moves to if the step is accepted
 
-            if delta_q <= noise:
+            if trial is None:
+                # f or c is not finite at x + d: reject the step
+                classification = UNSUCCESSFUL
+            elif delta_q <= noise:
                 # Both sides of the ratio are below measurement precision;
                 # accept iff the merit did not measurably increase.
                 if phi_trial <= phi_x + noise:
                     classification = VERY_SUCCESSFUL
-                    x_next = trial.x
                 else:
                     classification = UNSUCCESSFUL
-                    x_next = x
             elif rho >= config.eta1:
                 classification = classify_iteration(rho, config.eta1, config.eta2)
-                x_next = trial.x
             elif (config.corrections_enabled
                   and in_correction_region(float(np.linalg.norm(normal.v_c)),
                                            sigma, config.zeta)):
                 w = compute_correction(fact, trial.c, config.r_w, norm_d)
                 norm_w = float(np.linalg.norm(w))
-                corrected = evaluate(problem, x + d + w)
-                phi_corr = merit.merit_value(corrected.f, corrected.c_l1, mu)
-                rho_corr = merit.ratio(phi_x, phi_corr, delta_q)
+                taken = _merit_terms(problem, x + d + w)
+                if taken is None:
+                    rho_corr = -math.inf
+                else:
+                    phi_corr = merit.merit_value(taken.f, taken.c_l1, mu)
+                    rho_corr = merit.ratio(phi_x, phi_corr, delta_q)
                 correction_computed = True
                 counts.corrections += 1
                 classification = classify_iteration(rho_corr, config.eta1, config.eta2)
-                x_next = corrected.x if rho_corr >= config.eta1 else x
             else:
                 classification = UNSUCCESSFUL
-                x_next = x
 
             accepted = classification != UNSUCCESSFUL
             if classification == VERY_SUCCESSFUL:
@@ -309,7 +354,8 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
             sigma_next = update_sigma(sigma, classification, config)
             record_iteration(IterationRecord(
                 k=k, x=point.x, f=point.f, c_l1=point.c_l1,
-                grad_lagrangian_norm=grad_l_norm, lambda_min_red=lam_min,
+                grad_lagrangian_norm=report.grad_lagrangian_norm,
+                lambda_min_red=report.lambda_min_red,
                 sigma=sigma, mu=mu, beta=normal.beta,
                 norm_v=float(np.linalg.norm(normal.v)),
                 norm_u=float(np.linalg.norm(tang.u)),
@@ -322,18 +368,15 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
                 lam=lam, v_c=normal.v_c, v=normal.v, u=tang.u, w=w,
                 sigma_next=sigma_next, mu_prev=mu_prev, mu_candidate=mu_cand,
             ))
-            x = x_next
+            if accepted:
+                at, x, it = taken, taken.x, None
             sigma = sigma_next
 
-        # Budget exhausted: recompute stationarity at the final iterate for
-        # the courtesy first-order status.
-        point = evaluate(problem, x)
-        fact = factorize_jacobian(point.A, config.rank_tol)
-        lam = estimate_multipliers(fact, point.g, config.r_lambda, 0.0)
-        H = lagrangian_hessian(point, lam)
-        grad_l_norm = float(np.linalg.norm(point.g + point.A.T @ lam))
-        lam_min, _ = min_eig_reduced(fact, H)
-        report = check_stationarity(grad_l_norm, point.c_l1, lam_min, config)
+        # Budget exhausted: stationarity at the final iterate decides
+        # between the courtesy first-order status and max_iterations.
+        if it is None:
+            it = _at_iterate(problem, at, sigma, config)
+            lam, report = it.lam, it.report
         if report.sosp:
             return SolveResult(CONVERGED_SOSP, x, lam, history, counts,
                                report, violations=violations)

@@ -2,9 +2,14 @@
 
 A :class:`Problem` bundles callbacks for a smooth objective, a vector of
 smooth equality constraints, and their first and second derivatives.  The
-solver only ever touches problems through :func:`evaluate`, which snapshots
-every quantity at a point into an immutable :class:`EvalPoint`, and through
-:func:`lagrangian_hessian`.
+solver touches problems through two evaluations.  At a trial or corrected
+point it needs only f and c for the merit test, so :func:`evaluate_trial`
+calls just those two callbacks.  When such a point becomes the iterate,
+:func:`complete_point` adds the gradient, the Jacobian and the Hessians
+without calling f and c again.  :func:`evaluate` does both at once, for the
+auditor and for callers that want everything at a point; either way the
+result is an immutable :class:`EvalPoint`.  :func:`lagrangian_hessian`
+combines the Hessians.
 
 ``builtin_problem`` serves a small catalog of analytic test problems used by
 the CLI and the test-suite.  Each entry carries a default start and, where a
@@ -45,8 +50,18 @@ class Problem:
 
 
 @dataclass(frozen=True)
+class TrialPoint:
+    """Objective and constraint values at a point: all the merit test needs."""
+
+    x: Array
+    f: float
+    c: Array
+    c_l1: float
+
+
+@dataclass(frozen=True)
 class EvalPoint:
-    """Everything the solver needs at a single point, computed eagerly."""
+    """Everything the solver needs at an iterate, computed eagerly."""
 
     x: Array
     f: float
@@ -58,10 +73,16 @@ class EvalPoint:
     c_hess: tuple  # tuple of m (n, n) arrays
 
 
-def evaluate(problem: Problem, x) -> EvalPoint:
-    """Evaluate all problem quantities at ``x``.
+def _check_finite(problem: Problem, x: Array, *values) -> None:
+    for value in values:
+        if not np.all(np.isfinite(value)):
+            raise NonFiniteValue(f"non-finite evaluation of '{problem.name}' at x={x}")
 
-    Raises :class:`NonFiniteValue` if any callback returns NaN or Inf, and
+
+def evaluate_trial(problem: Problem, x) -> TrialPoint:
+    """Evaluate only the objective and the constraints at ``x``.
+
+    Raises :class:`NonFiniteValue` if either returns NaN or Inf, and
     ``ValueError`` on shape mismatches.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -70,31 +91,45 @@ def evaluate(problem: Problem, x) -> EvalPoint:
         raise ValueError(f"x has shape {x.shape}, expected ({n},)")
 
     f = float(problem.objective(x))
-    g = np.asarray(problem.gradient(x), dtype=float).reshape(-1)
     c = np.asarray(problem.constraints(x), dtype=float).reshape(-1)
+    if c.shape != (m,):
+        raise ValueError(f"constraints have shape {c.shape}, expected ({m},)")
+    _check_finite(problem, x, f, c)
+    return TrialPoint(x=x.copy(), f=f, c=c, c_l1=float(np.sum(np.abs(c))))
+
+
+def complete_point(problem: Problem, trial: TrialPoint) -> EvalPoint:
+    """Add the first and second derivatives at ``trial.x``; f and c are reused.
+
+    Raises :class:`NonFiniteValue` and ``ValueError`` like :func:`evaluate`.
+    """
+    x, n, m = trial.x, problem.n, problem.m
+    g = np.asarray(problem.gradient(x), dtype=float).reshape(-1)
     A = np.asarray(problem.jacobian(x), dtype=float)
     f_hess = np.asarray(problem.objective_hessian(x), dtype=float)
     c_hess = tuple(np.asarray(Hi, dtype=float) for Hi in problem.constraint_hessians(x))
 
     if g.shape != (n,):
         raise ValueError(f"gradient has shape {g.shape}, expected ({n},)")
-    if c.shape != (m,):
-        raise ValueError(f"constraints have shape {c.shape}, expected ({m},)")
     if A.shape != (m, n):
         raise ValueError(f"jacobian has shape {A.shape}, expected ({m}, {n})")
     if f_hess.shape != (n, n):
         raise ValueError(f"objective hessian has shape {f_hess.shape}, expected ({n}, {n})")
     if len(c_hess) != m or any(Hi.shape != (n, n) for Hi in c_hess):
         raise ValueError("constraint hessians must be m matrices of shape (n, n)")
+    _check_finite(problem, x, g, A, f_hess, *c_hess)
 
-    for value in (f, g, c, A, f_hess, *c_hess):
-        if not np.all(np.isfinite(value)):
-            raise NonFiniteValue(f"non-finite evaluation of '{problem.name}' at x={x}")
+    return EvalPoint(x=x, f=trial.f, g=g, c=trial.c, c_l1=trial.c_l1,
+                     A=A, f_hess=f_hess, c_hess=c_hess)
 
-    return EvalPoint(
-        x=x.copy(), f=f, g=g, c=c, c_l1=float(np.sum(np.abs(c))),
-        A=A, f_hess=f_hess, c_hess=c_hess,
-    )
+
+def evaluate(problem: Problem, x) -> EvalPoint:
+    """Evaluate all problem quantities at ``x``.
+
+    Raises :class:`NonFiniteValue` if any callback returns NaN or Inf, and
+    ``ValueError`` on shape mismatches.
+    """
+    return complete_point(problem, evaluate_trial(problem, x))
 
 
 def lagrangian_hessian(point: EvalPoint, lam) -> Array:

@@ -20,6 +20,11 @@ g_red is (numerically) orthogonal to the leftmost eigenspace and the secular
 curve never reaches the diagonal: then r is pinned at -lam_min/sigma and the
 solution gains an eigenvector component sized to make |p| = r.
 
+The eigendecomposition is part of the model: it is computed once when the
+model is built and carried over when the model is rebuilt at the same
+iterate for another sigma, so the solver's stationarity test and every
+cubic solve at one iterate share a single eigh.
+
 The returned solution certifies three properties the rest of the solver
 relies on: it decreases the model at least as much as the exact Cauchy point
 (steepest descent on the model), its model gradient is far below the
@@ -28,8 +33,10 @@ delta * sigma * |u|^2 budget, and lam_min(H_red) >= -sigma |u|.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -52,6 +59,15 @@ class ReducedCubicModel:
     H_red: Array  # Z^T H Z
     sigma: float
     Z: Array
+    # eigh(H_red), ascending; computed on construction when not given
+    eigvals: Array = None
+    eigvecs: Array = None
+
+    def __post_init__(self):
+        if self.eigvals is None:
+            eigvals, eigvecs = np.linalg.eigh(self.H_red)
+            object.__setattr__(self, "eigvals", eigvals)
+            object.__setattr__(self, "eigvecs", eigvecs)
 
 
 @dataclass(frozen=True)
@@ -64,17 +80,22 @@ class OracleSolution:
     lambda_min_red: float
 
 
-def build_reduced_model(fact: FactorizedJacobian, g, H, v,
-                        sigma: float, f0: float = 0.0) -> ReducedCubicModel:
+def build_reduced_model(fact: FactorizedJacobian, g, H, v, sigma: float,
+                        f0: float = 0.0,
+                        reuse: Optional[ReducedCubicModel] = None) -> ReducedCubicModel:
+    """Reduced model of the tangential step that follows the normal step ``v``.
+
+    ``reuse`` is a model built earlier from the same ``fact`` and ``H``, for
+    another normal step or sigma: its Z^T H Z and eigendecomposition are
+    kept, and only g_red, sigma and f0 are set anew.
+    """
     g = np.asarray(g, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
-    return ReducedCubicModel(
-        f0=float(f0),
-        g_red=fact.Z.T @ (g + np.asarray(H, dtype=float) @ v),
-        H_red=reduce_matrix(fact, H),
-        sigma=float(sigma),
-        Z=fact.Z,
-    )
+    g_red = fact.Z.T @ (g + np.asarray(H, dtype=float) @ v)
+    if reuse is not None:
+        return dataclasses.replace(reuse, f0=float(f0), g_red=g_red, sigma=float(sigma))
+    return ReducedCubicModel(f0=float(f0), g_red=g_red, H_red=reduce_matrix(fact, H),
+                             sigma=float(sigma), Z=fact.Z)
 
 
 def model_decrease(model: ReducedCubicModel, p) -> float:
@@ -110,8 +131,12 @@ def _radius_gap(r, lam, ghat_sq, sigma):
 
 
 def _radius_upper_bound(lam_min, gnorm, sigma):
-    # Any radius with |p(r)| = r satisfies sigma r^2 + lam_min r <= |g|.
-    return (-lam_min + math.sqrt(lam_min**2 + 4.0 * sigma * gnorm)) / (2.0 * sigma)
+    # Any radius with |p(r)| = r satisfies sigma r^2 + lam_min r <= |g|.  The
+    # positive root of that quadratic, in the form that does not cancel.
+    root = math.sqrt(lam_min**2 + 4.0 * sigma * gnorm)
+    if lam_min > 0.0:
+        return 2.0 * gnorm / (lam_min + root)
+    return (-lam_min + root) / (2.0 * sigma)
 
 
 def _bisect_radius(lam, ghat_sq, sigma, lo, hi):
@@ -149,7 +174,7 @@ def solve_cubic(model: ReducedCubicModel, delta: float = 0.1) -> OracleSolution:
     sigma = model.sigma
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    lam, Q = np.linalg.eigh(model.H_red)
+    lam, Q = model.eigvals, model.eigvecs
     lam_min = float(lam[0])
     ghat = Q.T @ model.g_red
     gnorm = float(np.linalg.norm(model.g_red))

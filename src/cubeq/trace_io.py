@@ -3,9 +3,9 @@
 A trace file holds one JSON object per line: a header (problem name, start
 point, full configuration), one record per iteration with every field of
 :class:`IterationRecord` as a named key, any audit violations, and a footer
-with the final status.  Every float is written with 17 significant digits so
-a replayed audit sees bit-identical values; ``json.dumps`` would print the
-shortest round-tripping form instead, hence the small emitter below.
+with the final status.  ``json.dumps`` writes every float in its shortest
+round-tripping form, so a replayed audit sees bit-identical values; files
+written with 17 significant digits by earlier versions read back the same.
 Non-finite floats use the Python dialect tokens (``Infinity``, ``NaN``)
 that ``json.loads`` accepts back.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,38 +25,15 @@ FORMAT_NAME = "cubeq-trace"
 FORMAT_VERSION = 1
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return "%.17g" % x
-
-
-def _emit(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, np.ndarray):
-        return _emit(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ", ".join(
-            json.dumps(str(k)) + ": " + _emit(v) for k, v in value.items()
-        ) + "}"
+def _plain(value):
+    """numpy values as the Python lists and scalars ``json`` writes."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     raise TypeError(f"cannot serialize {type(value).__name__} into a trace")
 
 
 def dump_line(obj: dict) -> str:
-    return _emit(obj)
+    return json.dumps(obj, default=_plain)
 
 
 def record_to_dict(record: IterationRecord) -> dict:

@@ -45,17 +45,26 @@ def grid_polish_min(g, H, sigma, step=1e-3):
     elif dim == 2:
         best = None
         best_val = np.inf
-        # chunk the row dimension to cap the live meshgrid size
+        # The model is a row term in x, a column term in y, the cross term
+        # H01 x y and the cubic in r^2 = x^2 + y^2; broadcast them over
+        # chunks of rows to cap the live grid size.
+        sq = xs * xs
+        row = g[0] * xs + 0.5 * H[0, 0] * sq
+        col = g[1] * xs + 0.5 * H[1, 1] * sq
         chunk = max(1, int(4e6 // len(xs)))
         for lo in range(0, len(xs), chunk):
-            X, Y = np.meshgrid(xs[lo:lo + chunk], xs, indexing="ij")
-            V = (g[0] * X + g[1] * Y
-                 + 0.5 * (H[0, 0] * X * X + 2.0 * H[0, 1] * X * Y + H[1, 1] * Y * Y)
-                 + sigma / 3.0 * (X * X + Y * Y) ** 1.5)
-            k = np.argmin(V)
-            if V.flat[k] < best_val:
-                best_val = V.flat[k]
-                best = np.array([X.flat[k], Y.flat[k]])
+            rows = slice(lo, lo + chunk)
+            r2 = sq[rows, None] + sq
+            V = np.sqrt(r2)
+            V *= r2
+            V *= sigma / 3.0
+            V += row[rows, None]
+            V += col
+            V += (H[0, 1] * xs[rows])[:, None] * xs
+            i, j = np.unravel_index(np.argmin(V), V.shape)
+            if V[i, j] < best_val:
+                best_val = V[i, j]
+                best = np.array([xs[lo + i], xs[j]])
     else:
         raise ValueError("grid oracle supports 1-D and 2-D models only")
 

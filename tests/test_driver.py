@@ -1,16 +1,19 @@
 """End-to-end solver behaviour: classification, updates, and convergence."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from cubeq.diagnostics import audit_run
 from cubeq.driver import (CONVERGED_SOSP, LICQ_FAILURE, MAX_ITERATIONS,
                           NUMERICAL_ERROR, SUCCESSFUL, UNSUCCESSFUL,
                           VERY_SUCCESSFUL, SolverConfig, check_stationarity,
                           classify_iteration, solve, update_sigma)
 from cubeq.errors import ConfigError
 from cubeq.problems import Problem, builtin_problem
+from cubeq.trace_io import read_trace, write_trace
 
 
 def _merit(record):
@@ -254,3 +257,109 @@ class TestFailureModes:
         snapshot = dataclasses.asdict(config)
         solve(builtin_problem("circle_quadratic"), config=config)
         assert dataclasses.asdict(config) == snapshot
+
+
+def _log_barrier_problem() -> Problem:
+    # min -log x1 + 10 x1 + x2^2  s.t.  x1 = x2; f is NaN where x1 <= 0.
+    return Problem(
+        name="log_barrier", n=2, m=1,
+        objective=lambda x: ((-math.log(x[0]) if x[0] > 0.0 else math.nan)
+                             + 10.0 * x[0] + x[1] ** 2),
+        gradient=lambda x: np.array([-1.0 / x[0] + 10.0, 2.0 * x[1]]),
+        objective_hessian=lambda x: np.array([[1.0 / x[0] ** 2, 0.0], [0.0, 2.0]]),
+        constraints=lambda x: np.array([x[0] - x[1]]),
+        jacobian=lambda x: np.array([[1.0, -1.0]]),
+        constraint_hessians=lambda x: [np.zeros((2, 2))],
+        default_start=np.array([0.9, 0.9]),
+    )
+
+
+def _near_singular_problem() -> Problem:
+    # Jacobian rows (1, 1, 1) and (1, 1, 1 + e): singular-value ratio 2.5e-12.
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0 + 1.06e-11]])
+    b = np.ones(2)
+    return Problem(
+        name="near_singular", n=3, m=2,
+        objective=lambda x: 0.5 * float(x @ x),
+        gradient=lambda x: x.copy(),
+        objective_hessian=lambda x: np.eye(3),
+        constraints=lambda x: A @ x - b,
+        jacobian=lambda x: A.copy(),
+        constraint_hessians=lambda x: [np.zeros((3, 3)), np.zeros((3, 3))],
+        default_start=np.array([1.0, -1.0, 0.5]),
+    )
+
+
+class TestRobustness:
+    def test_non_finite_trial_point_is_rejected(self, tmp_path):
+        problem = _log_barrier_problem()
+        config = SolverConfig(audit=True)
+        result = solve(problem, config=config)
+        assert result.status == CONVERGED_SOSP
+        t = (-10.0 + math.sqrt(108.0)) / 4.0
+        np.testing.assert_allclose(result.x_final, [t, t], atol=1e-8)
+        np.testing.assert_allclose(result.lambda_final, [2.0 * t], atol=1e-7)
+        assert result.violations == []
+        rejected = [r for r in result.history if r.rho == -math.inf]
+        assert rejected
+        for record, nxt in zip(result.history, result.history[1:]):
+            if record.rho == -math.inf:
+                assert record.classification == UNSUCCESSFUL
+                assert not record.correction_computed
+                assert record.sigma_next == config.gamma1 * record.sigma
+                assert np.array_equal(nxt.x, record.x)
+
+        path = tmp_path / "log_barrier.trace"
+        write_trace(path, problem.name, problem.default_start, config, result)
+        data = read_trace(path)
+        assert [r.rho for r in data.records] == [r.rho for r in result.history]
+        assert audit_run(problem, data.records, data.config) == []
+
+    def test_audit_does_not_change_near_singular_run(self):
+        problem = _near_singular_problem()
+        plain = solve(problem, config=SolverConfig(rank_tol=1e-14, max_iter=20))
+        audited = solve(problem, config=SolverConfig(rank_tol=1e-14, max_iter=20,
+                                                     audit=True))
+        assert audited.status == plain.status
+        assert audited.iterations == plain.iterations
+        np.testing.assert_array_equal(audited.x_final, plain.x_final)
+
+
+class TestEvaluationEconomy:
+    def test_work_once_per_iterate(self, monkeypatch):
+        """Derivatives and one eigh per distinct iterate; f and c per point."""
+        base = builtin_problem("maratos")
+        calls = dict.fromkeys(("objective", "gradient", "objective_hessian",
+                               "constraints", "jacobian", "constraint_hessians"), 0)
+
+        def counted(kind):
+            fn = getattr(base, kind)
+
+            def callback(x):
+                calls[kind] += 1
+                return fn(x)
+            return callback
+
+        problem = dataclasses.replace(base, **{kind: counted(kind) for kind in calls})
+        eigh = np.linalg.eigh
+        eigh_calls = []
+
+        def counted_eigh(*args, **kwargs):
+            eigh_calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        # from this start the run both corrects and rejects steps
+        result = solve(problem, x0=[0.0, 1.0], config=SolverConfig(sigma0=0.1))
+        monkeypatch.undo()
+
+        history = result.history
+        assert result.status == CONVERGED_SOSP
+        assert result.counts.corrections >= 1
+        assert result.counts.unsuccessful >= 1
+        iterates = 1 + result.counts.accepted  # the start and every accepted point
+        points = 1 + len(history) + result.counts.corrections
+        assert calls["objective"] == calls["constraints"] == points
+        for kind in ("gradient", "jacobian", "objective_hessian", "constraint_hessians"):
+            assert calls[kind] == iterates, kind
+        assert len(eigh_calls) == iterates

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cubeq.errors import NonFiniteValue, UnknownProblem
-from cubeq.problems import (Problem, builtin_problem, evaluate,
-                            lagrangian_hessian, problem_names)
+from cubeq.problems import (Problem, builtin_problem, complete_point, evaluate,
+                            evaluate_trial, lagrangian_hessian, problem_names)
 
 ALL_NAMES = ["circle_quadratic", "linear_eq_quadratic", "maratos",
              "rosenbrock_sphere", "saddle_escape"]
@@ -98,6 +98,60 @@ class TestEvaluate:
         point = evaluate(p, x)
         x[0] = 99.0
         assert point.x[0] == 0.3
+
+
+class TestTrialPoint:
+    def _counted(self, p):
+        calls = []
+
+        def wrap(kind):
+            fn = getattr(p, kind)
+            return lambda x: calls.append(kind) or fn(x)
+
+        kinds = ("objective", "gradient", "objective_hessian", "constraints",
+                 "jacobian", "constraint_hessians")
+        return Problem(name=p.name, n=p.n, m=p.m, default_start=p.default_start,
+                       **{kind: wrap(kind) for kind in kinds}), calls
+
+    def test_trial_calls_only_f_and_c(self):
+        p, calls = self._counted(builtin_problem("maratos"))
+        trial = evaluate_trial(p, np.array([0.3, 0.4]))
+        assert sorted(calls) == ["constraints", "objective"]
+        assert trial.f == p.objective(np.array([0.3, 0.4]))
+        assert trial.c_l1 == abs(trial.c[0])
+
+    def test_completion_adds_derivatives_only(self):
+        base = builtin_problem("rosenbrock_sphere")
+        p, calls = self._counted(base)
+        x = np.array([0.7, -1.2])
+        trial = evaluate_trial(p, x)
+        calls.clear()
+        point = complete_point(p, trial)
+        assert sorted(calls) == ["constraint_hessians", "gradient", "jacobian",
+                                 "objective_hessian"]
+        full = evaluate(base, x)
+        assert point.f == full.f and point.c_l1 == full.c_l1
+        for name in ("x", "g", "c", "A", "f_hess"):
+            np.testing.assert_array_equal(getattr(point, name), getattr(full, name))
+
+    def test_trial_checks_finiteness_and_shape(self):
+        p = builtin_problem("circle_quadratic")
+        nan_c = Problem(name="bad", n=p.n, m=p.m, objective=p.objective,
+                        gradient=p.gradient, objective_hessian=p.objective_hessian,
+                        constraints=lambda x: np.array([np.inf]),
+                        jacobian=p.jacobian, constraint_hessians=p.constraint_hessians,
+                        default_start=p.default_start)
+        with pytest.raises(NonFiniteValue):
+            evaluate_trial(nan_c, nan_c.default_start)
+        long_c = Problem(name="bad", n=p.n, m=p.m, objective=p.objective,
+                         gradient=p.gradient, objective_hessian=p.objective_hessian,
+                         constraints=lambda x: np.zeros(2),
+                         jacobian=p.jacobian, constraint_hessians=p.constraint_hessians,
+                         default_start=p.default_start)
+        with pytest.raises(ValueError, match="constraints"):
+            evaluate_trial(long_c, long_c.default_start)
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_trial(p, np.zeros(3))
 
 
 class TestLagrangianHessian:

@@ -51,6 +51,29 @@ class TestBuildReducedModel:
                                     np.zeros(3), sigma=1.0)
         np.testing.assert_array_equal(model.H_red, np.zeros((2, 2)))
 
+    def test_model_carries_its_eigendecomposition(self):
+        model = _direct_model([1.0, -2.0], [[2.0, 1.0], [1.0, -3.0]], sigma=1.0)
+        vals, vecs = np.linalg.eigh(model.H_red)
+        np.testing.assert_array_equal(model.eigvals, vals)
+        np.testing.assert_array_equal(model.eigvecs, vecs)
+
+    def test_reuse_keeps_reduced_hessian_and_spectrum(self):
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((2, 5))
+        g = rng.standard_normal(5)
+        H = rng.standard_normal((5, 5))
+        H = 0.5 * (H + H.T)
+        v = rng.standard_normal(5)
+        fact = factorize_jacobian(A)
+        first = build_reduced_model(fact, g, H, np.zeros(5), sigma=1.0, f0=3.0)
+        again = build_reduced_model(fact, g, H, v, sigma=4.0, f0=3.0, reuse=first)
+        fresh = build_reduced_model(fact, g, H, v, sigma=4.0, f0=3.0)
+        assert again.H_red is first.H_red
+        assert again.eigvals is first.eigvals and again.eigvecs is first.eigvecs
+        assert again.sigma == 4.0 and again.f0 == 3.0
+        np.testing.assert_array_equal(again.g_red, fresh.g_red)
+        np.testing.assert_array_equal(solve_cubic(again).p, solve_cubic(fresh).p)
+
 
 class TestModelDecrease:
     def test_zero_step(self):
@@ -116,6 +139,15 @@ class TestCauchyPoint:
 
 
 class TestSolveCubic:
+    def test_tiny_gradient_with_positive_curvature(self):
+        """The secular bracket must not cancel to zero when H_red is PD."""
+        model = ReducedCubicModel(f0=0.0, g_red=np.array([1e-15]),
+                                  H_red=np.array([[2.0]]), sigma=0.125, Z=np.eye(1))
+        sol = solve_cubic(model)
+        # (2 + sigma r) p = -g with r = |p| ~ 5e-16, so p = -g/2 to rounding
+        assert sol.p[0] == pytest.approx(-5e-16, rel=1e-12)
+        assert sol.delta_m > 0.0
+
     def test_scalar_model_root(self):
         # gradient of the model: -1 + p + p^2 = 0 at the positive root
         model = _direct_model([-1.0], [[1.0]], sigma=1.0)

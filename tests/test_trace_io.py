@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from cubeq.diagnostics import Violation, audit_run
 from cubeq.driver import SolverConfig, solve
 from cubeq.errors import TraceError
 from cubeq.problems import builtin_problem
-from cubeq.trace_io import read_trace, write_trace
+from cubeq.trace_io import dump_line, read_trace, record_to_dict, write_trace
 
 _ARRAY_FIELDS = ("x", "lam", "v_c", "v", "u", "w")
+# A maratos run written by the earlier emitter, every float with %.17g.
+_V1_17G_TRACE = Path(__file__).parent / "data" / "maratos_v1.trace"
 
 
 def _write_run(tmp_path, name="circle_quadratic", config=None):
@@ -82,6 +86,37 @@ class TestRoundTrip:
                                      config=config)
         footer = read_trace(path).footer
         assert footer["status"] == result.status == "max_iterations"
+
+    def test_non_finite_floats_round_trip(self):
+        values = [math.inf, -math.inf, 0.1, np.float64(1.0 / 3.0), 5e-324]
+        line = dump_line({"kind": "x", "v": values, "a": np.array(values),
+                          "nan": np.nan, "flag": np.bool_(True), "k": np.int64(7)})
+        back = json.loads(line)
+        assert back["v"] == back["a"] == [float(v) for v in values]
+        assert math.isnan(back["nan"])
+        assert back["flag"] is True and back["k"] == 7
+
+    def test_earlier_17_digit_traces_read_back(self, tmp_path):
+        data = read_trace(_V1_17G_TRACE)
+        assert data.problem_name == "maratos"
+        assert data.footer["status"] == "converged_sosp"
+        assert len(data.records) == data.footer["iterations"] == 4
+        assert sum(r.correction_computed for r in data.records) == 3
+        assert data.records[0].x.tolist() == [0.9, 0.3]
+        assert audit_run(builtin_problem("maratos"), data.records, data.config) == []
+        # rewritten with the current writer, every record reads back unchanged
+        lines = [dump_line(data.header)]
+        lines += [dump_line(record_to_dict(r)) for r in data.records]
+        lines.append(dump_line(data.footer))
+        path = tmp_path / "rewritten.trace"
+        path.write_text("\n".join(lines) + "\n")
+        for again, first in zip(read_trace(path).records, data.records):
+            for field in dataclasses.fields(first):
+                a, b = getattr(again, field.name), getattr(first, field.name)
+                if field.name in _ARRAY_FIELDS and b is not None:
+                    assert np.array_equal(a, b), field.name
+                else:
+                    assert a == b, field.name
 
 
 class TestStrictParsing:
