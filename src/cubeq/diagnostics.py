@@ -25,7 +25,7 @@ import numpy as np
 from . import merit
 from .driver import SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL, IterationRecord, SolverConfig
 from .errors import InsufficientHistory
-from .linalg import FactorizedJacobian, factorize_jacobian, min_eig_reduced
+from .linalg import FactorizedJacobian, factorize_jacobian, reduce_matrix
 from .problems import EvalPoint, Problem, evaluate, lagrangian_hessian
 
 Array = np.ndarray
@@ -84,7 +84,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     norm_u = float(np.linalg.norm(u))
     norm_d = float(np.linalg.norm(d))
     norm_A = fact.factor_state[1][0]
-    norm_H = float(np.linalg.norm(H, 2))
+    norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))  # H is exactly symmetric
 
     def slack(*vals):
         return TOLERANCE * max(1.0, *[abs(float(x)) for x in vals])
@@ -154,7 +154,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
         flag("or2_model_gradient", grad_norm, grad_budget,
              "model gradient at the tangential step exceeds its budget")
 
-    lam_min, _ = min_eig_reduced(fact, H)
+    lam_min = float(np.linalg.eigvalsh(reduce_matrix(fact, H))[0])
     curv_floor = -sigma * norm_u
     if min(lam_min, 0.0) < curv_floor - slack(curv_floor, lam_min):
         flag("or3_curvature", lam_min, curv_floor,
@@ -258,7 +258,8 @@ def merit_gap_warnings(problem: Problem, record: IterationRecord,
     gap = delta_q - achieved
     lip_g = float(np.linalg.norm(trial.g - point.g)) / norm_d
     lip_a = float(np.linalg.norm(trial.A - point.A, 2)) / norm_d
-    bound = 0.5 * (lip_g + float(np.linalg.norm(H, 2)) + mu * lip_a) * norm_d**2
+    norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))  # H is exactly symmetric
+    bound = 0.5 * (lip_g + norm_H + mu * lip_a) * norm_d**2
     if gap > bound + TOLERANCE * max(1.0, abs(delta_q)):
         return [f"iteration {record.k}: merit model over-predicts by "
                 f"{gap:.3e}, above the local curvature estimate {bound:.3e}"]

@@ -262,9 +262,13 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
         history.append(record)
         if config.audit:
             # deferred import; diagnostics depends on this module
-            from .diagnostics import audit_iteration, rebuild_context
-            context = rebuild_context(problem, record, config.rank_tol)
-            violations.extend(audit_iteration(record, context, config))
+            from .diagnostics import Violation, audit_iteration, rebuild_context
+            try:
+                context = rebuild_context(problem, record, config.rank_tol)
+                violations.extend(audit_iteration(record, context, config))
+            except Exception as exc:  # the audit observes; it never ends the run
+                violations.append(Violation("audit_error", f"{type(exc).__name__}: {exc}",
+                                            math.nan, math.nan, record.k))
 
     try:
         at = evaluate_trial(problem, x)
@@ -278,8 +282,7 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
                                        report, violations=violations)
             point, fact, H = it.point, it.fact, it.H
 
-            normal = assemble_normal(fact, point.c, sigma,
-                                     r_v=config.r_v, theta=config.theta)
+            normal = assemble_normal(fact, point.c, sigma, r_v=config.r_v)
             model = build_reduced_model(fact, point.g, H, normal.v, sigma,
                                         f0=point.f, reuse=it.model)
             tang = solve_cubic(model, config.delta)

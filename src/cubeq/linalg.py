@@ -56,9 +56,8 @@ def factorize_jacobian(A, rank_tol: float = 1e-10) -> FactorizedJacobian:
 def range_least_squares(fact: FactorizedJacobian, rhs) -> Array:
     """Minimum-norm solution v of A v = -rhs; v lies in range(A^T)."""
     U, s, Vt = fact.factor_state
-    m = fact.rank
     y = (U.T @ np.asarray(rhs, dtype=float)) / s
-    return -(Vt[:m].T @ y)
+    return -(Vt[:len(s)].T @ y)
 
 
 def reduce_matrix(fact: FactorizedJacobian, M) -> Array:

@@ -14,18 +14,9 @@ tau mu beta |c|_1 worth of feasibility progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 Array = np.ndarray
-
-
-@dataclass
-class MeritState:
-    mu: float
-    mu_prev: float
-    mu_candidate: float
 
 
 def merit_value(f: float, c_l1: float, mu: float) -> float:

@@ -15,16 +15,9 @@ from .linalg import FactorizedJacobian
 Array = np.ndarray
 
 
-def estimate_multipliers(fact: FactorizedJacobian, g,
-                         r_lambda: float = 0.0, norm_v: float = 0.0) -> Array:
-    """Multiplier estimate at the current iterate.
-
-    ``r_lambda`` and ``norm_v`` define the residual budget of the inexact
-    contract; they are accepted (and audited downstream) but the estimate
-    itself is computed exactly.
-    """
+def estimate_multipliers(fact: FactorizedJacobian, g) -> Array:
+    """Exact least-squares multiplier estimate at the current iterate."""
     U, s, Vt = fact.factor_state
-    m = fact.rank
     g = np.asarray(g, dtype=float).reshape(-1)
     # lambda* = -U diag(1/s) V_r^T g
-    return -(U @ ((Vt[:m] @ g) / s))
+    return -(U @ ((Vt[:len(s)] @ g) / s))

@@ -29,7 +29,6 @@ class NormalStep:
     v_c: Array  # full normal step, in range(A^T)
     v: Array  # beta * v_c
     beta: float
-    residual_l1: float  # |A v_c + c|_1
 
 
 def compute_vc(fact: FactorizedJacobian, c, r_v: float = 0.0) -> tuple:
@@ -54,13 +53,13 @@ def compute_vc(fact: FactorizedJacobian, c, r_v: float = 0.0) -> tuple:
     return v_c, residual
 
 
-def select_beta(norm_vc: float, sigma: float, theta: float = 0.5) -> float:
+def select_beta(norm_vc: float, sigma: float) -> float:
     """Largest admissible scaling: min(1, 1/(|v_c| sqrt(sigma))).
 
     The admissible interval is [min(1, theta/(|v_c| sqrt(sigma))), that same
     expression with theta = 1]; taking the upper endpoint keeps |v| at the
-    1/sqrt(sigma) cap whenever the full step would overshoot it.  theta only
-    matters for auditing the interval.
+    1/sqrt(sigma) cap whenever the full step would overshoot it.  theta
+    (``SolverConfig.theta``) only bounds the interval the auditor checks.
     """
     if norm_vc == 0.0:
         return 1.0
@@ -68,7 +67,7 @@ def select_beta(norm_vc: float, sigma: float, theta: float = 0.5) -> float:
 
 
 def assemble_normal(fact: FactorizedJacobian, c, sigma: float,
-                    r_v: float = 0.0, theta: float = 0.5) -> NormalStep:
-    v_c, residual = compute_vc(fact, c, r_v)
-    beta = select_beta(float(np.linalg.norm(v_c)), sigma, theta)
-    return NormalStep(v_c=v_c, v=beta * v_c, beta=beta, residual_l1=residual)
+                    r_v: float = 0.0) -> NormalStep:
+    v_c, _ = compute_vc(fact, c, r_v)
+    beta = select_beta(float(np.linalg.norm(v_c)), sigma)
+    return NormalStep(v_c=v_c, v=beta * v_c, beta=beta)

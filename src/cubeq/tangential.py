@@ -14,11 +14,14 @@ the eigendecomposition H_red = Q diag(lam) Q^T and ghat = Q^T g_red,
 
     |p(r)|^2 = sum_i ghat_i^2 / (lam_i + sigma r)^2  must equal  r^2
 
-on r >= max(0, -lam_min)/sigma.  |p(r)| - r is strictly decreasing there, so
-a bracketed bisection is robust; the only subtlety is the hard case, when
-g_red is (numerically) orthogonal to the leftmost eigenspace and the secular
-curve never reaches the diagonal: then r is pinned at -lam_min/sigma and the
-solution gains an eigenvector component sized to make |p| = r.
+on r >= r_floor = max(0, -lam_min)/sigma.  psi(r) = 1/|p(r)| - 1/r is concave
+and increasing there, so Newton's method on psi climbs to the root from the
+left and converges quadratically (Moré & Sorensen 1983; Cartis, Gould & Toint
+2011, ARC Part I, 6.1): about 4 evaluations per solve, where bisection took
+about 50.  The only subtlety is the hard case, when g_red is (numerically)
+orthogonal to the leftmost eigenspace and the secular curve never reaches the
+diagonal: then r is pinned at r_floor and the solution gains an eigenvector
+component sized to make |p| = r.
 
 The eigendecomposition is part of the model: it is computed once when the
 model is built and carried over when the model is rebuilt at the same
@@ -49,7 +52,8 @@ Array = np.ndarray
 # leftmost eigenspace and the hard-case branch applies.
 _HARD_CASE_RTOL = 1e-12
 
-_MAX_BISECT = 300
+_MAX_SECULAR_STEPS = 300
+_SECULAR_RTOL = 16.0 * np.finfo(float).eps  # relative Newton step that ends the iteration
 
 
 @dataclass(frozen=True)
@@ -122,46 +126,62 @@ def cauchy_point(model: ReducedCubicModel) -> tuple:
     return float(alpha), float(decrease)
 
 
-def _radius_gap(r, lam, ghat_sq, sigma):
-    """|p(r)| - r, with +inf when a shifted eigenvalue is not positive."""
-    den = lam + sigma * r
-    if np.any(den <= 0.0):
-        return math.inf
-    return math.sqrt(float(np.sum(ghat_sq / den**2))) - r
+def _secular(t, base, ghat, sigma, floor):
+    """Secular gap |p| - r and the Newton step on psi, at r = (floor + t) / sigma.
+
+    lam_i + sigma r = base_i + t >= t > 0.  With S = |p|^2 and S3 = sum
+    ghat_i^2 / (base_i + t)^3, psi' = sigma S3 / |p|^3 + 1/r^2, so the Newton
+    step in t, -sigma psi / psi', is sigma gap S r / (|p| S + sigma r^2 S3).
+    """
+    den = base + t
+    q = ghat / den
+    s = float(q @ q)
+    s3 = float(q @ (q / den))
+    norm = math.sqrt(s)
+    r = (floor + t) / sigma
+    gap = norm - r
+    return gap, sigma * gap * s * r / (norm * s + sigma * r * r * s3)
 
 
-def _radius_upper_bound(lam_min, gnorm, sigma):
-    # Any radius with |p(r)| = r satisfies sigma r^2 + lam_min r <= |g|.  The
-    # positive root of that quadratic, in the form that does not cancel.
-    root = math.sqrt(lam_min**2 + 4.0 * sigma * gnorm)
-    if lam_min > 0.0:
-        return 2.0 * gnorm / (lam_min + root)
-    return (-lam_min + root) / (2.0 * sigma)
+def _shift_upper_bound(lam_min, gnorm, sigma):
+    # Any radius with |p(r)| = r has sigma r^2 + lam_min r <= |g|; at the root of
+    # that quadratic sigma (r - r_floor) = (sqrt(lam_min^2 + 4 sigma |g|) - |lam_min|)/2,
+    # here in the form that does not cancel.
+    return 2.0 * sigma * gnorm / (abs(lam_min) + math.sqrt(lam_min**2 + 4.0 * sigma * gnorm))
 
 
-def _bisect_radius(lam, ghat_sq, sigma, lo, hi):
-    """Root of the secular gap on (lo, hi].
+def _secular_shift(base, ghat, sigma, floor, hi):
+    """Shift t = sigma (r - r_floor) in (0, hi] at the secular root.
 
-    Returns the upper bisection endpoint, where every shifted eigenvalue is
-    strictly positive, so the caller can form p(r) without dividing by zero.
+    Safeguarded Newton: the bracket [lo, hi] starts at [0, hi] and follows the
+    sign of the gap; a Newton step that leaves it, or is not at most half the
+    step before, becomes a bisection step.  In t, lam_i + sigma r keeps full
+    precision when r lies within rounding of r_floor, and stays positive.
     """
     for _ in range(60):
-        if _radius_gap(hi, lam, ghat_sq, sigma) <= 0.0:
+        gap, step = _secular(hi, base, ghat, sigma, floor)
+        if gap <= 0.0:
             break
         hi = 2.0 * max(hi, 1e-300)
     else:
         raise SecularSolveFailed("could not bracket the secular root from above")
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(hi, 1e-300):
-            return hi
-        mid = 0.5 * (lo + hi)
-        if _radius_gap(mid, lam, ghat_sq, sigma) > 0.0:
-            lo = mid
+    lo, t, last = 0.0, hi, hi
+    for _ in range(_MAX_SECULAR_STEPS):
+        if abs(step) <= _SECULAR_RTOL * t:
+            return t + max(step, 0.0)
+        new = t + step
+        if not (lo < new < hi and abs(step) <= 0.5 * last):
+            new = 0.5 * (lo + hi)
+        last, t = abs(new - t), new
+        gap, step = _secular(t, base, ghat, sigma, floor)
+        if gap > 0.0:
+            lo = t
         else:
-            hi = mid
-    raise SecularSolveFailed(
-        f"secular bisection did not converge in {_MAX_BISECT} steps (lo={lo}, hi={hi})"
-    )
+            hi = t
+        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+            return hi
+    raise SecularSolveFailed(f"secular iteration did not converge in "
+                             f"{_MAX_SECULAR_STEPS} steps (lo={lo}, hi={hi})")
 
 
 def solve_cubic(model: ReducedCubicModel, delta: float = 0.1) -> OracleSolution:
@@ -178,37 +198,31 @@ def solve_cubic(model: ReducedCubicModel, delta: float = 0.1) -> OracleSolution:
     lam_min = float(lam[0])
     ghat = Q.T @ model.g_red
     gnorm = float(np.linalg.norm(model.g_red))
-    r_floor = max(0.0, -lam_min) / sigma
+    floor = max(0.0, -lam_min)
+    r_floor = floor / sigma
+    base = lam + floor  # lam_i + sigma r_floor; the shift t is added to it
 
     leftmost = lam <= lam[0] + _HARD_CASE_RTOL * max(1.0, abs(lam_min))
     g_left = float(np.linalg.norm(ghat[leftmost]))
 
+    p, g_used, gn_used = None, ghat, gnorm
     if gnorm == 0.0:
-        if lam_min >= 0.0:
-            p = np.zeros_like(model.g_red)
-        else:
-            p = r_floor * Q[:, 0]
+        p = np.zeros_like(model.g_red) if lam_min >= 0.0 else r_floor * Q[:, 0]
     elif lam_min < 0.0 and g_left <= _HARD_CASE_RTOL * gnorm:
         # Hard-case candidate: the leftmost components of ghat are noise;
         # drop them and see whether the remaining curve still crosses r.
-        ghat_used = np.where(leftmost, 0.0, ghat)
-        coef = np.zeros_like(ghat)
-        np.divide(-ghat_used, lam + sigma * r_floor, out=coef, where=~leftmost)
+        g_used = np.where(leftmost, 0.0, ghat)
+        gn_used = float(np.linalg.norm(g_used))
+        coef = -g_used / np.where(leftmost, 1.0, base)
         interior_norm = float(np.linalg.norm(coef))
         if interior_norm < r_floor:
             # True hard case: pad with an eigenvector component so |p| = r.
-            t = math.sqrt(max(0.0, r_floor**2 - interior_norm**2))
-            p = Q @ coef + t * Q[:, 0]
-        else:
-            hi = _radius_upper_bound(lam_min, float(np.linalg.norm(ghat_used)), sigma)
-            r = _bisect_radius(lam, ghat_used**2, sigma, r_floor, hi)
-            coef = np.zeros_like(ghat)
-            np.divide(-ghat_used, lam + sigma * r, out=coef, where=~leftmost)
-            p = Q @ coef
-    else:
-        hi = _radius_upper_bound(lam_min, gnorm, sigma)
-        r = _bisect_radius(lam, ghat**2, sigma, r_floor, hi)
-        p = Q @ (-ghat / (lam + sigma * r))
+            pad = math.sqrt(max(0.0, r_floor**2 - interior_norm**2))
+            p = Q @ coef + pad * Q[:, 0]
+    if p is None:
+        hi = _shift_upper_bound(lam_min, gn_used, sigma)
+        t = _secular_shift(base, g_used, sigma, floor, hi)
+        p = Q @ (-g_used / (base + t))
 
     radius = float(np.linalg.norm(p))
     grad = model.g_red + model.H_red @ p + sigma * radius * p

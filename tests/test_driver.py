@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cubeq import diagnostics
 from cubeq.diagnostics import audit_run
 from cubeq.driver import (CONVERGED_SOSP, LICQ_FAILURE, MAX_ITERATIONS,
                           NUMERICAL_ERROR, SUCCESSFUL, UNSUCCESSFUL,
@@ -323,6 +324,21 @@ class TestRobustness:
         assert audited.status == plain.status
         assert audited.iterations == plain.iterations
         np.testing.assert_array_equal(audited.x_final, plain.x_final)
+
+    def test_audit_exception_becomes_violation(self, monkeypatch):
+        def broken(record, context, config):
+            raise FloatingPointError(f"audit broke at k={record.k}")
+
+        monkeypatch.setattr(diagnostics, "audit_iteration", broken)
+        problem = builtin_problem("maratos")
+        plain = solve(problem, config=SolverConfig())
+        audited = solve(problem, config=SolverConfig(audit=True))
+        assert audited.status == plain.status == CONVERGED_SOSP
+        assert audited.iterations == plain.iterations
+        np.testing.assert_array_equal(audited.x_final, plain.x_final)
+        assert [v.code for v in audited.violations] == ["audit_error"] * plain.iterations
+        assert [v.k for v in audited.violations] == list(range(plain.iterations))
+        assert audited.violations[0].message == "FloatingPointError: audit broke at k=0"
 
 
 class TestEvaluationEconomy:

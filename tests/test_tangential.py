@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cubeq import tangential
 from cubeq.linalg import factorize_jacobian
 from cubeq.tangential import (ReducedCubicModel, build_reduced_model,
                               cauchy_point, model_decrease, solve_cubic)
@@ -210,6 +211,35 @@ class TestSolveCubic:
             assert sol.delta_m >= (1.0 / 6.0 - DELTA) * sigma * norm_u**3 - 1e-10
             assert norm_u <= 3.0 * max(norm_h / sigma,
                                        math.sqrt(gn / sigma)) + 1e-10
+
+    def test_secular_newton_needs_few_evaluations(self, monkeypatch):
+        """Criterion 3's 100 models and the 40 above: at most 12 evaluations
+        of the secular function per solve on average (bisection takes ~50)."""
+        calls = 0
+        secular = tangential._secular
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return secular(*args)
+
+        monkeypatch.setattr(tangential, "_secular", counted)
+        models = []
+        rng = np.random.default_rng(101)  # test_criterion_3's models
+        for trial in range(100):
+            dim = 1 if trial < 50 else 2
+            g = rng.standard_normal(dim)
+            H = rng.standard_normal((dim, dim))
+            models.append((g, 0.5 * (H + H.T), float(rng.uniform(0.5, 4.0))))
+        rng = np.random.default_rng(17)  # test_oracle_conditions_hold_on_random_models
+        for _ in range(40):
+            dim = int(rng.integers(1, 4))
+            g = rng.standard_normal(dim)
+            H = rng.standard_normal((dim, dim))
+            models.append((g, 0.5 * (H + H.T), float(rng.uniform(0.3, 5.0))))
+        for g, H, sigma in models:
+            solve_cubic(_direct_model(g, H, sigma), DELTA)
+        assert calls / len(models) <= 12.0
 
     def test_lifted_step_stays_in_null_space(self):
         rng = np.random.default_rng(19)
