@@ -226,9 +226,9 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
 def audit_run(problem: Problem, records, config: SolverConfig) -> list:
     """Audit every recorded iteration; returns the concatenated violations."""
     violations: list = []
-    for record in records:
-        context = rebuild_context(problem, record, config.rank_tol)
-        violations.extend(audit_iteration(record, context, config))
+    for record in records:  # one context alive at a time: it holds the m Hessians
+        violations.extend(audit_iteration(
+            record, rebuild_context(problem, record, config.rank_tol), config))
     return violations
 
 

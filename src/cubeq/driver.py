@@ -372,7 +372,7 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
                 sigma_next=sigma_next, mu_prev=mu_prev, mu_candidate=mu_cand,
             ))
             if accepted:
-                at, x, it = taken, taken.x, None
+                at, x, it, point = taken, taken.x, None, None  # frees x's Hessians
             sigma = sigma_next
 
         # Budget exhausted: stationarity at the final iterate decides

@@ -24,7 +24,6 @@ class FactorizedJacobian:
     """SVD-backed view of a full-row-rank constraint Jacobian."""
 
     A: Array
-    rank: int
     Z: Array  # (n, n - m), orthonormal columns spanning null(A)
     smallest_singular_value: float
     factor_state: tuple  # (U, s, Vt) with Vt of shape (n, n)
@@ -47,7 +46,7 @@ def factorize_jacobian(A, rank_tol: float = 1e-10) -> FactorizedJacobian:
             f"jacobian numerically rank deficient: singular values {s}, rank_tol={rank_tol}"
         )
     return FactorizedJacobian(
-        A=A, rank=m, Z=Vt[m:].T.copy(),
+        A=A, Z=Vt[m:].T.copy(),
         smallest_singular_value=float(s[m - 1]),
         factor_state=(U, s, Vt),
     )

@@ -9,7 +9,7 @@ calls just those two callbacks.  When such a point becomes the iterate,
 without calling f and c again.  :func:`evaluate` does both at once, for the
 auditor and for callers that want everything at a point; either way the
 result is an immutable :class:`EvalPoint`.  :func:`lagrangian_hessian`
-combines the Hessians.
+combines the Hessians in one pass and checks the sum, not each, for finiteness.
 
 ``builtin_problem`` serves a small catalog of analytic test problems used by
 the CLI and the test-suite.  Each entry carries a default start and, where a
@@ -61,7 +61,7 @@ class TrialPoint:
 
 @dataclass(frozen=True)
 class EvalPoint:
-    """Everything the solver needs at an iterate, computed eagerly."""
+    """Everything the solver needs at an iterate; the Hessians are checked when combined."""
 
     x: Array
     f: float
@@ -101,7 +101,7 @@ def evaluate_trial(problem: Problem, x) -> TrialPoint:
 def complete_point(problem: Problem, trial: TrialPoint) -> EvalPoint:
     """Add the first and second derivatives at ``trial.x``; f and c are reused.
 
-    Raises :class:`NonFiniteValue` and ``ValueError`` like :func:`evaluate`.
+    Raises like :func:`evaluate`; the Hessians' finiteness is checked when they are combined.
     """
     x, n, m = trial.x, problem.n, problem.m
     g = np.asarray(problem.gradient(x), dtype=float).reshape(-1)
@@ -117,7 +117,7 @@ def complete_point(problem: Problem, trial: TrialPoint) -> EvalPoint:
         raise ValueError(f"objective hessian has shape {f_hess.shape}, expected ({n}, {n})")
     if len(c_hess) != m or any(Hi.shape != (n, n) for Hi in c_hess):
         raise ValueError("constraint hessians must be m matrices of shape (n, n)")
-    _check_finite(problem, x, g, A, f_hess, *c_hess)
+    _check_finite(problem, x, g, A)
 
     return EvalPoint(x=x, f=trial.f, g=g, c=trial.c, c_l1=trial.c_l1,
                      A=A, f_hess=f_hess, c_hess=c_hess)
@@ -126,8 +126,8 @@ def complete_point(problem: Problem, trial: TrialPoint) -> EvalPoint:
 def evaluate(problem: Problem, x) -> EvalPoint:
     """Evaluate all problem quantities at ``x``.
 
-    Raises :class:`NonFiniteValue` if any callback returns NaN or Inf, and
-    ``ValueError`` on shape mismatches.
+    Raises :class:`NonFiniteValue` if f, c, g or A holds NaN or Inf (the Hessians
+    are checked by :func:`lagrangian_hessian`), and ``ValueError`` on bad shapes.
     """
     return complete_point(problem, evaluate_trial(problem, x))
 
@@ -135,13 +135,19 @@ def evaluate(problem: Problem, x) -> EvalPoint:
 def lagrangian_hessian(point: EvalPoint, lam) -> Array:
     """Hessian of the Lagrangian at ``point``: hess f + sum_i lam_i hess c_i.
 
-    The result is symmetrized exactly so downstream eigensolves never see
-    asymmetry introduced by rounding.
+    Summed in place and in that order; NaN or Inf in the sum (also 0 * NaN) raises
+    :class:`NonFiniteValue`.  Exactly symmetrized for the downstream eigensolves.
     """
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if lam.shape != (len(point.c),):
         raise ValueError(f"lambda has shape {lam.shape}, expected ({len(point.c)},)")
-    H = point.f_hess + sum(li * Hi for li, Hi in zip(lam, point.c_hess))
+    H = np.multiply(point.c_hess[0], lam[0])
+    buf = np.empty_like(H)
+    for li, Hi in zip(lam[1:], point.c_hess[1:]):
+        H += np.multiply(Hi, li, out=buf)
+    H += point.f_hess
+    if not np.all(np.isfinite(H)):
+        raise NonFiniteValue(f"non-finite Lagrangian Hessian at x={point.x}")
     return 0.5 * (H + H.T)
 
 

@@ -226,6 +226,26 @@ def _nan_gradient_problem() -> Problem:
     )
 
 
+def _nan_constraint_hessian_problem() -> Problem:
+    # min x.x/2 + x0  s.t.  |x|^2 = 1 and x0 + x1 + x2 = 0; the linear
+    # constraint's Hessian callback returns a NaN.
+    def hessians(x):
+        bad = np.zeros((3, 3))
+        bad[0, 1] = np.nan
+        return [2.0 * np.eye(3), bad]
+
+    return Problem(
+        name="nan_constraint_hessian", n=3, m=2,
+        objective=lambda x: 0.5 * float(x @ x) + float(x[0]),
+        gradient=lambda x: x + np.array([1.0, 0.0, 0.0]),
+        objective_hessian=lambda x: np.eye(3),
+        constraints=lambda x: np.array([x @ x - 1.0, x.sum()]),
+        jacobian=lambda x: np.vstack([2.0 * x, np.ones(3)]),
+        constraint_hessians=hessians,
+        default_start=np.array([1.0, 0.0, 0.0]),
+    )
+
+
 class TestFailureModes:
     def test_rank_deficient_jacobian_reported(self):
         result = solve(_degenerate_problem())
@@ -234,6 +254,11 @@ class TestFailureModes:
 
     def test_non_finite_evaluation_reported(self):
         result = solve(_nan_gradient_problem())
+        assert result.status == NUMERICAL_ERROR
+        assert "NonFiniteValue" in result.message
+
+    def test_non_finite_constraint_hessian_reported(self):
+        result = solve(_nan_constraint_hessian_problem())
         assert result.status == NUMERICAL_ERROR
         assert "NonFiniteValue" in result.message
 
@@ -339,6 +364,50 @@ class TestRobustness:
         assert [v.code for v in audited.violations] == ["audit_error"] * plain.iterations
         assert [v.k for v in audited.violations] == list(range(plain.iterations))
         assert audited.violations[0].message == "FloatingPointError: audit broke at k=0"
+
+
+def _projected_rayleigh_problem(seed: int, n: int = 40, k: int = 9) -> tuple:
+    """min x^T Q x  s.t.  |x|^2 = 1 and B x = 0, with B of shape (k, n).
+
+    The minimum is the smallest eigenvalue of Z^T Q Z, Z an orthonormal basis
+    of null(B); Q gets a gap of at least 2 below the rest of that spectrum, so
+    the minimizer is a strict second-order point.  Returns the problem and
+    the minimum.
+    """
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((k, n))
+    Z = np.linalg.svd(B)[2][k:].T
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    Q = 0.5 * (G + G.T)
+    y = Z @ np.linalg.eigh(Z.T @ Q @ Z)[1][:, 0]
+    Q -= 2.0 * np.outer(y, y)
+    f_min = float(np.linalg.eigvalsh(Z.T @ Q @ Z)[0])
+    x0 = rng.standard_normal(n)
+    problem = Problem(
+        name="projected_rayleigh", n=n, m=k + 1,
+        objective=lambda x: float(x @ Q @ x),
+        gradient=lambda x: 2.0 * (Q @ x),
+        objective_hessian=lambda x: 2.0 * Q,
+        constraints=lambda x: np.concatenate([[x @ x - 1.0], B @ x]),
+        jacobian=lambda x: np.vstack([2.0 * x, B]),
+        constraint_hessians=lambda x: [2.0 * np.eye(n)] + [np.zeros((n, n))] * k,
+        default_start=x0 / np.linalg.norm(x0),
+    )
+    return problem, f_min
+
+
+class TestBeyondCatalog:
+    def test_projected_rayleigh_audited(self):
+        """n = 40, m = 10: reaches the compressed lambda_min; the audit is clean."""
+        problem, f_min = _projected_rayleigh_problem(seed=17)
+        plain = solve(problem)
+        audited = solve(problem, config=SolverConfig(audit=True))
+        assert audited.status == CONVERGED_SOSP
+        assert audited.violations == []
+        assert problem.objective(audited.x_final) == pytest.approx(f_min, abs=1e-8)
+        assert audited.status == plain.status
+        assert audited.iterations == plain.iterations
+        np.testing.assert_array_equal(audited.x_final, plain.x_final)
 
 
 class TestEvaluationEconomy:

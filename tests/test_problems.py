@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cubeq.errors import NonFiniteValue, UnknownProblem
-from cubeq.problems import (Problem, builtin_problem, complete_point, evaluate,
-                            evaluate_trial, lagrangian_hessian, problem_names)
+from cubeq.problems import (EvalPoint, Problem, builtin_problem, complete_point,
+                            evaluate, evaluate_trial, lagrangian_hessian,
+                            problem_names)
 
 ALL_NAMES = ["circle_quadratic", "linear_eq_quadratic", "maratos",
              "rosenbrock_sphere", "saddle_escape"]
@@ -174,3 +175,41 @@ class TestLagrangianHessian:
         point = evaluate(p, p.default_start)
         with pytest.raises(ValueError, match="lambda"):
             lagrangian_hessian(point, np.zeros(2))
+
+    @staticmethod
+    def _point(f_hess, c_hess):
+        n, m = f_hess.shape[0], len(c_hess)
+        return EvalPoint(x=np.zeros(n), f=0.0, g=np.zeros(n), c=np.zeros(m),
+                         c_l1=0.0, A=np.zeros((m, n)), f_hess=f_hess,
+                         c_hess=tuple(c_hess))
+
+    @pytest.mark.parametrize("m,n", [(1, 5), (3, 40), (75, 300)])
+    def test_bit_identical_to_reference_sum(self, m, n):
+        rng = np.random.default_rng(100 + m)
+        f_hess = rng.standard_normal((n, n))
+        c_hess = [rng.standard_normal((n, n)) for _ in range(m)]
+        lam = rng.standard_normal(m)
+        F = f_hess + sum(li * Hi for li, Hi in zip(lam, c_hess))
+        H = lagrangian_hessian(self._point(f_hess, c_hess), lam)
+        assert np.array_equal(H, 0.5 * (F + F.T))
+
+    def test_nan_under_zero_multiplier_raises(self):
+        c_hess = [np.eye(3), np.zeros((3, 3)), np.eye(3)]
+        c_hess[1][0, 2] = np.nan
+        point = self._point(np.eye(3), c_hess)
+        with pytest.raises(NonFiniteValue, match="Lagrangian Hessian"):
+            lagrangian_hessian(point, np.array([0.5, 0.0, -1.0]))
+
+    def test_inf_in_objective_hessian_raises(self):
+        f_hess = np.eye(3)
+        f_hess[1, 1] = np.inf
+        point = self._point(f_hess, [np.eye(3)])
+        with pytest.raises(NonFiniteValue, match="Lagrangian Hessian"):
+            lagrangian_hessian(point, np.array([2.0]))
+
+    def test_overflow_of_finite_inputs_raises(self):
+        big = np.full((2, 2), 1e308)
+        point = self._point(big, [big.copy(), big.copy()])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue,
+                                                       match="Lagrangian Hessian"):
+            lagrangian_hessian(point, np.array([1.0, 1.0]))
