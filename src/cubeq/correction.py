@@ -15,11 +15,9 @@ import math
 import numpy as np
 
 from .errors import ResidualConditionUnmet
-from .linalg import FactorizedJacobian, range_least_squares
+from .linalg import FactorizedJacobian, range_least_squares, rounding_bound
 
 Array = np.ndarray
-
-_CERT_SLACK = 1e-11
 
 
 def in_correction_region(norm_vc: float, sigma: float, zeta: float = 0.25) -> bool:
@@ -37,8 +35,8 @@ def compute_correction(fact: FactorizedJacobian, c_trial,
     c_trial = np.asarray(c_trial, dtype=float).reshape(-1)
     w = range_least_squares(fact, c_trial)
     residual = float(np.linalg.norm(fact.A @ w + c_trial))
-    allowed = r_w * norm_d**3
-    if residual > allowed + _CERT_SLACK * max(1.0, float(np.linalg.norm(c_trial))):
+    allowed = r_w * norm_d**3 + rounding_bound(fact, w, c_trial)
+    if residual > allowed:
         raise ResidualConditionUnmet(
             f"correction residual {residual:.3e} exceeds certificate {allowed:.3e}"
         )

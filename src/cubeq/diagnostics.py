@@ -26,7 +26,7 @@ from . import merit
 from .driver import SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL, IterationRecord, SolverConfig
 from .errors import InsufficientHistory
 from .linalg import FactorizedJacobian, factorize_jacobian, reduce_matrix
-from .problems import EvalPoint, Problem, evaluate, lagrangian_hessian
+from .problems import EvalPoint, Problem, evaluate, evaluate_trial, lagrangian_hessian
 
 Array = np.ndarray
 
@@ -83,7 +83,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     norm_vc = float(np.linalg.norm(v_c))
     norm_u = float(np.linalg.norm(u))
     norm_d = float(np.linalg.norm(d))
-    norm_A = fact.factor_state[1][0]
+    norm_A = fact.largest_singular_value
     norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))  # H is exactly symmetric
 
     def slack(*vals):
@@ -248,7 +248,9 @@ def merit_gap_warnings(problem: Problem, record: IterationRecord,
     if norm_d == 0.0:
         return []
     point = evaluate(problem, record.x)
-    trial = evaluate(problem, record.x + d)
+    trial = evaluate_trial(problem, record.x + d)  # f and c; g and A below, no Hessians
+    g_trial = np.asarray(problem.gradient(trial.x), dtype=float).reshape(-1)
+    A_trial = np.asarray(problem.jacobian(trial.x), dtype=float)
     H = lagrangian_hessian(point, record.lam)
     mu = record.mu
     delta_q = merit.predicted_reduction(point.g, H, point.c, point.A, d,
@@ -256,8 +258,8 @@ def merit_gap_warnings(problem: Problem, record: IterationRecord,
     achieved = (merit.merit_value(point.f, point.c_l1, mu)
                 - merit.merit_value(trial.f, trial.c_l1, mu))
     gap = delta_q - achieved
-    lip_g = float(np.linalg.norm(trial.g - point.g)) / norm_d
-    lip_a = float(np.linalg.norm(trial.A - point.A, 2)) / norm_d
+    lip_g = float(np.linalg.norm(g_trial - point.g)) / norm_d
+    lip_a = float(np.linalg.norm(A_trial - point.A, 2)) / norm_d
     norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))  # H is exactly symmetric
     bound = 0.5 * (lip_g + norm_H + mu * lip_a) * norm_d**2
     if gap > bound + TOLERANCE * max(1.0, abs(delta_q)):

@@ -34,8 +34,7 @@ from . import merit
 from .correction import compute_correction, in_correction_region
 from .errors import (ConfigError, NonFiniteValue, NonpositivePredictedReduction,
                      RankDeficient, ResidualConditionUnmet, SecularSolveFailed)
-from .linalg import FactorizedJacobian, factorize_jacobian
-from .multipliers import estimate_multipliers
+from .linalg import FactorizedJacobian, estimate_multipliers, factorize_jacobian
 from .normal_step import assemble_normal
 from .problems import (EvalPoint, Problem, TrialPoint, complete_point,
                        evaluate_trial, lagrangian_hessian)
@@ -232,7 +231,7 @@ def _at_iterate(problem: Problem, at: TrialPoint, sigma: float,
     lam = estimate_multipliers(fact, point.g)
     H = lagrangian_hessian(point, lam)
     grad_l_norm = float(np.linalg.norm(point.g + point.A.T @ lam))
-    model = build_reduced_model(fact, point.g, H, np.zeros(problem.n), sigma, f0=point.f)
+    model = build_reduced_model(fact, point.g, H, np.zeros(problem.n), sigma)
     report = check_stationarity(grad_l_norm, point.c_l1, float(model.eigvals[0]), config)
     return _Iterate(point, fact, lam, H, model, report)
 
@@ -283,8 +282,7 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
             point, fact, H = it.point, it.fact, it.H
 
             normal = assemble_normal(fact, point.c, sigma, r_v=config.r_v)
-            model = build_reduced_model(fact, point.g, H, normal.v, sigma,
-                                        f0=point.f, reuse=it.model)
+            model = build_reduced_model(fact, point.g, H, normal.v, sigma, reuse=it.model)
             tang = solve_cubic(model, config.delta)
             d = normal.v + tang.u
             norm_d = float(np.linalg.norm(d))

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResidualConditionUnmet
-from .linalg import FactorizedJacobian, range_least_squares
+from .linalg import FactorizedJacobian, range_least_squares, rounding_bound
 
 Array = np.ndarray
-
-# Rounding slack for the residual certificate below; exact solves on
-# well-conditioned Jacobians land many orders of magnitude inside it.
-_CERT_SLACK = 1e-11
 
 
 @dataclass(frozen=True)
@@ -45,8 +41,9 @@ def compute_vc(fact: FactorizedJacobian, c, r_v: float = 0.0) -> tuple:
     v_c = range_least_squares(fact, c)
     residual = float(np.sum(np.abs(fact.A @ v_c + c)))
     norm_vc = float(np.linalg.norm(v_c))
-    allowed = r_v * min(c_l1, norm_vc**3)
-    if residual > allowed + _CERT_SLACK * max(1.0, c_l1):
+    # the paper's allowance plus rounding; the residual is a 1-norm, the bound a 2-norm
+    allowed = r_v * min(c_l1, norm_vc**3) + math.sqrt(len(c)) * rounding_bound(fact, v_c, c)
+    if residual > allowed:
         raise ResidualConditionUnmet(
             f"normal-step residual {residual:.3e} exceeds certificate {allowed:.3e}"
         )

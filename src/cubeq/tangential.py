@@ -2,7 +2,7 @@
 
 The model lives in the Z-coordinates of the constraint null space,
 
-    m(p) = f0 + g_red . p + p . H_red p / 2 + sigma |p|^3 / 3,
+    m(p) = g_red . p + p . H_red p / 2 + sigma |p|^3 / 3,
 
 and because Z has orthonormal columns, |Z p| = |p|, so the cubic weight in
 the full space and in coordinates agree.  A global minimizer p* satisfies
@@ -58,7 +58,6 @@ _SECULAR_RTOL = 16.0 * np.finfo(float).eps  # relative Newton step that ends the
 
 @dataclass(frozen=True)
 class ReducedCubicModel:
-    f0: float
     g_red: Array  # Z^T (g + H v)
     H_red: Array  # Z^T H Z
     sigma: float
@@ -85,20 +84,19 @@ class OracleSolution:
 
 
 def build_reduced_model(fact: FactorizedJacobian, g, H, v, sigma: float,
-                        f0: float = 0.0,
                         reuse: Optional[ReducedCubicModel] = None) -> ReducedCubicModel:
     """Reduced model of the tangential step that follows the normal step ``v``.
 
     ``reuse`` is a model built earlier from the same ``fact`` and ``H``, for
     another normal step or sigma: its Z^T H Z and eigendecomposition are
-    kept, and only g_red, sigma and f0 are set anew.
+    kept, and only g_red and sigma are set anew.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
     g_red = fact.Z.T @ (g + np.asarray(H, dtype=float) @ v)
     if reuse is not None:
-        return dataclasses.replace(reuse, f0=float(f0), g_red=g_red, sigma=float(sigma))
-    return ReducedCubicModel(f0=float(f0), g_red=g_red, H_red=reduce_matrix(fact, H),
+        return dataclasses.replace(reuse, g_red=g_red, sigma=float(sigma))
+    return ReducedCubicModel(g_red=g_red, H_red=reduce_matrix(fact, H),
                              sigma=float(sigma), Z=fact.Z)
 
 
@@ -112,7 +110,7 @@ def model_decrease(model: ReducedCubicModel, p) -> float:
 def cauchy_point(model: ReducedCubicModel) -> tuple:
     """Exact minimizer of the model along -g_red: returns (alpha, decrease).
 
-    phi(a) = m(-a g_red) - f0 has derivative -gn^2 + a gHg + sigma a^2 gn^3,
+    phi(a) = m(-a g_red) has derivative -gn^2 + a gHg + sigma a^2 gn^3,
     a positive quadratic in a with negative value at 0, so the unique
     positive root is the global minimizer over a >= 0.
     """

@@ -7,7 +7,7 @@ from scipy import optimize
 
 
 def model_value(g, H, sigma, p):
-    """Reduced cubic model value at p (f0 = 0)."""
+    """Reduced cubic model value at p, relative to m(0) = 0."""
     p = np.asarray(p, dtype=float)
     r = np.linalg.norm(p)
     return float(g @ p + 0.5 * p @ H @ p + sigma / 3.0 * r**3)

@@ -61,7 +61,7 @@ def test_criterion_3_subproblem_oracle_equivalence():
         H = rng.standard_normal((dim, dim))
         H = 0.5 * (H + H.T)
         sigma = float(rng.uniform(0.5, 4.0))
-        model = ReducedCubicModel(f0=0.0, g_red=g, H_red=H, sigma=sigma,
+        model = ReducedCubicModel(g_red=g, H_red=H, sigma=sigma,
                                   Z=np.eye(dim))
         sol = solve_cubic(model, 0.1)
         _, best_value = grid_polish_min(g, H, sigma, step=1e-3)

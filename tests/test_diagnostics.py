@@ -1,5 +1,7 @@
 """Invariant auditing, derivative checks, and rate estimation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,29 @@ class TestMeritGapWarnings:
             for record in result.history:
                 warnings.extend(merit_gap_warnings(problem, record, config))
             assert warnings == []
+
+    def test_hessians_only_at_the_iterate(self):
+        """x + d is evaluated for f, c, g and A; the Hessians only at x."""
+        base = builtin_problem("circle_quadratic")
+        config = SolverConfig()
+        result = solve(base, config=config)
+        hessian_points = []
+
+        def counted(fn):
+            def callback(x):
+                hessian_points.append(np.array(x))
+                return fn(x)
+            return callback
+
+        problem = dataclasses.replace(
+            base, objective_hessian=counted(base.objective_hessian),
+            constraint_hessians=counted(base.constraint_hessians))
+        checked = [r for r in result.history
+                   if r.accepted and not r.correction_computed and r.norm_d > 0.0]
+        assert checked
+        for record in result.history:
+            merit_gap_warnings(problem, record, config)
+        assert len(hessian_points) == 2 * len(checked)
+        for i, record in enumerate(checked):
+            for x in hessian_points[2 * i:2 * i + 2]:
+                np.testing.assert_array_equal(x, record.x)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cubeq.errors import RankDeficient
-from cubeq.linalg import (factorize_jacobian, min_eig_reduced,
-                          range_least_squares, reduce_matrix)
+from cubeq.linalg import factorize_jacobian, range_least_squares, reduce_matrix
 
 
 def _random_full_rank(rng, m, n):
@@ -85,19 +84,6 @@ class TestReducedEig:
         R = reduce_matrix(fact, M)
         np.testing.assert_array_equal(R, R.T)
         np.testing.assert_allclose(R, fact.Z.T @ M @ fact.Z, atol=1e-13)
-
-    def test_min_eig_matches_dense_solver(self):
-        rng = np.random.default_rng(29)
-        for _ in range(25):
-            A = _random_full_rank(rng, 2, 6)
-            M = rng.standard_normal((6, 6))
-            M = 0.5 * (M + M.T)
-            fact = factorize_jacobian(A)
-            lam, q = min_eig_reduced(fact, M)
-            R = fact.Z.T @ M @ fact.Z
-            assert lam == pytest.approx(np.linalg.eigvalsh(R)[0], abs=1e-12)
-            np.testing.assert_allclose(R @ q, lam * q, atol=1e-10)
-            assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenvalue_interlacing(self):
         """Eigenvalues of Z^T M Z interlace those of M."""

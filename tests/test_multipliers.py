@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from cubeq.linalg import factorize_jacobian
-from cubeq.multipliers import estimate_multipliers
+from cubeq.linalg import estimate_multipliers, factorize_jacobian
 
 
 def _random_full_rank(rng, m, n):

@@ -18,7 +18,7 @@ def _direct_model(g_red, H_red, sigma):
     """Model in already-reduced coordinates (Z = identity)."""
     g_red = np.asarray(g_red, dtype=float).reshape(-1)
     H_red = np.atleast_2d(np.asarray(H_red, dtype=float))
-    return ReducedCubicModel(f0=0.0, g_red=g_red, H_red=H_red,
+    return ReducedCubicModel(g_red=g_red, H_red=H_red,
                              sigma=float(sigma), Z=np.eye(len(g_red)))
 
 
@@ -66,12 +66,12 @@ class TestBuildReducedModel:
         H = 0.5 * (H + H.T)
         v = rng.standard_normal(5)
         fact = factorize_jacobian(A)
-        first = build_reduced_model(fact, g, H, np.zeros(5), sigma=1.0, f0=3.0)
-        again = build_reduced_model(fact, g, H, v, sigma=4.0, f0=3.0, reuse=first)
-        fresh = build_reduced_model(fact, g, H, v, sigma=4.0, f0=3.0)
+        first = build_reduced_model(fact, g, H, np.zeros(5), sigma=1.0)
+        again = build_reduced_model(fact, g, H, v, sigma=4.0, reuse=first)
+        fresh = build_reduced_model(fact, g, H, v, sigma=4.0)
         assert again.H_red is first.H_red
         assert again.eigvals is first.eigvals and again.eigvecs is first.eigvecs
-        assert again.sigma == 4.0 and again.f0 == 3.0
+        assert again.sigma == 4.0
         np.testing.assert_array_equal(again.g_red, fresh.g_red)
         np.testing.assert_array_equal(solve_cubic(again).p, solve_cubic(fresh).p)
 
@@ -83,7 +83,7 @@ class TestModelDecrease:
 
     def test_hand_value_without_cubic_term(self):
         # g p + p^2/2 = -1 + 0.5 at p = 1: decrease 0.5
-        model = ReducedCubicModel(f0=0.0, g_red=np.array([-1.0]),
+        model = ReducedCubicModel(g_red=np.array([-1.0]),
                                   H_red=np.array([[1.0]]), sigma=0.0,
                                   Z=np.eye(1))
         assert model_decrease(model, np.array([1.0])) == pytest.approx(0.5, abs=0)
@@ -142,7 +142,7 @@ class TestCauchyPoint:
 class TestSolveCubic:
     def test_tiny_gradient_with_positive_curvature(self):
         """The secular bracket must not cancel to zero when H_red is PD."""
-        model = ReducedCubicModel(f0=0.0, g_red=np.array([1e-15]),
+        model = ReducedCubicModel(g_red=np.array([1e-15]),
                                   H_red=np.array([[2.0]]), sigma=0.125, Z=np.eye(1))
         sol = solve_cubic(model)
         # (2 + sigma r) p = -g with r = |p| ~ 5e-16, so p = -g/2 to rounding

@@ -68,7 +68,7 @@ def _solve_with_radius(model):
 @given(cubic_models())
 def test_solution_satisfies_global_optimality(case):
     kind, g, H, sigma = case
-    model = ReducedCubicModel(f0=0.0, g_red=g, H_red=H, sigma=sigma, Z=np.eye(len(g)))
+    model = ReducedCubicModel(g_red=g, H_red=H, sigma=sigma, Z=np.eye(len(g)))
     sol, r = _solve_with_radius(model)
     p = sol.p
     norm_p = float(np.linalg.norm(p))
