@@ -35,7 +35,8 @@ def compute_correction(fact: FactorizedJacobian, c_trial,
     c_trial = np.asarray(c_trial, dtype=float).reshape(-1)
     w = range_least_squares(fact, c_trial)
     residual = float(np.linalg.norm(fact.A @ w + c_trial))
-    allowed = r_w * norm_d**3 + rounding_bound(fact, w, c_trial)
+    allowed = r_w * norm_d**3 + rounding_bound(fact, float(np.linalg.norm(w)),
+                                               float(np.linalg.norm(c_trial)))
     if residual > allowed:
         raise ResidualConditionUnmet(
             f"correction residual {residual:.3e} exceeds certificate {allowed:.3e}"

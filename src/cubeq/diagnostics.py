@@ -48,21 +48,40 @@ class AuditContext:
 
     point: EvalPoint
     fact: FactorizedJacobian
+    lam: Array  # the multipliers H is formed with
     H: Array
-    c_trial: Optional[Array]  # c(x + d); None when no correction was computed
+    c_trial: Optional[Array] = None  # c(x + d); None when no correction was computed
+    # |H|_2 and the smallest eigenvalue of Z^T H Z, by eigvalsh: set by the
+    # first audit against this context, kept for the records that reuse it
+    norm_H: Optional[float] = None
+    lam_min_red: Optional[float] = None
+
+    def at(self, record: IterationRecord) -> bool:
+        """Whether ``record`` has this context's x and multipliers, bit for bit."""
+        return (self.point.x.tobytes() == np.asarray(record.x, dtype=float).tobytes()
+                and self.lam.tobytes() == np.asarray(record.lam, dtype=float).tobytes())
 
 
 def rebuild_context(problem: Problem, record: IterationRecord,
-                    rank_tol: float = SolverConfig.rank_tol) -> AuditContext:
-    """Recompute the iterate's quantities; ``rank_tol`` is the run's own."""
-    point = evaluate(problem, record.x)
-    fact = factorize_jacobian(point.A, rank_tol)
-    H = lagrangian_hessian(point, record.lam)
-    c_trial = None
+                    rank_tol: float = SolverConfig.rank_tol,
+                    reuse: Optional[AuditContext] = None) -> AuditContext:
+    """Recompute the iterate's quantities; ``rank_tol`` is the run's own.
+
+    ``reuse`` is the context of an earlier record at the same x and multipliers
+    (``reuse.at(record)``), as after a rejected step: it is returned with only
+    c(x + d) set anew.
+    """
+    if reuse is None:
+        point = evaluate(problem, record.x)
+        fact = factorize_jacobian(point.A, rank_tol)
+        lam = np.asarray(record.lam, dtype=float)
+        H = lagrangian_hessian(point, lam)
+        reuse = AuditContext(point=point, fact=fact, lam=lam, H=H)
+    reuse.c_trial = None
     if record.correction_computed:
         d = record.v + record.u
-        c_trial = np.asarray(problem.constraints(record.x + d), dtype=float).reshape(-1)
-    return AuditContext(point=point, fact=fact, H=H, c_trial=c_trial)
+        reuse.c_trial = np.asarray(problem.constraints(record.x + d), dtype=float).reshape(-1)
+    return reuse
 
 
 def audit_iteration(record: IterationRecord, context: AuditContext,
@@ -84,7 +103,9 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     norm_u = float(np.linalg.norm(u))
     norm_d = float(np.linalg.norm(d))
     norm_A = fact.largest_singular_value
-    norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))  # H is exactly symmetric
+    if context.norm_H is None:  # H is exactly symmetric
+        context.norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))
+    norm_H = context.norm_H
 
     def slack(*vals):
         return TOLERANCE * max(1.0, *[abs(float(x)) for x in vals])
@@ -154,7 +175,9 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
         flag("or2_model_gradient", grad_norm, grad_budget,
              "model gradient at the tangential step exceeds its budget")
 
-    lam_min = float(np.linalg.eigvalsh(reduce_matrix(fact, H))[0])
+    if context.lam_min_red is None:
+        context.lam_min_red = float(np.linalg.eigvalsh(reduce_matrix(fact, H))[0])
+    lam_min = context.lam_min_red
     curv_floor = -sigma * norm_u
     if min(lam_min, 0.0) < curv_floor - slack(curv_floor, lam_min):
         flag("or3_curvature", lam_min, curv_floor,
@@ -223,13 +246,27 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     return out
 
 
+def record_auditor(problem: Problem, config: SolverConfig):
+    """A function that audits the records of one run in order, one call each.
+
+    A record at the same x and multipliers as the one before reuses its
+    rebuilt context; c(x + d) and the Cauchy decrease are recomputed for each.
+    """
+    context = None
+
+    def audit(record: IterationRecord) -> list:
+        nonlocal context
+        if context is not None and not context.at(record):
+            context = None  # frees the last iterate's Hessians before the next are evaluated
+        context = rebuild_context(problem, record, config.rank_tol, reuse=context)
+        return audit_iteration(record, context, config)
+    return audit
+
+
 def audit_run(problem: Problem, records, config: SolverConfig) -> list:
     """Audit every recorded iteration; returns the concatenated violations."""
-    violations: list = []
-    for record in records:  # one context alive at a time: it holds the m Hessians
-        violations.extend(audit_iteration(
-            record, rebuild_context(problem, record, config.rank_tol), config))
-    return violations
+    audit = record_auditor(problem, config)
+    return [violation for record in records for violation in audit(record)]
 
 
 def merit_gap_warnings(problem: Problem, record: IterationRecord,

@@ -2,12 +2,12 @@
 
 At each new iterate the solver completes the point with its derivatives,
 factorizes the Jacobian, estimates multipliers, forms the Lagrangian Hessian
-and the eigendecomposition of its reduction Z^T H Z, and checks
-stationarity; none of that depends on sigma, so it is done once per
-distinct iterate and reused after an unsuccessful step.  Each iteration then
-builds the normal step v = beta v_c toward the linearized constraints and
-solves the reduced cubic model, with the stored eigendecomposition, for the
-tangential step u.  The composite d = v + u is accepted when the achieved
+and the tridiagonal form of its reduction Z^T H Z, and checks stationarity;
+none of that depends on sigma, so it is done once per distinct iterate and
+reused after an unsuccessful step.  Each iteration then builds the normal
+step v = beta v_c toward the linearized constraints and solves the reduced
+cubic model, on the stored tridiagonal form, for the tangential step u.
+The composite d = v + u is accepted when the achieved
 l1-merit decrease covers at least eta1 of the model's predicted decrease;
 otherwise, close to the constraint surface, one correction step is
 attempted before the iteration is declared unsuccessful.  Trial and
@@ -219,7 +219,7 @@ class _Iterate:
     fact: FactorizedJacobian
     lam: Array
     H: Array
-    model: ReducedCubicModel  # carries Z^T H Z and its eigendecomposition
+    model: ReducedCubicModel  # carries Z^T H Z and its tridiagonal form
     report: StationarityReport
 
 
@@ -232,7 +232,7 @@ def _at_iterate(problem: Problem, at: TrialPoint, sigma: float,
     H = lagrangian_hessian(point, lam)
     grad_l_norm = float(np.linalg.norm(point.g + point.A.T @ lam))
     model = build_reduced_model(fact, point.g, H, np.zeros(problem.n), sigma)
-    report = check_stationarity(grad_l_norm, point.c_l1, float(model.eigvals[0]), config)
+    report = check_stationarity(grad_l_norm, point.c_l1, model.tridiagonal.lam_min, config)
     return _Iterate(point, fact, lam, H, model, report)
 
 
@@ -256,15 +256,17 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
     counts = Counts()
     lam = None
     report = None
+    audit = None
 
     def record_iteration(record: IterationRecord) -> None:
+        nonlocal audit
         history.append(record)
         if config.audit:
             # deferred import; diagnostics depends on this module
-            from .diagnostics import Violation, audit_iteration, rebuild_context
+            from .diagnostics import Violation, record_auditor
+            audit = audit or record_auditor(problem, config)
             try:
-                context = rebuild_context(problem, record, config.rank_tol)
-                violations.extend(audit_iteration(record, context, config))
+                violations.extend(audit(record))
             except Exception as exc:  # the audit observes; it never ends the run
                 violations.append(Violation("audit_error", f"{type(exc).__name__}: {exc}",
                                             math.nan, math.nan, record.k))
@@ -328,8 +330,7 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
             elif rho >= config.eta1:
                 classification = classify_iteration(rho, config.eta1, config.eta2)
             elif (config.corrections_enabled
-                  and in_correction_region(float(np.linalg.norm(normal.v_c)),
-                                           sigma, config.zeta)):
+                  and in_correction_region(normal.norm_vc, sigma, config.zeta)):
                 w = compute_correction(fact, trial.c, config.r_w, norm_d)
                 norm_w = float(np.linalg.norm(w))
                 taken = _merit_terms(problem, x + d + w)

@@ -60,7 +60,9 @@ def factorize_jacobian(A, rank_tol: float = 1e-10) -> FactorizedJacobian:
         raise RankDeficient(
             f"jacobian numerically rank deficient: singular values {s}, rank_tol={rank_tol}"
         )
-    return FactorizedJacobian(A=A, Z=Vt[m:].T.copy(), singular_values=s, _U=U, _V=Vt[:m])
+    # copies, so that no view keeps the n x n Vt alive
+    return FactorizedJacobian(A=A, Z=Vt[m:].T.copy(), singular_values=s, _U=U,
+                              _V=Vt[:m].copy())
 
 
 def range_least_squares(fact: FactorizedJacobian, rhs) -> Array:
@@ -78,15 +80,14 @@ def estimate_multipliers(fact: FactorizedJacobian, g) -> Array:
     return -(fact._U @ ((fact._V @ g) / fact.singular_values))
 
 
-def rounding_bound(fact: FactorizedJacobian, v, rhs) -> float:
-    """kappa eps (|A|_2 |v| + |rhs|): the rounding floor of |A v + rhs|.
+def rounding_bound(fact: FactorizedJacobian, norm_v: float, norm_rhs: float) -> float:
+    """kappa eps (|A|_2 |v| + |rhs|), from the two norms: the rounding floor of |A v + rhs|.
 
     For v = range_least_squares(fact, rhs) the residual stays below it (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 20).
     """
     return _ROUNDING_KAPPA * np.finfo(float).eps * (
-        fact.largest_singular_value * float(np.linalg.norm(v))
-        + float(np.linalg.norm(rhs)))
+        fact.largest_singular_value * norm_v + norm_rhs)
 
 
 def reduce_matrix(fact: FactorizedJacobian, M) -> Array:

@@ -25,10 +25,11 @@ class NormalStep:
     v_c: Array  # full normal step, in range(A^T)
     v: Array  # beta * v_c
     beta: float
+    norm_vc: float  # |v_c|
 
 
 def compute_vc(fact: FactorizedJacobian, c, r_v: float = 0.0) -> tuple:
-    """Return (v_c, residual_l1) with the inexactness certificate enforced.
+    """Return (v_c, |v_c|) with the inexactness certificate enforced.
 
     With the default r_v = 0 this is the exact least-squares solve.  A zero
     constraint vector short-circuits to a zero step.
@@ -42,12 +43,13 @@ def compute_vc(fact: FactorizedJacobian, c, r_v: float = 0.0) -> tuple:
     residual = float(np.sum(np.abs(fact.A @ v_c + c)))
     norm_vc = float(np.linalg.norm(v_c))
     # the paper's allowance plus rounding; the residual is a 1-norm, the bound a 2-norm
-    allowed = r_v * min(c_l1, norm_vc**3) + math.sqrt(len(c)) * rounding_bound(fact, v_c, c)
+    allowed = (r_v * min(c_l1, norm_vc**3)
+               + math.sqrt(len(c)) * rounding_bound(fact, norm_vc, float(np.linalg.norm(c))))
     if residual > allowed:
         raise ResidualConditionUnmet(
             f"normal-step residual {residual:.3e} exceeds certificate {allowed:.3e}"
         )
-    return v_c, residual
+    return v_c, norm_vc
 
 
 def select_beta(norm_vc: float, sigma: float) -> float:
@@ -65,6 +67,6 @@ def select_beta(norm_vc: float, sigma: float) -> float:
 
 def assemble_normal(fact: FactorizedJacobian, c, sigma: float,
                     r_v: float = 0.0) -> NormalStep:
-    v_c, _ = compute_vc(fact, c, r_v)
-    beta = select_beta(float(np.linalg.norm(v_c)), sigma)
-    return NormalStep(v_c=v_c, v=beta * v_c, beta=beta)
+    v_c, norm_vc = compute_vc(fact, c, r_v)
+    beta = select_beta(norm_vc, sigma)
+    return NormalStep(v_c=v_c, v=beta * v_c, beta=beta, norm_vc=norm_vc)

@@ -9,24 +9,27 @@ the full space and in coordinates agree.  A global minimizer p* satisfies
 
     (H_red + sigma r I) p* = -g_red,   r = |p*|,   H_red + sigma r I psd,
 
-which reduces the problem to a scalar secular equation in the radius r: with
-the eigendecomposition H_red = Q diag(lam) Q^T and ghat = Q^T g_red,
+which reduces the problem to a scalar secular equation |p(r)| = r on
+r >= r_floor = max(0, -lam_min)/sigma, where psi(r) = 1/|p(r)| - 1/r is
+concave and increasing: safeguarded Newton on psi needs a handful of
+evaluations (Moré & Sorensen 1983; Cartis, Gould & Toint 2011, ARC Part I, 6.1).
 
-    |p(r)|^2 = sum_i ghat_i^2 / (lam_i + sigma r)^2  must equal  r^2
-
-on r >= r_floor = max(0, -lam_min)/sigma.  psi(r) = 1/|p(r)| - 1/r is concave
-and increasing there, so Newton's method on psi climbs to the root from the
-left and converges quadratically (Moré & Sorensen 1983; Cartis, Gould & Toint
-2011, ARC Part I, 6.1): about 4 evaluations per solve, where bisection took
-about 50.  The only subtlety is the hard case, when g_red is (numerically)
-orthogonal to the leftmost eigenspace and the secular curve never reaches the
-diagonal: then r is pinned at r_floor and the solution gains an eigenvector
-component sized to make |p| = r.
-
-The eigendecomposition is part of the model: it is computed once when the
-model is built and carried over when the model is rebuilt at the same
-iterate for another sigma, so the solver's stationarity test and every
-cubic solve at one iterate share a single eigh.
+The model reduces H_red once, to H_red = Q_T T Q_T^T with T tridiagonal
+(LAPACK dsytrd), and takes lam_min from T by bisection (dstebz); a model
+rebuilt at the same iterate for another sigma keeps both, so the stationarity
+test and every cubic solve at one iterate share one reduction.  As in GLTR
+(Gould, Lucidi, Roma & Toint 1999), an evaluation at the shift
+t = sigma (r - r_floor) is one O(k) LDL^T of T + (floor + t) I and two solves.
+Near the floor LDL^T loses the relative accuracy of the eigenbasis, where the
+leftmost term of lam_i + sigma r is t exactly.  So eigh(H_red), computed once
+per iterate when first needed and used by every solve after, takes over if
+g_red = 0, if LDL^T fails, if the root lies below
+t_min = kappa eps (|T| + floor) - max(lam_min, 0) (the hard case, or a tiny
+gradient under negative curvature), or if the step misses |p| = r by more
+than 1e-13 r; for k <= 2 eigh is cheaper and is used at once.  In the hard
+case g_red is (numerically) orthogonal to the leftmost eigenspace, the
+secular curve never reaches the diagonal, and r stays at r_floor with an
+eigenvector component padding |p| = r.
 
 The returned solution certifies three properties the rest of the solver
 relies on: it decreases the model at least as much as the exact Cauchy point
@@ -37,8 +40,12 @@ delta * sigma * |u|^2 budget, and lam_min(H_red) >= -sigma |u|.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -52,8 +59,79 @@ Array = np.ndarray
 # leftmost eigenspace and the hard-case branch applies.
 _HARD_CASE_RTOL = 1e-12
 
+_EPS = np.finfo(float).eps
 _MAX_SECULAR_STEPS = 300
-_SECULAR_RTOL = 16.0 * np.finfo(float).eps  # relative Newton step that ends the iteration
+_SECULAR_RTOL = 16.0 * _EPS  # relative Newton step that ends the iteration
+_GAP_RTOL = 1e-14  # relative gap |p| - r that ends it
+_TRUSTED_GAP_RTOL = 1e-13  # a tridiagonal step missing |p| = r by more is redone
+_NEWTON_ZONE = 1e-6  # below this relative gap a Newton step at least halves it
+# Below the shift kappa eps (|T| + floor), LDL^T of T + (floor + t) I can be
+# accurate to no better than 1/kappa, too little for Newton to converge on.
+_LDL_KAPPA = 1e5
+
+
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK module (what scipy.linalg.lapack re-exports), loaded
+    on first use from its file: importing the scipy.linalg package would add
+    about 27 MB of resident memory, this module about 2.6 MB."""
+    linalg = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [str(linalg)])
+    if spec is None:
+        from scipy.linalg import lapack
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _norm(x) -> float:  # np.linalg.norm's value for a vector, without its overhead
+    return math.sqrt(np.dot(x, x))
+
+
+@dataclass
+class Tridiagonal:
+    """H_red = Q_T T Q_T^T, with T symmetric tridiagonal (dsytrd, lower)."""
+
+    d: Array  # diagonal of T
+    e: Array  # subdiagonal of T
+    reflectors: Optional[Array]  # of Q_T, (k-1, k-1), Fortran order; None if k <= 2
+    tau: Optional[Array]
+    lam_min: float  # smallest eigenvalue of T
+    norm: float  # at least |T|_2 (Frobenius norm, or |T|_2 itself for k <= 2)
+    eigh: Optional[tuple] = None  # eigh(H_red): at hand for k <= 2, else once a solve needs it
+
+    def rotate(self, trans: str, x: Array) -> Array:
+        """Q_T^T x for trans "T", Q_T x for "N"."""
+        if self.reflectors is None:
+            return x
+        out = x.copy()
+        # lwork = k: a larger workspace makes this one-column call slower
+        out[1:] = _lapack().dormqr("L", trans, self.reflectors, self.tau,
+                                x[1:, None], len(x))[0][:, 0]
+        return out
+
+
+def tridiagonalize(H_red: Array) -> Tridiagonal:
+    """Householder tridiagonal form of ``H_red`` and its smallest eigenvalue.
+
+    For k <= 2, H_red is its own T, and its eigendecomposition is at hand
+    (k = 1) or cheaper than the LAPACK calls of the tridiagonal path (k = 2),
+    so it comes along and the solves use it.
+    """
+    k = H_red.shape[0]
+    if k <= 2:
+        lam, Q = (H_red[0], np.ones((1, 1))) if k == 1 else np.linalg.eigh(H_red)
+        return Tridiagonal(H_red.diagonal(), H_red.diagonal(-1), None, None, float(lam[0]),
+                           max(-float(lam[0]), float(lam[-1])), (lam, Q))
+    lapack = _lapack()
+    lwork = int(lapack.dsytrd_lwork(k, lower=1)[0])
+    a, d, e, tau, _ = lapack.dsytrd(H_red, lower=1, lwork=lwork)
+    _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, 1, 0.0, "E")
+    if info != 0:
+        raise SecularSolveFailed(f"bisection for the smallest eigenvalue failed (info={info})")
+    return Tridiagonal(d, e, np.asfortranarray(a[1:, :-1]), tau, float(w[0]),
+                       math.sqrt(np.dot(d, d) + 2.0 * np.dot(e, e)))
 
 
 @dataclass(frozen=True)
@@ -62,15 +140,11 @@ class ReducedCubicModel:
     H_red: Array  # Z^T H Z
     sigma: float
     Z: Array
-    # eigh(H_red), ascending; computed on construction when not given
-    eigvals: Array = None
-    eigvecs: Array = None
+    tridiagonal: Tridiagonal = None  # of H_red; computed on construction when not given
 
     def __post_init__(self):
-        if self.eigvals is None:
-            eigvals, eigvecs = np.linalg.eigh(self.H_red)
-            object.__setattr__(self, "eigvals", eigvals)
-            object.__setattr__(self, "eigvecs", eigvecs)
+        if self.tridiagonal is None:
+            object.__setattr__(self, "tridiagonal", tridiagonalize(self.H_red))
 
 
 @dataclass(frozen=True)
@@ -88,8 +162,8 @@ def build_reduced_model(fact: FactorizedJacobian, g, H, v, sigma: float,
     """Reduced model of the tangential step that follows the normal step ``v``.
 
     ``reuse`` is a model built earlier from the same ``fact`` and ``H``, for
-    another normal step or sigma: its Z^T H Z and eigendecomposition are
-    kept, and only g_red and sigma are set anew.
+    another normal step or sigma: its Z^T H Z and tridiagonal form are kept,
+    and only g_red and sigma are set anew.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -103,7 +177,7 @@ def build_reduced_model(fact: FactorizedJacobian, g, H, v, sigma: float,
 def model_decrease(model: ReducedCubicModel, p) -> float:
     """m(0) - m(p); positive when p improves the model."""
     p = np.asarray(p, dtype=float).reshape(-1)
-    r = float(np.linalg.norm(p))
+    r = _norm(p)
     return -float(model.g_red @ p + 0.5 * p @ model.H_red @ p + model.sigma / 3.0 * r**3)
 
 
@@ -114,7 +188,7 @@ def cauchy_point(model: ReducedCubicModel) -> tuple:
     a positive quadratic in a with negative value at 0, so the unique
     positive root is the global minimizer over a >= 0.
     """
-    gn = float(np.linalg.norm(model.g_red))
+    gn = _norm(model.g_red)
     if gn == 0.0:
         return 0.0, 0.0
     gHg = float(model.g_red @ model.H_red @ model.g_red)
@@ -124,17 +198,40 @@ def cauchy_point(model: ReducedCubicModel) -> tuple:
     return float(alpha), float(decrease)
 
 
-def _secular(t, base, ghat, sigma, floor):
+def _moments(d, e, q):
+    """t -> (y, |y|^2, y . M^-1 y) with M y = q, M = T + t I for the symmetric
+    tridiagonal T = (d, e), by LDL^T; diagonal when ``e`` is None.
+    The last value is kept: the root is mostly the last shift tried."""
+    last = {}
+
+    def moments(t):
+        if t in last:
+            return last[t]
+        if e is None:
+            den = d + t
+            y = q / den
+            z = y / den
+        else:
+            lapack = _lapack()
+            dd, ee, info = lapack.dpttrf(d + t, e)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"LDL^T of T + t I failed (info={info})")
+            y = lapack.dpttrs(dd, ee, q)[0]
+            z = lapack.dpttrs(dd, ee, y)[0]
+        last.clear()
+        last[t] = y, float(np.dot(y, y)), float(np.dot(y, z))
+        return last[t]
+    return moments
+
+
+def _secular(t, moments, sigma, floor):
     """Secular gap |p| - r and the Newton step on psi, at r = (floor + t) / sigma.
 
-    lam_i + sigma r = base_i + t >= t > 0.  With S = |p|^2 and S3 = sum
-    ghat_i^2 / (base_i + t)^3, psi' = sigma S3 / |p|^3 + 1/r^2, so the Newton
-    step in t, -sigma psi / psi', is sigma gap S r / (|p| S + sigma r^2 S3).
+    With y, S = |y|^2 and S3 from ``moments(t)`` (M = H_red + sigma r I in some
+    basis), psi' = sigma S3 / |p|^3 + 1/r^2, so the Newton step in t,
+    -sigma psi / psi', is sigma gap S r / (|p| S + sigma r^2 S3).
     """
-    den = base + t
-    q = ghat / den
-    s = float(q @ q)
-    s3 = float(q @ (q / den))
+    _, s, s3 = moments(t)
     norm = math.sqrt(s)
     r = (floor + t) / sigma
     gap = norm - r
@@ -148,38 +245,108 @@ def _shift_upper_bound(lam_min, gnorm, sigma):
     return 2.0 * sigma * gnorm / (abs(lam_min) + math.sqrt(lam_min**2 + 4.0 * sigma * gnorm))
 
 
-def _secular_shift(base, ghat, sigma, floor, hi):
-    """Shift t = sigma (r - r_floor) in (0, hi] at the secular root.
+def _secular_shift(moments, sigma, floor, lo, hi):
+    """Shift t = sigma (r - r_floor) in (lo, hi] at the secular root; None if it is <= lo > 0.
 
-    Safeguarded Newton: the bracket [lo, hi] starts at [0, hi] and follows the
-    sign of the gap; a Newton step that leaves it, or is not at most half the
-    step before, becomes a bisection step.  In t, lam_i + sigma r keeps full
-    precision when r lies within rounding of r_floor, and stays positive.
+    Safeguarded Newton from hi: the bracket follows the sign of the gap, and a
+    step that leaves it, or is not at most half the step before, is replaced
+    by bisection.  The gap at lo > 0 is evaluated once a step tries to leave
+    the bracket; with a positive floor Newton restarts there, where psi has no
+    pole, and climbs to the root monotonically without the step-length guard.
+    It stops at a relative gap of 1e-14, or with the best shift seen once a
+    Newton step near the root fails to halve the gap, which only rounding does.
     """
+    if lo > 0.0 and hi <= lo:
+        return None
     for _ in range(60):
-        gap, step = _secular(hi, base, ghat, sigma, floor)
-        if gap <= 0.0:
+        gap, step = _secular(hi, moments, sigma, floor)
+        if gap <= _GAP_RTOL * (floor + hi) / sigma:
             break
         hi = 2.0 * max(hi, 1e-300)
     else:
         raise SecularSolveFailed("could not bracket the secular root from above")
-    lo, t, last = 0.0, hi, hi
+    t, last, guarded, lo_checked = hi, hi, True, lo == 0.0
+    best, previous, newton = (math.inf, t), math.inf, False
     for _ in range(_MAX_SECULAR_STEPS):
+        rel = abs(gap) * sigma / (floor + t)  # |gap| / r
+        if rel < best[0]:
+            best = (rel, t)
+        if rel <= _GAP_RTOL:
+            return t
         if abs(step) <= _SECULAR_RTOL * t:
             return t + max(step, 0.0)
+        if newton and rel > previous / 2.0 and previous <= _NEWTON_ZONE:
+            return best[1]
         new = t + step
-        if not (lo < new < hi and abs(step) <= 0.5 * last):
+        newton = lo < new < hi and (abs(step) <= 0.5 * last or not guarded)
+        if not newton:
+            if not lo_checked:
+                lo_checked, at_lo = True, _secular(lo, moments, sigma, floor)
+                if at_lo[0] <= 0.0:
+                    return None
+                if floor > 0.0:
+                    t, (gap, step), guarded = lo, at_lo, False
+                    continue
             new = 0.5 * (lo + hi)
-        last, t = abs(new - t), new
-        gap, step = _secular(t, base, ghat, sigma, floor)
+        last, previous, t = abs(new - t), rel, new
+        gap, step = _secular(t, moments, sigma, floor)
         if gap > 0.0:
-            lo = t
+            lo, lo_checked = t, True
         else:
             hi = t
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+        if hi - lo <= 4.0 * _EPS * hi:
             return hi
     raise SecularSolveFailed(f"secular iteration did not converge in "
                              f"{_MAX_SECULAR_STEPS} steps (lo={lo}, hi={hi})")
+
+
+def _tridiagonal_step(tri: Tridiagonal, g_red, sigma, gnorm) -> Optional[Array]:
+    """The step by Newton on T; None where LDL^T cannot be trusted."""
+    floor = max(0.0, -tri.lam_min)
+    t_min = max(0.0, _LDL_KAPPA * _EPS * (tri.norm + floor) - max(tri.lam_min, 0.0))
+    moments = _moments(tri.d + floor, tri.e, tri.rotate("T", g_red))
+    try:
+        t = _secular_shift(moments, sigma, floor, t_min,
+                           _shift_upper_bound(tri.lam_min, gnorm, sigma))
+        if t is None:  # the root lies below t_min
+            return None
+        y, s, _ = moments(t)
+    except (np.linalg.LinAlgError, SecularSolveFailed):
+        return None
+    r = (floor + t) / sigma
+    return -tri.rotate("N", y) if abs(math.sqrt(s) - r) <= _TRUSTED_GAP_RTOL * r else None
+
+
+def _eigenbasis_step(lam, Q, g_red, sigma, lam_min, gnorm) -> Array:
+    """The step by the secular equation in the eigenbasis H_red = Q diag(lam) Q^T;
+    r counts from the model's ``lam_min``, lam_i + sigma r from lam[0] exactly."""
+    floor = max(0.0, -lam_min)
+    r_floor = floor / sigma
+    if gnorm == 0.0:
+        return np.zeros_like(g_red) if lam_min >= 0.0 else r_floor * Q[:, 0]
+    ghat = Q.T @ g_red
+    base = lam + max(0.0, -lam[0])  # lam_i + sigma r_floor; the shift t is added to it
+    leftmost = lam <= lam[0] + _HARD_CASE_RTOL * max(1.0, abs(lam_min))
+    g_used, gn_used = ghat, gnorm
+    if lam_min < 0.0 and _norm(ghat[leftmost]) <= _HARD_CASE_RTOL * gnorm:
+        # Hard-case candidate: the leftmost components of ghat are noise;
+        # drop them and see whether the remaining curve still crosses r.
+        g_used = np.where(leftmost, 0.0, ghat)
+        gn_used = _norm(g_used)
+        coef = -g_used / np.where(leftmost, 1.0, base)
+        interior_norm = _norm(coef)
+        if interior_norm < r_floor:
+            # True hard case: pad with an eigenvector component so |p| = r.
+            pad = math.sqrt(max(0.0, r_floor**2 - interior_norm**2))
+            return Q @ coef + pad * Q[:, 0]
+    hi = _shift_upper_bound(lam_min, gn_used, sigma)
+    moments = _moments(base, None, g_used)
+    # base[0] = 0, so |p| >= |ghat_0| / t and the gap is positive at lo
+    lo = sigma * abs(g_used[0]) / (floor + hi) if lam[0] < 0.0 else 0.0
+    t = _secular_shift(moments, sigma, floor, lo, hi)
+    if t is None:  # lo and hi rounded past the root
+        t = _secular_shift(moments, sigma, floor, 0.0, hi)
+    return Q @ (-g_used / (base + t))
 
 
 def solve_cubic(model: ReducedCubicModel, delta: float = 0.1) -> OracleSolution:
@@ -192,42 +359,22 @@ def solve_cubic(model: ReducedCubicModel, delta: float = 0.1) -> OracleSolution:
     sigma = model.sigma
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    lam, Q = model.eigvals, model.eigvecs
-    lam_min = float(lam[0])
-    ghat = Q.T @ model.g_red
-    gnorm = float(np.linalg.norm(model.g_red))
-    floor = max(0.0, -lam_min)
-    r_floor = floor / sigma
-    base = lam + floor  # lam_i + sigma r_floor; the shift t is added to it
-
-    leftmost = lam <= lam[0] + _HARD_CASE_RTOL * max(1.0, abs(lam_min))
-    g_left = float(np.linalg.norm(ghat[leftmost]))
-
-    p, g_used, gn_used = None, ghat, gnorm
-    if gnorm == 0.0:
-        p = np.zeros_like(model.g_red) if lam_min >= 0.0 else r_floor * Q[:, 0]
-    elif lam_min < 0.0 and g_left <= _HARD_CASE_RTOL * gnorm:
-        # Hard-case candidate: the leftmost components of ghat are noise;
-        # drop them and see whether the remaining curve still crosses r.
-        g_used = np.where(leftmost, 0.0, ghat)
-        gn_used = float(np.linalg.norm(g_used))
-        coef = -g_used / np.where(leftmost, 1.0, base)
-        interior_norm = float(np.linalg.norm(coef))
-        if interior_norm < r_floor:
-            # True hard case: pad with an eigenvector component so |p| = r.
-            pad = math.sqrt(max(0.0, r_floor**2 - interior_norm**2))
-            p = Q @ coef + pad * Q[:, 0]
+    tri, lam_min = model.tridiagonal, model.tridiagonal.lam_min
+    gnorm = _norm(model.g_red)
+    p = None
+    if tri.eigh is None and gnorm > 0.0:
+        p = _tridiagonal_step(tri, model.g_red, sigma, gnorm)
     if p is None:
-        hi = _shift_upper_bound(lam_min, gn_used, sigma)
-        t = _secular_shift(base, g_used, sigma, floor, hi)
-        p = Q @ (-g_used / (base + t))
+        if tri.eigh is None:
+            tri.eigh = np.linalg.eigh(model.H_red)
+        p = _eigenbasis_step(*tri.eigh, model.g_red, sigma, lam_min, gnorm)
 
-    radius = float(np.linalg.norm(p))
+    radius = _norm(p)
     grad = model.g_red + model.H_red @ p + sigma * radius * p
     _, cauchy_dec = cauchy_point(model)
     dec = model_decrease(model, p)
 
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = _norm(grad)
     if grad_norm > delta * sigma * radius**2 + 1e-10 * max(1.0, gnorm):
         raise SecularSolveFailed(
             f"model gradient {grad_norm:.3e} exceeds budget "

@@ -74,6 +74,6 @@ def test_tighter_than_a_fixed_slack_when_well_conditioned():
         fact = factorize_jacobian(_jacobian(rng, m, n, s))
         c = rng.standard_normal(m) * 10.0 ** rng.uniform(-3.0, 3.0)
         v, _ = compute_vc(fact, c)
-        bound = rounding_bound(fact, v, c)
+        bound = rounding_bound(fact, np.linalg.norm(v), np.linalg.norm(c))
         assert np.sqrt(m) * bound < 1e-11 * max(1.0, np.sum(np.abs(c)))
         assert bound < 1e-11 * max(1.0, np.linalg.norm(c))

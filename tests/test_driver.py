@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cubeq import diagnostics
+from cubeq import diagnostics, tangential
 from cubeq.diagnostics import audit_run
 from cubeq.driver import (CONVERGED_SOSP, LICQ_FAILURE, MAX_ITERATIONS,
                           NUMERICAL_ERROR, SUCCESSFUL, UNSUCCESSFUL,
@@ -396,7 +396,61 @@ def _projected_rayleigh_problem(seed: int, n: int = 40, k: int = 9) -> tuple:
     return problem, f_min
 
 
+def _chained_rosenbrock_sphere(n: int) -> Problem:
+    """sum_i 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2  s.t.  |x|^2 = n; x* = 1."""
+
+    def gradient(x):
+        t = x[1:] - x[:-1] ** 2
+        g = np.zeros(n)
+        g[:-1] = -400.0 * x[:-1] * t - 2.0 * (1.0 - x[:-1])
+        g[1:] += 200.0 * t
+        return g
+
+    def objective_hessian(x):
+        H = np.zeros((n, n))
+        i = np.arange(n - 1)
+        H[i, i] = 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
+        H[i + 1, i + 1] += 200.0
+        H[i, i + 1] = H[i + 1, i] = -400.0 * x[:-1]
+        return H
+
+    return Problem(
+        name="chained_rosenbrock_sphere", n=n, m=1,
+        objective=lambda x: float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                                         + (1.0 - x[:-1]) ** 2)),
+        gradient=gradient, objective_hessian=objective_hessian,
+        constraints=lambda x: np.array([x @ x - n]),
+        jacobian=lambda x: 2.0 * x[None, :],
+        constraint_hessians=lambda x: [2.0 * np.eye(n)],
+        default_start=np.ones(n),
+    )
+
+
 class TestBeyondCatalog:
+    def test_chained_rosenbrock_sphere_audited(self, monkeypatch):
+        """n = 120, k = 119: an SOSP at x* = 1, a clean audit, one Householder
+        tridiagonalization per distinct iterate, and the audit changes nothing."""
+        problem = _chained_rosenbrock_sphere(120)
+        x0 = 1.0 + 0.1 * np.random.default_rng(3).standard_normal(120)
+        lapack = tangential._lapack()
+        dsytrd, reductions = lapack.dsytrd, []
+
+        def counted(*args, **kwargs):
+            reductions.append(1)
+            return dsytrd(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dsytrd", counted)
+        plain = solve(problem, x0=x0)
+        monkeypatch.undo()
+        audited = solve(problem, x0=x0, config=SolverConfig(audit=True))
+        assert audited.status == CONVERGED_SOSP
+        assert audited.violations == []
+        np.testing.assert_allclose(audited.x_final, np.ones(120), rtol=0, atol=1e-8)
+        assert len(reductions) == 1 + plain.counts.accepted
+        assert audited.status == plain.status
+        assert audited.iterations == plain.iterations
+        np.testing.assert_array_equal(audited.x_final, plain.x_final)
+
     def test_projected_rayleigh_audited(self):
         """n = 40, m = 10: reaches the compressed lambda_min; the audit is clean."""
         problem, f_min = _projected_rayleigh_problem(seed=17)
@@ -412,7 +466,8 @@ class TestBeyondCatalog:
 
 class TestEvaluationEconomy:
     def test_work_once_per_iterate(self, monkeypatch):
-        """Derivatives and one eigh per distinct iterate; f and c per point."""
+        """Derivatives and one tridiagonal reduction per distinct iterate, no
+        eigh; f and c per point."""
         base = builtin_problem("maratos")
         calls = dict.fromkeys(("objective", "gradient", "objective_hessian",
                                "constraints", "jacobian", "constraint_hessians"), 0)
@@ -426,13 +481,18 @@ class TestEvaluationEconomy:
             return callback
 
         problem = dataclasses.replace(base, **{kind: counted(kind) for kind in calls})
-        eigh = np.linalg.eigh
-        eigh_calls = []
+        reductions, eigh_calls = [], []
+        tridiagonalize, eigh = tangential.tridiagonalize, np.linalg.eigh
+
+        def counted_reduction(H_red):
+            reductions.append(1)
+            return tridiagonalize(H_red)
 
         def counted_eigh(*args, **kwargs):
             eigh_calls.append(1)
             return eigh(*args, **kwargs)
 
+        monkeypatch.setattr(tangential, "tridiagonalize", counted_reduction)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         # from this start the run both corrects and rejects steps
         result = solve(problem, x0=[0.0, 1.0], config=SolverConfig(sigma0=0.1))
@@ -447,4 +507,5 @@ class TestEvaluationEconomy:
         assert calls["objective"] == calls["constraints"] == points
         for kind in ("gradient", "jacobian", "objective_hessian", "constraint_hessians"):
             assert calls[kind] == iterates, kind
-        assert len(eigh_calls) == iterates
+        assert len(reductions) == iterates
+        assert eigh_calls == []  # the eigenbasis fallback never ran

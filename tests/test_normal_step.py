@@ -19,9 +19,9 @@ def _random_system(rng, m, n):
 class TestComputeVc:
     def test_zero_constraints_give_zero_step(self):
         A = np.array([[1.0, 0.0]])
-        v_c, residual = compute_vc(factorize_jacobian(A), np.zeros(1))
+        v_c, norm_vc = compute_vc(factorize_jacobian(A), np.zeros(1))
         np.testing.assert_array_equal(v_c, np.zeros(2))
-        assert residual == 0.0
+        assert norm_vc == 0.0
 
     def test_matches_pseudoinverse(self):
         """v_c = -A^T (A A^T)^{-1} c, the minimum-norm linearized restorer."""
@@ -30,9 +30,11 @@ class TestComputeVc:
             for _ in range(20):
                 A, c = _random_system(rng, m, n)
                 fact = factorize_jacobian(A)
-                v_c, residual = compute_vc(fact, c)
+                v_c, norm_vc = compute_vc(fact, c)
                 expected = -A.T @ np.linalg.solve(A @ A.T, c)
                 np.testing.assert_allclose(v_c, expected, atol=1e-11)
+                assert norm_vc == np.linalg.norm(v_c)
+                residual = np.sum(np.abs(A @ v_c + c))
                 assert residual <= 1e-11 * max(1.0, np.sum(np.abs(c)))
 
     def test_axis_aligned_example(self):

@@ -52,11 +52,23 @@ class TestBuildReducedModel:
                                     np.zeros(3), sigma=1.0)
         np.testing.assert_array_equal(model.H_red, np.zeros((2, 2)))
 
-    def test_model_carries_its_eigendecomposition(self):
-        model = _direct_model([1.0, -2.0], [[2.0, 1.0], [1.0, -3.0]], sigma=1.0)
-        vals, vecs = np.linalg.eigh(model.H_red)
-        np.testing.assert_array_equal(model.eigvals, vals)
-        np.testing.assert_array_equal(model.eigvecs, vecs)
+    def test_model_carries_its_tridiagonal_form(self):
+        """H_red = Q_T T Q_T^T, and lam_min is T's smallest eigenvalue."""
+        rng = np.random.default_rng(23)
+        for k in (1, 2, 3, 7):
+            H = rng.standard_normal((k, k))
+            model = _direct_model(rng.standard_normal(k), 0.5 * (H + H.T), sigma=1.0)
+            tri = model.tridiagonal
+            T = np.diag(tri.d) + np.diag(tri.e, 1) + np.diag(tri.e, -1)
+            Q = np.column_stack([tri.rotate("N", col) for col in np.eye(k)])
+            np.testing.assert_allclose(Q @ T @ Q.T, model.H_red, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(Q.T @ Q, np.eye(k), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(tri.rotate("T", Q[:, 0]), np.eye(k)[0], atol=1e-13)
+            lam = np.linalg.eigvalsh(model.H_red)
+            assert tri.lam_min == pytest.approx(lam[0], rel=0, abs=1e-13)
+            assert tri.norm >= np.max(np.abs(lam))
+            # k <= 2 carries its eigendecomposition; larger k none until a solve asks
+            assert (tri.eigh is None) == (k > 2)
 
     def test_reuse_keeps_reduced_hessian_and_spectrum(self):
         rng = np.random.default_rng(11)
@@ -70,7 +82,7 @@ class TestBuildReducedModel:
         again = build_reduced_model(fact, g, H, v, sigma=4.0, reuse=first)
         fresh = build_reduced_model(fact, g, H, v, sigma=4.0)
         assert again.H_red is first.H_red
-        assert again.eigvals is first.eigvals and again.eigvecs is first.eigvecs
+        assert again.tridiagonal is first.tridiagonal
         assert again.sigma == 4.0
         np.testing.assert_array_equal(again.g_red, fresh.g_red)
         np.testing.assert_array_equal(solve_cubic(again).p, solve_cubic(fresh).p)
@@ -253,3 +265,47 @@ class TestSolveCubic:
         assert sol.u.shape == (5,)
         np.testing.assert_allclose(A @ sol.u, 0, atol=1e-10)
         np.testing.assert_allclose(sol.u, fact.Z @ sol.p, atol=1e-14)
+
+
+def _spectral_model(rng, k, kind, sigma=1.0):
+    """H = Q diag(lam) Q^T with lam in (-5, 5); g shaped by ``kind``."""
+    lam = np.sort(rng.uniform(-5.0, 5.0, k))
+    ghat = rng.standard_normal(k)
+    if kind == "hard":  # g orthogonal to a separated leftmost eigenvector
+        lam[0] = -abs(lam[0]) - 0.5
+        ghat[0] = 0.0
+        ghat *= 0.1  # small enough that the curve stays below r_floor
+    elif kind == "near_hard":
+        ghat[0] *= 1e-4
+    elif kind == "tiny":
+        ghat *= 1e-12
+    Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    H = (Q * lam) @ Q.T
+    return _direct_model(Q @ ghat, 0.5 * (H + H.T), sigma)
+
+
+class TestTridiagonalPath:
+    @pytest.mark.parametrize("k", [60, 150])
+    def test_agrees_with_the_eigenbasis_and_falls_back_where_it_must(self, k, monkeypatch):
+        """The LDL^T Newton on T and the eigenbasis solve give the same step
+        to 1e-12; hard and tiny-gradient models take the eigenbasis."""
+        eigenbasis_step = tangential._eigenbasis_step
+        fallbacks = []
+
+        def spy(*args):
+            fallbacks.append(1)
+            return eigenbasis_step(*args)
+
+        monkeypatch.setattr(tangential, "_eigenbasis_step", spy)
+        rng = np.random.default_rng(k)
+        for kind in ("generic", "near_hard", "hard", "tiny"):
+            for _ in range(3):
+                model = _spectral_model(rng, k, kind, sigma=float(rng.uniform(0.5, 4.0)))
+                fallbacks.clear()
+                sol = solve_cubic(model, DELTA)
+                assert len(fallbacks) == (kind in ("hard", "tiny")), kind
+                lam, Q = np.linalg.eigh(model.H_red)
+                ref = eigenbasis_step(lam, Q, model.g_red, model.sigma,
+                                      model.tridiagonal.lam_min, np.linalg.norm(model.g_red))
+                error = np.linalg.norm(sol.p - ref)
+                assert error <= 1e-12 * max(1.0, np.linalg.norm(ref)), kind

@@ -54,14 +54,18 @@ def _solve_with_radius(model):
     secular_shift = tangential._secular_shift
 
     def spy(*args):
-        shifts.append(secular_shift(*args))
-        return shifts[-1]
+        t = secular_shift(*args)
+        if t is not None:  # None: the root lies below the tridiagonal form's reach
+            shifts.append(t)
+        return t
 
     with mock.patch.object(tangential, "_secular_shift", spy):
         sol = solve_cubic(model, 0.1)
-    # r = (max(0, -lam_min) + t) / sigma; the hard case pads at t = 0
-    floor = max(0.0, -float(model.eigvals[0]))
-    return sol, (floor + (shifts[0] if shifts else 0.0)) / model.sigma
+    # r = (max(0, -lam_min) + t) / sigma with the model's own lam_min; the
+    # hard case pads at t = 0, and a tridiagonal solve that is redone in the
+    # eigenbasis leaves the eigenbasis shift last
+    floor = max(0.0, -model.tridiagonal.lam_min)
+    return sol, (floor + (shifts[-1] if shifts else 0.0)) / model.sigma
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
