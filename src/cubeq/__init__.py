@@ -5,7 +5,7 @@ and a tangential part that globally minimizes a cubic-regularized model on
 the constraint null space; an l1 penalty with a one-way ratchet arbitrates
 acceptance, and near-feasible rejected steps get one second-order correction.
 Every iteration can be audited against the method's per-iteration invariants,
-live or replayed from a trace file.
+once the solve ends or replayed from a trace file.
 """
 
 from .diagnostics import (FDReport, RateReport, Violation, audit_iteration,

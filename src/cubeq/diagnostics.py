@@ -5,9 +5,10 @@ method from first principles — residual certificates, the beta interval, the
 three tangential-step certificates, the step-size and decrease floors, the
 merit-reduction bound, subspace memberships, and the legality of the sigma
 update — and reports violations as data rather than raising.  The context it
-works from is rebuilt from a trace record and the problem callbacks alone,
-so auditing a live run and replaying a written trace exercise the identical
-code path.
+works from is rebuilt from a trace record and the problem callbacks alone.
+``audit_run``, the one loop over a run's records, serves a finished solve and
+a replayed trace alike; an exception while one record is audited becomes an
+``audit_error`` violation at that record.
 
 All hard checks share one relative tolerance (1e-9); each violation carries
 a stable code so tests can assert that a deliberately perturbed quantity
@@ -246,27 +247,25 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     return out
 
 
-def record_auditor(problem: Problem, config: SolverConfig):
-    """A function that audits the records of one run in order, one call each.
+def audit_run(problem: Problem, records, config: SolverConfig) -> list:
+    """Audit the records of one run in order; returns the concatenated violations.
 
     A record at the same x and multipliers as the one before reuses its
     rebuilt context; c(x + d) and the Cauchy decrease are recomputed for each.
+    An exception while auditing a record is an ``audit_error`` violation there.
     """
+    violations: list = []
     context = None
-
-    def audit(record: IterationRecord) -> list:
-        nonlocal context
+    for record in records:
         if context is not None and not context.at(record):
             context = None  # frees the last iterate's Hessians before the next are evaluated
-        context = rebuild_context(problem, record, config.rank_tol, reuse=context)
-        return audit_iteration(record, context, config)
-    return audit
-
-
-def audit_run(problem: Problem, records, config: SolverConfig) -> list:
-    """Audit every recorded iteration; returns the concatenated violations."""
-    audit = record_auditor(problem, config)
-    return [violation for record in records for violation in audit(record)]
+        try:
+            context = rebuild_context(problem, record, config.rank_tol, reuse=context)
+            violations += audit_iteration(record, context, config)
+        except Exception as exc:  # the audit observes; it never stops
+            violations.append(Violation("audit_error", f"{type(exc).__name__}: {exc}",
+                                        math.nan, math.nan, record.k))
+    return violations
 
 
 def merit_gap_warnings(problem: Problem, record: IterationRecord,

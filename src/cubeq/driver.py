@@ -19,12 +19,19 @@ only ever ratchets up.
 Termination requires all three stationarity measures at once: the Lagrangian
 gradient norm, the l1 infeasibility, and the smallest reduced Hessian
 eigenvalue (up to -eps_h).  A run that exhausts its budget with the first
-two satisfied reports the first-order status as a courtesy.
+two satisfied reports the first-order status as a courtesy; an accepted
+step that leaves x unchanged ends the run as a numerical error.
+
+``solve`` validates, runs the loop, then audits.  The loop appends one record
+per iteration and leaves through one ``SolveResult``, whose counts are tallied
+from the history.  ``config.audit`` sends the finished history through
+``diagnostics.audit_run``, so an audited run holds one iterate's Hessians.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -170,7 +177,6 @@ class SolveResult:
     x_final: Array
     lambda_final: Optional[Array]
     history: list
-    counts: Counts
     final_report: Optional[StationarityReport]
     message: str = ""
     violations: list = field(default_factory=list)  # populated when config.audit
@@ -178,6 +184,14 @@ class SolveResult:
     @property
     def iterations(self) -> int:
         return len(self.history)
+
+    @property
+    def counts(self) -> Counts:
+        """Classifications and corrections, tallied from the history."""
+        tally = Counter(r.classification for r in self.history)
+        return Counts(successful=tally[SUCCESSFUL], very_successful=tally[VERY_SUCCESSFUL],
+                      unsuccessful=tally[UNSUCCESSFUL],
+                      corrections=sum(r.correction_computed for r in self.history))
 
 
 def classify_iteration(rho: float, eta1: float, eta2: float) -> str:
@@ -248,39 +262,36 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
     """Run the solver from ``x0`` (default: the problem's default start)."""
     config = (config or SolverConfig()).validate()
     x = np.array(problem.default_start if x0 is None else x0, dtype=float).reshape(-1)
+    result = _run(problem, x, config)
+    if config.audit:
+        from .diagnostics import audit_run  # deferred; diagnostics imports this module
+        result.violations = audit_run(problem, result.history, config)
+    return result
 
+
+def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
+    """The iteration loop: one record per iteration, then the status and message."""
     sigma = config.sigma0
     mu = config.mu_init
     history: list = []
-    violations: list = []
-    counts = Counts()
     lam = None
     report = None
-    audit = None
-
-    def record_iteration(record: IterationRecord) -> None:
-        nonlocal audit
-        history.append(record)
-        if config.audit:
-            # deferred import; diagnostics depends on this module
-            from .diagnostics import Violation, record_auditor
-            audit = audit or record_auditor(problem, config)
-            try:
-                violations.extend(audit(record))
-            except Exception as exc:  # the audit observes; it never ends the run
-                violations.append(Violation("audit_error", f"{type(exc).__name__}: {exc}",
-                                            math.nan, math.nan, record.k))
-
+    message = ""
     try:
         at = evaluate_trial(problem, x)
         it = None  # work at x; None until computed, and again after x moves
-        for k in range(config.max_iter):
+        for k in range(config.max_iter + 1):
             if it is None:
                 it = _at_iterate(problem, at, sigma, config)
                 lam, report = it.lam, it.report
-                if report.sosp:
-                    return SolveResult(CONVERGED_SOSP, x, lam, history, counts,
-                                       report, violations=violations)
+            if report.sosp:
+                status = CONVERGED_SOSP
+                break
+            if k == config.max_iter:
+                # Budget exhausted: the courtesy first-order status, or max_iterations.
+                status = CONVERGED_FOSP if report.fosp else MAX_ITERATIONS
+                message = f"stopped after {config.max_iter} iterations"
+                break
             point, fact, H = it.point, it.fact, it.H
 
             normal = assemble_normal(fact, point.c, sigma, r_v=config.r_v)
@@ -314,7 +325,6 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
             rho_corr = None
             w = None
             norm_w = 0.0
-            correction_computed = False
             taken = trial  # the point x moves to if the step is accepted
 
             if trial is None:
@@ -339,22 +349,13 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
                 else:
                     phi_corr = merit.merit_value(taken.f, taken.c_l1, mu)
                     rho_corr = merit.ratio(phi_x, phi_corr, delta_q)
-                correction_computed = True
-                counts.corrections += 1
                 classification = classify_iteration(rho_corr, config.eta1, config.eta2)
             else:
                 classification = UNSUCCESSFUL
 
             accepted = classification != UNSUCCESSFUL
-            if classification == VERY_SUCCESSFUL:
-                counts.very_successful += 1
-            elif classification == SUCCESSFUL:
-                counts.successful += 1
-            else:
-                counts.unsuccessful += 1
-
             sigma_next = update_sigma(sigma, classification, config)
-            record_iteration(IterationRecord(
+            history.append(IterationRecord(
                 k=k, x=point.x, f=point.f, c_l1=point.c_l1,
                 grad_lagrangian_norm=report.grad_lagrangian_norm,
                 lambda_min_red=report.lambda_min_red,
@@ -365,32 +366,23 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
                 delta_q=delta_q, delta_m_u=tang.delta_m,
                 rho=rho, rho_corr=rho_corr,
                 classification=classification,
-                correction_computed=correction_computed,
+                correction_computed=w is not None,
                 accepted=accepted,
                 lam=lam, v_c=normal.v_c, v=normal.v, u=tang.u, w=w,
                 sigma_next=sigma_next, mu_prev=mu_prev, mu_candidate=mu_cand,
             ))
             if accepted:
+                if np.array_equal(taken.x, x):
+                    # d rounded away against x: accepting it again and again is no progress
+                    status = NUMERICAL_ERROR
+                    message = (f"accepted step at iteration {k} left x unchanged "
+                               f"(|d| = {norm_d:.3e})")
+                    break
                 at, x, it, point = taken, taken.x, None, None  # frees x's Hessians
             sigma = sigma_next
-
-        # Budget exhausted: stationarity at the final iterate decides
-        # between the courtesy first-order status and max_iterations.
-        if it is None:
-            it = _at_iterate(problem, at, sigma, config)
-            lam, report = it.lam, it.report
-        if report.sosp:
-            return SolveResult(CONVERGED_SOSP, x, lam, history, counts,
-                               report, violations=violations)
-        status = CONVERGED_FOSP if report.fosp else MAX_ITERATIONS
-        return SolveResult(status, x, lam, history, counts, report,
-                           message=f"stopped after {config.max_iter} iterations",
-                           violations=violations)
     except RankDeficient as exc:
-        return SolveResult(LICQ_FAILURE, x, lam, history, counts, report,
-                           message=str(exc), violations=violations)
+        status, message = LICQ_FAILURE, str(exc)
     except (NonFiniteValue, NonpositivePredictedReduction,
             SecularSolveFailed, ResidualConditionUnmet) as exc:
-        return SolveResult(NUMERICAL_ERROR, x, lam, history, counts, report,
-                           message=f"{type(exc).__name__}: {exc}",
-                           violations=violations)
+        status, message = NUMERICAL_ERROR, f"{type(exc).__name__}: {exc}"
+    return SolveResult(status, x, lam, history, report, message)

@@ -97,6 +97,24 @@ class TestTraceWorkflow:
         assert result.exit_code == EXIT_VIOLATIONS
         assert "or2_model_gradient" in result.output
 
+    def test_audit_error_at_one_record(self, tmp_path):
+        """A record the audit cannot rebuild is one violation; the rest are audited."""
+        trace = tmp_path / "run.trace"
+        _run("solve", "--problem", "maratos", "--trace", str(trace))
+        lines = trace.read_text().splitlines()
+        rec = json.loads(lines[2])
+        assert rec["kind"] == "iteration" and rec["k"] == 1 and len(rec["lam"]) == 1
+        rec["lam"] = rec["lam"] * 2
+        lines[2] = json.dumps(rec)
+        trace.write_text("\n".join(lines) + "\n")
+        result = _run("audit", str(trace))
+        assert result.exit_code == EXIT_VIOLATIONS
+        flagged = [line for line in result.output.splitlines()
+                   if line.startswith("violation")]
+        assert len(flagged) == 1
+        assert flagged[0].startswith("violation k=1 audit_error:")
+        assert "audited 4 iterations: 1 violations" in result.output
+
 
 class TestSweep:
     def test_csv_and_slope(self):

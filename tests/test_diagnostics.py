@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cubeq import diagnostics
 from cubeq.diagnostics import (audit_run, convergence_rate,
                                finite_difference_check, merit_gap_warnings)
 from cubeq.driver import SolverConfig, solve
@@ -65,6 +66,32 @@ class TestTamperedRecords:
         assert v.k == 0
         assert v.value != v.bound
         assert "beta" in v.message
+
+
+class TestAuditRun:
+    def test_exception_at_one_record_is_a_violation_there(self, monkeypatch):
+        """The other records keep their real results, a tampered one included."""
+        problem = builtin_problem("rosenbrock_sphere")
+        config = SolverConfig()
+        records = list(solve(problem, config=config).history)
+        records[1] = perturb(records[1], beta=0.5)
+        broken_k = 3
+        expected = audit_run(problem, records, config)
+        audit_iteration = diagnostics.audit_iteration
+
+        def broken(record, context, config):
+            if record.k == broken_k:
+                raise FloatingPointError(f"audit broke at k={record.k}")
+            return audit_iteration(record, context, config)
+
+        monkeypatch.setattr(diagnostics, "audit_iteration", broken)
+        violations = audit_run(problem, records, config)
+        assert [v.code for v in violations if v.k == 1] == ["beta_interval"]
+        errors = [v for v in violations if v.code == "audit_error"]
+        assert [(v.k, v.message) for v in errors] == [
+            (broken_k, f"FloatingPointError: audit broke at k={broken_k}")]
+        assert [v for v in violations if v.k != broken_k] == [
+            v for v in expected if v.k != broken_k]
 
 
 class TestFiniteDifferences:

@@ -350,6 +350,19 @@ class TestRobustness:
         assert audited.iterations == plain.iterations
         np.testing.assert_array_equal(audited.x_final, plain.x_final)
 
+    def test_frozen_step_ends_run(self):
+        """An accepted step that leaves x unchanged is no progress: the run
+        stops there instead of spending its budget on 1e-17 steps."""
+        problem = _near_singular_problem()
+        result = solve(problem, config=SolverConfig(rank_tol=1e-14, max_iter=1000))
+        assert result.status == NUMERICAL_ERROR
+        assert result.iterations <= 10
+        last = result.history[-1]
+        assert last.accepted
+        np.testing.assert_array_equal(result.x_final, last.x)
+        assert f"iteration {last.k} left x unchanged" in result.message
+        assert f"|d| = {last.norm_d:.3e}" in result.message
+
     def test_audit_exception_becomes_violation(self, monkeypatch):
         def broken(record, context, config):
             raise FloatingPointError(f"audit broke at k={record.k}")
