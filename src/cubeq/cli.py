@@ -45,47 +45,30 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
 def _build_config(eps, eps_g, eps_c, eps_h, max_iter, no_corrections,
                   audit_flag, overrides) -> SolverConfig:
-    config = SolverConfig()
-    if eps is not None:
-        config.eps_g = config.eps_c = config.eps_h = eps
-    if eps_g is not None:
-        config.eps_g = eps_g
-    if eps_c is not None:
-        config.eps_c = eps_c
-    if eps_h is not None:
-        config.eps_h = eps_h
-    if max_iter is not None:
-        config.max_iter = max_iter
-    config.corrections_enabled = not no_corrections
-    config.audit = audit_flag
-
-    names = {f.name for f in dataclasses.fields(SolverConfig)}
+    """The flags as (key, value) pairs, then ``--set`` pairs; later pairs win."""
+    pairs = [("eps_g", eps), ("eps_c", eps), ("eps_h", eps), ("eps_g", eps_g),
+             ("eps_c", eps_c), ("eps_h", eps_h), ("max_iter", max_iter)]
+    values = {key: value for key, value in pairs if value is not None}
+    values.update(corrections_enabled=not no_corrections, audit=audit_flag)
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        if key not in names:
+        if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")
-        current = getattr(config, key)
+        kind = kinds[key]
         try:
-            if isinstance(current, bool):
-                lowered = raw.lower()
-                if lowered in ("1", "true", "yes", "on"):
-                    value = True
-                elif lowered in ("0", "false", "no", "off"):
-                    value = False
-                else:
-                    raise ValueError(raw)
-            elif isinstance(current, int):
-                value = int(raw)
-            else:
-                value = float(raw)
-        except ValueError:
+            values[key] = _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
             raise ConfigError(f"cannot parse {raw!r} for config key {key!r}") from None
-        setattr(config, key, value)
-    return config.validate()
+    return SolverConfig(**values).validate()
 
 
 def _parse_x0(text, problem):

@@ -32,7 +32,6 @@ def compute_correction(fact: FactorizedJacobian, c_trial,
     With the default r_w = 0 this is the exact least-squares solve; the
     certificate check is defensive.
     """
-    c_trial = np.asarray(c_trial, dtype=float).reshape(-1)
     w = range_least_squares(fact, c_trial)
     residual = float(np.linalg.norm(fact.A @ w + c_trial))
     allowed = r_w * norm_d**3 + rounding_bound(fact, float(np.linalg.norm(w)),

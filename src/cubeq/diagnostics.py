@@ -4,11 +4,12 @@
 method from first principles — residual certificates, the beta interval, the
 three tangential-step certificates, the step-size and decrease floors, the
 merit-reduction bound, subspace memberships, and the legality of the sigma
-update — and reports violations as data rather than raising.  The context it
-works from is rebuilt from a trace record and the problem callbacks alone.
-``audit_run``, the one loop over a run's records, serves a finished solve and
-a replayed trace alike; an exception while one record is audited becomes an
-``audit_error`` violation at that record.
+update — and reports violations as data rather than raising; it only reads
+its context.  ``audit_run``, the one loop over a run's records, serves a
+finished solve and a replayed trace alike: it rebuilds one context per group
+of consecutive records at the same x and multipliers (bit for bit), from the
+record and the problem callbacks alone, and sets c(x + d) per record.  An
+exception while one record is audited is an ``audit_error`` violation there.
 
 All hard checks share one relative tolerance (1e-9); each violation carries
 a stable code so tests can assert that a deliberately perturbed quantity
@@ -17,6 +18,7 @@ trips exactly the check it should.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -49,40 +51,25 @@ class AuditContext:
 
     point: EvalPoint
     fact: FactorizedJacobian
-    lam: Array  # the multipliers H is formed with
     H: Array
+    norm_H: float  # |H|_2
+    lam_min_red: float  # smallest eigenvalue of Z^T H Z
     c_trial: Optional[Array] = None  # c(x + d); None when no correction was computed
-    # |H|_2 and the smallest eigenvalue of Z^T H Z, by eigvalsh: set by the
-    # first audit against this context, kept for the records that reuse it
-    norm_H: Optional[float] = None
-    lam_min_red: Optional[float] = None
-
-    def at(self, record: IterationRecord) -> bool:
-        """Whether ``record`` has this context's x and multipliers, bit for bit."""
-        return (self.point.x.tobytes() == np.asarray(record.x, dtype=float).tobytes()
-                and self.lam.tobytes() == np.asarray(record.lam, dtype=float).tobytes())
 
 
 def rebuild_context(problem: Problem, record: IterationRecord,
-                    rank_tol: float = SolverConfig.rank_tol,
-                    reuse: Optional[AuditContext] = None) -> AuditContext:
-    """Recompute the iterate's quantities; ``rank_tol`` is the run's own.
+                    rank_tol: float = SolverConfig.rank_tol) -> AuditContext:
+    """Recompute the quantities at the record's iterate; ``rank_tol`` is the run's own.
 
-    ``reuse`` is the context of an earlier record at the same x and multipliers
-    (``reuse.at(record)``), as after a rejected step: it is returned with only
-    c(x + d) set anew.
+    They depend on x and the multipliers only, so one context serves every
+    record at the same iterate; ``c_trial`` is left for the caller to set.
     """
-    if reuse is None:
-        point = evaluate(problem, record.x)
-        fact = factorize_jacobian(point.A, rank_tol)
-        lam = np.asarray(record.lam, dtype=float)
-        H = lagrangian_hessian(point, lam)
-        reuse = AuditContext(point=point, fact=fact, lam=lam, H=H)
-    reuse.c_trial = None
-    if record.correction_computed:
-        d = record.v + record.u
-        reuse.c_trial = np.asarray(problem.constraints(record.x + d), dtype=float).reshape(-1)
-    return reuse
+    point = evaluate(problem, record.x)
+    fact = factorize_jacobian(point.A, rank_tol)
+    H = lagrangian_hessian(point, record.lam)  # exactly symmetric, for eigvalsh
+    return AuditContext(point=point, fact=fact, H=H,
+                        norm_H=float(np.max(np.abs(np.linalg.eigvalsh(H)))),
+                        lam_min_red=float(np.linalg.eigvalsh(reduce_matrix(fact, H))[0]))
 
 
 def audit_iteration(record: IterationRecord, context: AuditContext,
@@ -103,10 +90,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     norm_vc = float(np.linalg.norm(v_c))
     norm_u = float(np.linalg.norm(u))
     norm_d = float(np.linalg.norm(d))
-    norm_A = fact.largest_singular_value
-    if context.norm_H is None:  # H is exactly symmetric
-        context.norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))
-    norm_H = context.norm_H
+    norm_A, norm_H = fact.largest_singular_value, context.norm_H
 
     def slack(*vals):
         return TOLERANCE * max(1.0, *[abs(float(x)) for x in vals])
@@ -176,8 +160,6 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
         flag("or2_model_gradient", grad_norm, grad_budget,
              "model gradient at the tangential step exceeds its budget")
 
-    if context.lam_min_red is None:
-        context.lam_min_red = float(np.linalg.eigvalsh(reduce_matrix(fact, H))[0])
     lam_min = context.lam_min_red
     curv_floor = -sigma * norm_u
     if min(lam_min, 0.0) < curv_floor - slack(curv_floor, lam_min):
@@ -250,26 +232,33 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
 def audit_run(problem: Problem, records, config: SolverConfig) -> list:
     """Audit the records of one run in order; returns the concatenated violations.
 
-    A record at the same x and multipliers as the one before reuses its
-    rebuilt context; c(x + d) and the Cauchy decrease are recomputed for each.
-    An exception while auditing a record is an ``audit_error`` violation there.
+    Consecutive records at the same x and multipliers, bit for bit, share one
+    rebuilt context; c(x + d) is set for each.  An exception while auditing a
+    record is an ``audit_error`` violation there, and the next record at that
+    iterate tries the rebuild again.
     """
     violations: list = []
-    context = None
-    for record in records:
-        if context is not None and not context.at(record):
-            context = None  # frees the last iterate's Hessians before the next are evaluated
-        try:
-            context = rebuild_context(problem, record, config.rank_tol, reuse=context)
-            violations += audit_iteration(record, context, config)
-        except Exception as exc:  # the audit observes; it never stops
-            violations.append(Violation("audit_error", f"{type(exc).__name__}: {exc}",
-                                        math.nan, math.nan, record.k))
+    by_iterate = itertools.groupby(records, key=lambda r: (
+        np.asarray(r.x, dtype=float).tobytes(), np.asarray(r.lam, dtype=float).tobytes()))
+    for _, group in by_iterate:
+        context = None  # frees the last iterate's Hessians before the next are evaluated
+        for record in group:
+            try:
+                if context is None:
+                    context = rebuild_context(problem, record, config.rank_tol)
+                context.c_trial = None
+                if record.correction_computed:
+                    x_trial = record.x + (record.v + record.u)
+                    context.c_trial = np.asarray(problem.constraints(x_trial),
+                                                 dtype=float).reshape(-1)
+                violations += audit_iteration(record, context, config)
+            except Exception as exc:  # the audit observes; it never stops
+                violations.append(Violation("audit_error", f"{type(exc).__name__}: {exc}",
+                                            math.nan, math.nan, record.k))
     return violations
 
 
-def merit_gap_warnings(problem: Problem, record: IterationRecord,
-                       config: SolverConfig) -> list:
+def merit_gap_warnings(problem: Problem, record: IterationRecord) -> list:
     """Soft check of the model-vs-actual merit gap on accepted plain steps.
 
     Compares the over-prediction of the merit decrease against a local

@@ -7,14 +7,12 @@ none of that depends on sigma, so it is done once per distinct iterate and
 reused after an unsuccessful step.  Each iteration then builds the normal
 step v = beta v_c toward the linearized constraints and solves the reduced
 cubic model, on the stored tridiagonal form, for the tangential step u.
-The composite d = v + u is accepted when the achieved
-l1-merit decrease covers at least eta1 of the model's predicted decrease;
-otherwise, close to the constraint surface, one correction step is
-attempted before the iteration is declared unsuccessful.  Trial and
-corrected points are evaluated for f and c only, and one where either is
-not finite is rejected with rho = -inf.  The cubic weight sigma falls after
-very successful iterations and rises after failures, and the penalty mu
-only ever ratchets up.
+The composite d = v + u is accepted when the achieved l1-merit decrease
+covers at least eta1 of the predicted decrease.  One step test scores the
+trial point x + d and, if a finite trial point fails near the constraint
+surface, one corrected point x + d + w; each is evaluated for f and c only,
+with ratio -inf where either is not finite.  sigma falls after very
+successful iterations and rises after failures; mu only ratchets up.
 
 Termination requires all three stationarity measures at once: the Lagrangian
 gradient norm, the l1 infeasibility, and the smallest reduced Hessian
@@ -250,12 +248,15 @@ def _at_iterate(problem: Problem, at: TrialPoint, sigma: float,
     return _Iterate(point, fact, lam, H, model, report)
 
 
-def _merit_terms(problem: Problem, x) -> Optional[TrialPoint]:
-    """f and c at a trial or corrected point; None where they are not finite."""
+def _score(problem: Problem, y: Array, phi_x: float, mu: float,
+           delta_q: float) -> tuple:
+    """f and c at a trial or corrected point ``y`` and its merit ratio;
+    (None, -inf) where f or c is not finite."""
     try:
-        return evaluate_trial(problem, x)
+        trial = evaluate_trial(problem, y)
     except NonFiniteValue:
-        return None
+        return None, -math.inf
+    return trial, merit.ratio(phi_x, merit.merit_value(trial.f, trial.c_l1, mu), delta_q)
 
 
 def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> SolveResult:
@@ -315,43 +316,22 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
                 )
 
             phi_x = merit.merit_value(point.f, point.c_l1, mu)
-            trial = _merit_terms(problem, x + d)
-            if trial is None:
-                rho = -math.inf
-            else:
-                phi_trial = merit.merit_value(trial.f, trial.c_l1, mu)
-                rho = merit.ratio(phi_x, phi_trial, delta_q)
-
-            rho_corr = None
-            w = None
-            norm_w = 0.0
-            taken = trial  # the point x moves to if the step is accepted
-
-            if trial is None:
-                # f or c is not finite at x + d: reject the step
-                classification = UNSUCCESSFUL
-            elif delta_q <= noise:
+            # taken: the point x moves to if the step is accepted
+            taken, rho = _score(problem, x + d, phi_x, mu, delta_q)
+            w = rho_corr = None  # set when a correction is computed
+            if taken is not None and delta_q <= noise:
                 # Both sides of the ratio are below measurement precision;
                 # accept iff the merit did not measurably increase.
-                if phi_trial <= phi_x + noise:
-                    classification = VERY_SUCCESSFUL
-                else:
-                    classification = UNSUCCESSFUL
-            elif rho >= config.eta1:
-                classification = classify_iteration(rho, config.eta1, config.eta2)
-            elif (config.corrections_enabled
-                  and in_correction_region(normal.norm_vc, sigma, config.zeta)):
-                w = compute_correction(fact, trial.c, config.r_w, norm_d)
-                norm_w = float(np.linalg.norm(w))
-                taken = _merit_terms(problem, x + d + w)
-                if taken is None:
-                    rho_corr = -math.inf
-                else:
-                    phi_corr = merit.merit_value(taken.f, taken.c_l1, mu)
-                    rho_corr = merit.ratio(phi_x, phi_corr, delta_q)
-                classification = classify_iteration(rho_corr, config.eta1, config.eta2)
+                rose = merit.merit_value(taken.f, taken.c_l1, mu) > phi_x + noise
+                classification = UNSUCCESSFUL if rose else VERY_SUCCESSFUL
             else:
-                classification = UNSUCCESSFUL
+                classification = classify_iteration(rho, config.eta1, config.eta2)
+                if (classification == UNSUCCESSFUL and taken is not None
+                        and config.corrections_enabled
+                        and in_correction_region(normal.norm_vc, sigma, config.zeta)):
+                    w = compute_correction(fact, taken.c, config.r_w, norm_d)
+                    taken, rho_corr = _score(problem, x + d + w, phi_x, mu, delta_q)
+                    classification = classify_iteration(rho_corr, config.eta1, config.eta2)
 
             accepted = classification != UNSUCCESSFUL
             sigma_next = update_sigma(sigma, classification, config)
@@ -362,7 +342,7 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
                 sigma=sigma, mu=mu, beta=normal.beta,
                 norm_v=float(np.linalg.norm(normal.v)),
                 norm_u=float(np.linalg.norm(tang.u)),
-                norm_d=norm_d, norm_w=norm_w,
+                norm_d=norm_d, norm_w=float(np.linalg.norm(w)) if w is not None else 0.0,
                 delta_q=delta_q, delta_m_u=tang.delta_m,
                 rho=rho, rho_corr=rho_corr,
                 classification=classification,

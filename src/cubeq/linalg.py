@@ -67,7 +67,7 @@ def factorize_jacobian(A, rank_tol: float = 1e-10) -> FactorizedJacobian:
 
 def range_least_squares(fact: FactorizedJacobian, rhs) -> Array:
     """Minimum-norm solution v of A v = -rhs; v lies in range(A^T)."""
-    y = (fact._U.T @ np.asarray(rhs, dtype=float)) / fact.singular_values
+    y = (fact._U.T @ rhs) / fact.singular_values
     return -(fact._V.T @ y)
 
 
@@ -76,7 +76,6 @@ def estimate_multipliers(fact: FactorizedJacobian, g) -> Array:
 
     Exact, so |A (g + A^T lambda)| <= r_lambda |v| holds for any r_lambda >= 0.
     """
-    g = np.asarray(g, dtype=float).reshape(-1)
     return -(fact._U @ ((fact._V @ g) / fact.singular_values))
 
 
@@ -92,5 +91,5 @@ def rounding_bound(fact: FactorizedJacobian, norm_v: float, norm_rhs: float) -> 
 
 def reduce_matrix(fact: FactorizedJacobian, M) -> Array:
     """Z^T M Z, symmetrized."""
-    W = fact.Z.T @ np.asarray(M, dtype=float) @ fact.Z
+    W = fact.Z.T @ M @ fact.Z
     return 0.5 * (W + W.T)

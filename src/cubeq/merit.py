@@ -25,8 +25,7 @@ def merit_value(f: float, c_l1: float, mu: float) -> float:
 
 def model_q(f, g, H, c, A, d, sigma, mu) -> float:
     """q(d) evaluated literally."""
-    d = np.asarray(d, dtype=float).reshape(-1)
-    lin = np.asarray(c, dtype=float) + np.asarray(A, dtype=float) @ d
+    lin = c + A @ d
     nd = float(np.linalg.norm(d))
     return (float(f) + float(g @ d) + 0.5 * float(d @ H @ d)
             + sigma / 3.0 * nd**3 + mu * float(np.sum(np.abs(lin))))
@@ -38,9 +37,7 @@ def predicted_reduction(g, H, c, A, d, sigma, mu) -> float:
     The expanded form keeps the result accurate near convergence, where the
     literal difference of two q values would be pure cancellation.
     """
-    d = np.asarray(d, dtype=float).reshape(-1)
-    c = np.asarray(c, dtype=float).reshape(-1)
-    lin = c + np.asarray(A, dtype=float) @ d
+    lin = c + A @ d
     nd = float(np.linalg.norm(d))
     quad = float(g @ d) + 0.5 * float(d @ H @ d) + sigma / 3.0 * nd**3
     return -quad + mu * float(np.sum(np.abs(c)) - np.sum(np.abs(lin)))
@@ -50,9 +47,6 @@ def mu_candidate(g, H, v, d, u, sigma, beta, c_l1, r_v, tau) -> float:
     """Penalty candidate; zero at feasible points, may be negative."""
     if c_l1 == 0.0:
         return 0.0
-    v = np.asarray(v, dtype=float).reshape(-1)
-    d = np.asarray(d, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
     nd = float(np.linalg.norm(d))
     nu_ = float(np.linalg.norm(u))
     num = float(g @ v) + 0.5 * float(v @ H @ v) + sigma / 3.0 * (nd**3 - nu_**3)

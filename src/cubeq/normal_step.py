@@ -34,7 +34,6 @@ def compute_vc(fact: FactorizedJacobian, c, r_v: float = 0.0) -> tuple:
     With the default r_v = 0 this is the exact least-squares solve.  A zero
     constraint vector short-circuits to a zero step.
     """
-    c = np.asarray(c, dtype=float).reshape(-1)
     c_l1 = float(np.sum(np.abs(c)))
     n = fact.A.shape[1]
     if c_l1 == 0.0:

@@ -165,9 +165,7 @@ def build_reduced_model(fact: FactorizedJacobian, g, H, v, sigma: float,
     another normal step or sigma: its Z^T H Z and tridiagonal form are kept,
     and only g_red and sigma are set anew.
     """
-    g = np.asarray(g, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    g_red = fact.Z.T @ (g + np.asarray(H, dtype=float) @ v)
+    g_red = fact.Z.T @ (g + H @ v)
     if reuse is not None:
         return dataclasses.replace(reuse, g_red=g_red, sigma=float(sigma))
     return ReducedCubicModel(g_red=g_red, H_red=reduce_matrix(fact, H),
@@ -176,7 +174,6 @@ def build_reduced_model(fact: FactorizedJacobian, g, H, v, sigma: float,
 
 def model_decrease(model: ReducedCubicModel, p) -> float:
     """m(0) - m(p); positive when p improves the model."""
-    p = np.asarray(p, dtype=float).reshape(-1)
     r = _norm(p)
     return -float(model.g_red @ p + 0.5 * p @ model.H_red @ p + model.sigma / 3.0 * r**3)
 

@@ -60,6 +60,34 @@ class TestSolve:
         assert result.exit_code == 0
 
 
+class TestConfigFlags:
+    """The configuration a run used, read back from its trace header."""
+
+    def _config(self, tmp_path, *flags):
+        trace = tmp_path / "run.trace"
+        _run("solve", "--problem", "circle_quadratic", "--trace", str(trace), *flags)
+        return json.loads(trace.read_text().splitlines()[0])["config"]
+
+    def test_eps_then_one_tolerance(self, tmp_path):
+        config = self._config(tmp_path, "--eps", "1e-3", "--eps-g", "1e-6")
+        assert (config["eps_g"], config["eps_c"], config["eps_h"]) == (1e-6, 1e-3, 1e-3)
+
+    def test_set_bool(self, tmp_path):
+        assert self._config(tmp_path)["corrections_enabled"] is True
+        config = self._config(tmp_path, "--set", "corrections_enabled=off")
+        assert config["corrections_enabled"] is False
+
+    def test_set_int_comes_last(self, tmp_path):
+        config = self._config(tmp_path, "--max-iter", "5", "--set", "max_iter=3")
+        assert config["max_iter"] == 3 and isinstance(config["max_iter"], int)
+
+    def test_unparsable_bool_and_int(self):
+        for item in ("audit=maybe", "max_iter=3.5"):
+            result = _run("solve", "--problem", "circle_quadratic", "--set", item)
+            assert result.exit_code == EXIT_CONFIG
+            assert "cannot parse" in result.output
+
+
 class TestTraceWorkflow:
     def test_solve_then_audit(self, tmp_path):
         trace = tmp_path / "run.trace"

@@ -10,8 +10,50 @@ from cubeq.diagnostics import (audit_run, convergence_rate,
                                finite_difference_check, merit_gap_warnings)
 from cubeq.driver import SolverConfig, solve
 from cubeq.errors import InsufficientHistory
+from cubeq.linalg import factorize_jacobian
 from cubeq.problems import Problem, builtin_problem
 from helpers import perturb
+
+# One tampered record per violation code: (code, problem, k, replacements,
+# every code reported at k).  ``replacements`` maps the record r, z1 (the first
+# column of Z at r.x) and a1 (the first constraint gradient there) to fields.
+TAMPERED = [
+    ("sigma_update", "circle_quadratic", 0,
+     lambda r, z1, a1: {"sigma_next": 10.0 * r.sigma}, {"sigma_update"}),
+    ("correction_residual", "maratos", 0,
+     lambda r, z1, a1: {"w": 1.1 * r.w}, {"correction_residual"}),
+    ("correction_range", "maratos", 0,
+     lambda r, z1, a1: {"w": r.w + 1e-3 * z1}, {"correction_range"}),
+    ("correction_beta_one", "maratos", 0,
+     lambda r, z1, a1: {"beta": 0.999}, {"beta_interval", "correction_beta_one"}),
+    ("normal_residual", "maratos", 0,
+     lambda r, z1, a1: {"v_c": 1.1 * r.v_c}, {"normal_bound", "normal_residual"}),
+    ("normal_range", "maratos", 0,
+     lambda r, z1, a1: {"v_c": r.v_c + 1e-3 * z1}, {"normal_bound", "normal_range"}),
+    ("linearized_contraction", "maratos", 0,
+     lambda r, z1, a1: {"v": np.zeros_like(r.v)},
+     {"correction_residual", "linearized_contraction", "merit_reduction_bound"}),
+    ("tangential_nullspace", "maratos", 1,
+     lambda r, z1, a1: {"u": r.u + 1e-3 * a1},
+     {"correction_residual", "decrease_vs_gradient", "decrease_vs_step",
+      "merit_reduction_bound", "or1_cauchy_dominance", "tangential_nullspace"}),
+    ("or3_curvature", "saddle_escape", 0,
+     lambda r, z1, a1: {"u": 1e-3 * r.u}, {"or2_model_gradient", "or3_curvature"}),
+    ("or1_cauchy_dominance", "rosenbrock_sphere", 3,
+     lambda r, z1, a1: {"u": 0.7 * r.u},
+     {"or1_cauchy_dominance", "or2_model_gradient", "or3_curvature"}),
+    ("decrease_vs_step", "saddle_escape", 0,
+     lambda r, z1, a1: {"u": 2.0 * r.u},
+     {"decrease_vs_gradient", "decrease_vs_step", "or1_cauchy_dominance",
+      "or2_model_gradient"}),
+    ("tangential_size", "saddle_escape", 0,
+     lambda r, z1, a1: {"u": 50.0 * r.u},
+     {"decrease_vs_gradient", "decrease_vs_step", "or1_cauchy_dominance",
+      "or2_model_gradient", "tangential_size"}),
+    # v_c = 0 at this record: the beta = 1 branch of the interval check
+    ("beta_interval", "saddle_escape", 0,
+     lambda r, z1, a1: {"beta": 0.5}, {"beta_interval", "correction_beta_one"}),
+]
 
 
 class TestCleanRuns:
@@ -60,6 +102,19 @@ class TestTamperedRecords:
         violations = self._audit_with("circle_quadratic", 0, beta=0.5)
         assert {v.code for v in violations} == {"beta_interval"}
 
+    @pytest.mark.parametrize("code, name, k, replace, codes", TAMPERED,
+                             ids=[case[0] for case in TAMPERED])
+    def test_every_code_has_a_tampered_record(self, code, name, k, replace, codes):
+        problem = builtin_problem(name)
+        config = SolverConfig()
+        records = list(solve(problem, config=config).history)
+        fact = factorize_jacobian(problem.jacobian(records[k].x))
+        records[k] = perturb(records[k], **replace(records[k], fact.Z[:, 0], fact.A[0]))
+        violations = audit_run(problem, records, config)
+        assert code in codes
+        assert {v.code for v in violations if v.k == k} == codes
+        assert all(v.k == k for v in violations)
+
     def test_violation_carries_magnitudes(self):
         violations = self._audit_with("circle_quadratic", 0, beta=0.5)
         v = violations[0]
@@ -92,6 +147,26 @@ class TestAuditRun:
             (broken_k, f"FloatingPointError: audit broke at k={broken_k}")]
         assert [v for v in violations if v.k != broken_k] == [
             v for v in expected if v.k != broken_k]
+
+    def test_failed_rebuild_is_tried_again_at_the_same_iterate(self, monkeypatch):
+        """Records 0-2 share their x: a rebuild that fails at k = 0 is redone at k = 1."""
+        problem = builtin_problem("circle_quadratic")
+        config = SolverConfig()
+        records = solve(problem, config=config).history
+        assert records[0].x.tobytes() == records[1].x.tobytes() == records[2].x.tobytes()
+        rebuild_context = diagnostics.rebuild_context
+        rebuilt_at = []
+
+        def flaky(problem, record, rank_tol):
+            rebuilt_at.append(record.k)
+            if len(rebuilt_at) == 1:
+                raise FloatingPointError("rebuild broke")
+            return rebuild_context(problem, record, rank_tol)
+
+        monkeypatch.setattr(diagnostics, "rebuild_context", flaky)
+        violations = audit_run(problem, records, config)
+        assert [(v.k, v.code) for v in violations] == [(0, "audit_error")]
+        assert rebuilt_at[:3] == [0, 1, 3]
 
 
 class TestFiniteDifferences:
@@ -154,7 +229,7 @@ class TestMeritGapWarnings:
             result = solve(problem, config=config)
             warnings = []
             for record in result.history:
-                warnings.extend(merit_gap_warnings(problem, record, config))
+                warnings.extend(merit_gap_warnings(problem, record))
             assert warnings == []
 
     def test_hessians_only_at_the_iterate(self):
@@ -177,7 +252,7 @@ class TestMeritGapWarnings:
                    if r.accepted and not r.correction_computed and r.norm_d > 0.0]
         assert checked
         for record in result.history:
-            merit_gap_warnings(problem, record, config)
+            merit_gap_warnings(problem, record)
         assert len(hessian_points) == 2 * len(checked)
         for i, record in enumerate(checked):
             for x in hessian_points[2 * i:2 * i + 2]:
