@@ -28,7 +28,7 @@ import numpy as np
 from . import merit
 from .driver import SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL, IterationRecord, SolverConfig
 from .errors import InsufficientHistory
-from .linalg import FactorizedJacobian, factorize_jacobian, reduce_matrix
+from .linalg import FactorizedJacobian, factorize_jacobian, reduce_matrix, rounding_bound
 from .problems import EvalPoint, Problem, evaluate, evaluate_trial, lagrangian_hessian
 
 Array = np.ndarray
@@ -128,9 +128,12 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
              "scaled normal step fails the linearized contraction")
 
     # --- multipliers -------------------------------------------------------
+    norm_g = float(np.linalg.norm(g))
     mult_residual = float(np.linalg.norm(A @ (g + A.T @ lam)))
     mult_allowed = config.r_lambda * float(np.linalg.norm(v))
-    if mult_residual > mult_allowed + slack(norm_A * float(np.linalg.norm(g))):
+    # A applied to the rounding floor of g + A^T lam, which grows with |A| |lam|
+    mult_floor = norm_A * rounding_bound(fact, float(np.linalg.norm(lam)), norm_g)
+    if mult_residual > mult_allowed + slack(norm_A * norm_g) + mult_floor:
         flag("multiplier_residual", mult_residual, mult_allowed,
              "multiplier estimate fails its residual condition")
 
@@ -248,9 +251,8 @@ def audit_run(problem: Problem, records, config: SolverConfig) -> list:
                     context = rebuild_context(problem, record, config.rank_tol)
                 context.c_trial = None
                 if record.correction_computed:
-                    x_trial = record.x + (record.v + record.u)
-                    context.c_trial = np.asarray(problem.constraints(x_trial),
-                                                 dtype=float).reshape(-1)
+                    context.c_trial = evaluate_trial(problem,
+                                                     record.x + (record.v + record.u)).c
                 violations += audit_iteration(record, context, config)
             except Exception as exc:  # the audit observes; it never stops
                 violations.append(Violation("audit_error", f"{type(exc).__name__}: {exc}",

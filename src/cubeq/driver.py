@@ -2,11 +2,11 @@
 
 At each new iterate the solver completes the point with its derivatives,
 factorizes the Jacobian, estimates multipliers, forms the Lagrangian Hessian
-and the tridiagonal form of its reduction Z^T H Z, and checks stationarity;
-none of that depends on sigma, so it is done once per distinct iterate and
-reused after an unsuccessful step.  Each iteration then builds the normal
-step v = beta v_c toward the linearized constraints and solves the reduced
-cubic model, on the stored tridiagonal form, for the tangential step u.
+H and one ``ReducedHessian`` of Z^T H Z, whose lam_min the stationarity test
+reads; none of that depends on sigma, so it is done once per distinct iterate
+and reused after an unsuccessful step.  Each iteration then builds the normal
+step v = beta v_c toward the linearized constraints, solves the cubic model of
+g_red = Z^T (g + H v) and sigma on that reduced Hessian, and sets u = Z p.
 The composite d = v + u is accepted when the achieved l1-merit decrease
 covers at least eta1 of the predicted decrease.  One step test scores the
 trial point x + d and, if a finite trial point fails near the constraint
@@ -39,11 +39,12 @@ from . import merit
 from .correction import compute_correction, in_correction_region
 from .errors import (ConfigError, NonFiniteValue, NonpositivePredictedReduction,
                      RankDeficient, ResidualConditionUnmet, SecularSolveFailed)
-from .linalg import FactorizedJacobian, estimate_multipliers, factorize_jacobian
+from .linalg import (FactorizedJacobian, estimate_multipliers, factorize_jacobian,
+                     reduce_matrix)
 from .normal_step import assemble_normal
 from .problems import (EvalPoint, Problem, TrialPoint, complete_point,
                        evaluate_trial, lagrangian_hessian)
-from .tangential import ReducedCubicModel, build_reduced_model, solve_cubic
+from .tangential import ReducedCubicModel, ReducedHessian, solve_cubic
 
 Array = np.ndarray
 
@@ -231,21 +232,20 @@ class _Iterate:
     fact: FactorizedJacobian
     lam: Array
     H: Array
-    model: ReducedCubicModel  # carries Z^T H Z and its tridiagonal form
+    hessian: ReducedHessian  # Z^T H Z, shared by every cubic model at the iterate
     report: StationarityReport
 
 
-def _at_iterate(problem: Problem, at: TrialPoint, sigma: float,
-                config: SolverConfig) -> _Iterate:
-    """Derivatives, factorization, multipliers and the reduced spectrum at ``at``."""
+def _at_iterate(problem: Problem, at: TrialPoint, config: SolverConfig) -> _Iterate:
+    """Derivatives, factorization, multipliers and the reduced Hessian at ``at``."""
     point = complete_point(problem, at)
     fact = factorize_jacobian(point.A, config.rank_tol)
     lam = estimate_multipliers(fact, point.g)
     H = lagrangian_hessian(point, lam)
     grad_l_norm = float(np.linalg.norm(point.g + point.A.T @ lam))
-    model = build_reduced_model(fact, point.g, H, np.zeros(problem.n), sigma)
-    report = check_stationarity(grad_l_norm, point.c_l1, model.tridiagonal.lam_min, config)
-    return _Iterate(point, fact, lam, H, model, report)
+    hessian = ReducedHessian(reduce_matrix(fact, H))
+    report = check_stationarity(grad_l_norm, point.c_l1, hessian.lam_min, config)
+    return _Iterate(point, fact, lam, H, hessian, report)
 
 
 def _score(problem: Problem, y: Array, phi_x: float, mu: float,
@@ -283,7 +283,7 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
         it = None  # work at x; None until computed, and again after x moves
         for k in range(config.max_iter + 1):
             if it is None:
-                it = _at_iterate(problem, at, sigma, config)
+                it = _at_iterate(problem, at, config)
                 lam, report = it.lam, it.report
             if report.sosp:
                 status = CONVERGED_SOSP
@@ -296,13 +296,14 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
             point, fact, H = it.point, it.fact, it.H
 
             normal = assemble_normal(fact, point.c, sigma, r_v=config.r_v)
-            model = build_reduced_model(fact, point.g, H, normal.v, sigma, reuse=it.model)
+            model = ReducedCubicModel(fact.Z.T @ (point.g + H @ normal.v), sigma, it.hessian)
             tang = solve_cubic(model, config.delta)
-            d = normal.v + tang.u
+            u = fact.Z @ tang.p
+            d = normal.v + u
             norm_d = float(np.linalg.norm(d))
 
             mu_prev = mu
-            mu_cand = merit.mu_candidate(point.g, H, normal.v, d, tang.u, sigma,
+            mu_cand = merit.mu_candidate(point.g, H, normal.v, d, u, sigma,
                                          normal.beta, point.c_l1,
                                          config.r_v, config.tau)
             mu = merit.update_mu(mu_prev, mu_cand, config.nu)
@@ -341,14 +342,14 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
                 lambda_min_red=report.lambda_min_red,
                 sigma=sigma, mu=mu, beta=normal.beta,
                 norm_v=float(np.linalg.norm(normal.v)),
-                norm_u=float(np.linalg.norm(tang.u)),
+                norm_u=float(np.linalg.norm(u)),
                 norm_d=norm_d, norm_w=float(np.linalg.norm(w)) if w is not None else 0.0,
                 delta_q=delta_q, delta_m_u=tang.delta_m,
                 rho=rho, rho_corr=rho_corr,
                 classification=classification,
                 correction_computed=w is not None,
                 accepted=accepted,
-                lam=lam, v_c=normal.v_c, v=normal.v, u=tang.u, w=w,
+                lam=lam, v_c=normal.v_c, v=normal.v, u=u, w=w,
                 sigma_next=sigma_next, mu_prev=mu_prev, mu_candidate=mu_cand,
             ))
             if accepted:

@@ -14,16 +14,18 @@ r >= r_floor = max(0, -lam_min)/sigma, where psi(r) = 1/|p(r)| - 1/r is
 concave and increasing: safeguarded Newton on psi needs a handful of
 evaluations (Moré & Sorensen 1983; Cartis, Gould & Toint 2011, ARC Part I, 6.1).
 
-The model reduces H_red once, to H_red = Q_T T Q_T^T with T tridiagonal
-(LAPACK dsytrd), and takes lam_min from T by bisection (dstebz); a model
-rebuilt at the same iterate for another sigma keeps both, so the stationarity
-test and every cubic solve at one iterate share one reduction.  As in GLTR
+Only g_red and sigma change between the models of one iterate, so H_red is
+its own object, a ``ReducedHessian`` that the caller builds once per iterate
+and every model there shares.  It reduces H_red to H_red = Q_T T Q_T^T with T
+tridiagonal (LAPACK dsytrd) and takes lam_min from T by bisection (dstebz),
+which the caller's stationarity test reads too.  The caller also maps the
+solution p back to the full space, u = Z p.  As in GLTR
 (Gould, Lucidi, Roma & Toint 1999), an evaluation at the shift
 t = sigma (r - r_floor) is one O(k) LDL^T of T + (floor + t) I and two solves.
 Near the floor LDL^T loses the relative accuracy of the eigenbasis, where the
-leftmost term of lam_i + sigma r is t exactly.  So eigh(H_red), computed once
-per iterate when first needed and used by every solve after, takes over if
-g_red = 0, if LDL^T fails, if the root lies below
+leftmost term of lam_i + sigma r is t exactly.  So eigh(H_red), which the
+ReducedHessian computes when first needed and keeps for every solve after,
+takes over if g_red = 0, if LDL^T fails, if the root lies below
 t_min = kappa eps (|T| + floor) - max(lam_min, 0) (the hard case, or a tiny
 gradient under negative curvature), or if the step misses |p| = r by more
 than 1e-13 r; for k <= 2 eigh is cheaper and is used at once.  In the hard
@@ -39,7 +41,6 @@ delta * sigma * |u|^2 budget, and lam_min(H_red) >= -sigma |u|.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import importlib.machinery
 import importlib.util
@@ -51,7 +52,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import SecularSolveFailed
-from .linalg import FactorizedJacobian, reduce_matrix
 
 Array = np.ndarray
 
@@ -89,93 +89,79 @@ def _norm(x) -> float:  # np.linalg.norm's value for a vector, without its overh
     return math.sqrt(np.dot(x, x))
 
 
-@dataclass
-class Tridiagonal:
-    """H_red = Q_T T Q_T^T, with T symmetric tridiagonal (dsytrd, lower)."""
+class ReducedHessian:
+    """H_red = Z^T H Z at one iterate, shared by every cubic model there.
 
-    d: Array  # diagonal of T
-    e: Array  # subdiagonal of T
-    reflectors: Optional[Array]  # of Q_T, (k-1, k-1), Fortran order; None if k <= 2
-    tau: Optional[Array]
-    lam_min: float  # smallest eigenvalue of T
-    norm: float  # at least |T|_2 (Frobenius norm, or |T|_2 itself for k <= 2)
-    eigh: Optional[tuple] = None  # eigh(H_red): at hand for k <= 2, else once a solve needs it
+    Construction reduces it to H_red = Q_T T Q_T^T (dsytrd, lower) and takes
+    lam_min from T (dstebz); ``eigh`` computes eigh(H_red) on first use and
+    keeps it.  For k <= 2, H_red is its own T and its eigendecomposition comes
+    along: at hand (k = 1) or cheaper than the LAPACK calls (k = 2).
+    """
+
+    def __init__(self, matrix: Array):
+        self.matrix = matrix  # H_red, symmetric
+        k = matrix.shape[0]
+        self._reflectors = self._tau = self._eigh = None
+        if k <= 2:
+            lam, Q = (matrix[0], np.ones((1, 1))) if k == 1 else np.linalg.eigh(matrix)
+            self.d, self.e = matrix.diagonal(), matrix.diagonal(-1)
+            self.lam_min = float(lam[0])
+            self.norm = max(-float(lam[0]), float(lam[-1]))  # |T|_2 itself
+            self._eigh = (lam, Q)
+            return
+        lapack = _lapack()
+        lwork = int(lapack.dsytrd_lwork(k, lower=1)[0])
+        a, d, e, tau, _ = lapack.dsytrd(matrix, lower=1, lwork=lwork)
+        _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, 1, 0.0, "E")
+        if info != 0:
+            raise SecularSolveFailed(f"bisection for the smallest eigenvalue failed (info={info})")
+        self.d, self.e = d, e  # diagonal and subdiagonal of T
+        self.lam_min = float(w[0])
+        self.norm = math.sqrt(np.dot(d, d) + 2.0 * np.dot(e, e))  # Frobenius, >= |T|_2
+        # of Q_T: (k-1, k-1), Fortran order
+        self._reflectors, self._tau = np.asfortranarray(a[1:, :-1]), tau
+
+    @property
+    def eigh_at_hand(self) -> bool:
+        return self._eigh is not None
+
+    def eigh(self) -> tuple:
+        """eigh(H_red), computed on the first call."""
+        if self._eigh is None:
+            self._eigh = np.linalg.eigh(self.matrix)
+        return self._eigh
 
     def rotate(self, trans: str, x: Array) -> Array:
         """Q_T^T x for trans "T", Q_T x for "N"."""
-        if self.reflectors is None:
+        if self._reflectors is None:
             return x
         out = x.copy()
         # lwork = k: a larger workspace makes this one-column call slower
-        out[1:] = _lapack().dormqr("L", trans, self.reflectors, self.tau,
-                                x[1:, None], len(x))[0][:, 0]
+        out[1:] = _lapack().dormqr("L", trans, self._reflectors, self._tau,
+                                   x[1:, None], len(x))[0][:, 0]
         return out
-
-
-def tridiagonalize(H_red: Array) -> Tridiagonal:
-    """Householder tridiagonal form of ``H_red`` and its smallest eigenvalue.
-
-    For k <= 2, H_red is its own T, and its eigendecomposition is at hand
-    (k = 1) or cheaper than the LAPACK calls of the tridiagonal path (k = 2),
-    so it comes along and the solves use it.
-    """
-    k = H_red.shape[0]
-    if k <= 2:
-        lam, Q = (H_red[0], np.ones((1, 1))) if k == 1 else np.linalg.eigh(H_red)
-        return Tridiagonal(H_red.diagonal(), H_red.diagonal(-1), None, None, float(lam[0]),
-                           max(-float(lam[0]), float(lam[-1])), (lam, Q))
-    lapack = _lapack()
-    lwork = int(lapack.dsytrd_lwork(k, lower=1)[0])
-    a, d, e, tau, _ = lapack.dsytrd(H_red, lower=1, lwork=lwork)
-    _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, 1, 0.0, "E")
-    if info != 0:
-        raise SecularSolveFailed(f"bisection for the smallest eigenvalue failed (info={info})")
-    return Tridiagonal(d, e, np.asfortranarray(a[1:, :-1]), tau, float(w[0]),
-                       math.sqrt(np.dot(d, d) + 2.0 * np.dot(e, e)))
 
 
 @dataclass(frozen=True)
 class ReducedCubicModel:
     g_red: Array  # Z^T (g + H v)
-    H_red: Array  # Z^T H Z
     sigma: float
-    Z: Array
-    tridiagonal: Tridiagonal = None  # of H_red; computed on construction when not given
-
-    def __post_init__(self):
-        if self.tridiagonal is None:
-            object.__setattr__(self, "tridiagonal", tridiagonalize(self.H_red))
+    hessian: ReducedHessian  # of the iterate, shared by its models
 
 
 @dataclass(frozen=True)
 class OracleSolution:
-    p: Array  # reduced coordinates
-    u: Array  # Z p, full space
+    p: Array  # reduced coordinates; the step is Z p
     delta_m: float  # m(0) - m(p)
     cauchy_delta_m: float
     grad_model_norm: float  # |g_red + H_red p + sigma |p| p|
-    lambda_min_red: float
-
-
-def build_reduced_model(fact: FactorizedJacobian, g, H, v, sigma: float,
-                        reuse: Optional[ReducedCubicModel] = None) -> ReducedCubicModel:
-    """Reduced model of the tangential step that follows the normal step ``v``.
-
-    ``reuse`` is a model built earlier from the same ``fact`` and ``H``, for
-    another normal step or sigma: its Z^T H Z and tridiagonal form are kept,
-    and only g_red and sigma are set anew.
-    """
-    g_red = fact.Z.T @ (g + H @ v)
-    if reuse is not None:
-        return dataclasses.replace(reuse, g_red=g_red, sigma=float(sigma))
-    return ReducedCubicModel(g_red=g_red, H_red=reduce_matrix(fact, H),
-                             sigma=float(sigma), Z=fact.Z)
 
 
 def model_decrease(model: ReducedCubicModel, p) -> float:
     """m(0) - m(p); positive when p improves the model."""
     r = _norm(p)
-    return -float(model.g_red @ p + 0.5 * p @ model.H_red @ p + model.sigma / 3.0 * r**3)
+    return -float(model.g_red @ p + 0.5 * p @ model.hessian.matrix @ p
+                  + model.sigma / 3.0 * r**3)
 
 
 def cauchy_point(model: ReducedCubicModel) -> tuple:
@@ -188,7 +174,7 @@ def cauchy_point(model: ReducedCubicModel) -> tuple:
     gn = _norm(model.g_red)
     if gn == 0.0:
         return 0.0, 0.0
-    gHg = float(model.g_red @ model.H_red @ model.g_red)
+    gHg = float(model.g_red @ model.hessian.matrix @ model.g_red)
     a_coef = model.sigma * gn**3
     alpha = (-gHg + math.sqrt(gHg**2 + 4.0 * a_coef * gn**2)) / (2.0 * a_coef)
     decrease = alpha * gn**2 - 0.5 * alpha**2 * gHg - model.sigma / 3.0 * alpha**3 * gn**3
@@ -297,21 +283,21 @@ def _secular_shift(moments, sigma, floor, lo, hi):
                              f"{_MAX_SECULAR_STEPS} steps (lo={lo}, hi={hi})")
 
 
-def _tridiagonal_step(tri: Tridiagonal, g_red, sigma, gnorm) -> Optional[Array]:
+def _tridiagonal_step(hessian: ReducedHessian, g_red, sigma, gnorm) -> Optional[Array]:
     """The step by Newton on T; None where LDL^T cannot be trusted."""
-    floor = max(0.0, -tri.lam_min)
-    t_min = max(0.0, _LDL_KAPPA * _EPS * (tri.norm + floor) - max(tri.lam_min, 0.0))
-    moments = _moments(tri.d + floor, tri.e, tri.rotate("T", g_red))
+    floor = max(0.0, -hessian.lam_min)
+    t_min = max(0.0, _LDL_KAPPA * _EPS * (hessian.norm + floor) - max(hessian.lam_min, 0.0))
+    moments = _moments(hessian.d + floor, hessian.e, hessian.rotate("T", g_red))
     try:
         t = _secular_shift(moments, sigma, floor, t_min,
-                           _shift_upper_bound(tri.lam_min, gnorm, sigma))
+                           _shift_upper_bound(hessian.lam_min, gnorm, sigma))
         if t is None:  # the root lies below t_min
             return None
         y, s, _ = moments(t)
     except (np.linalg.LinAlgError, SecularSolveFailed):
         return None
     r = (floor + t) / sigma
-    return -tri.rotate("N", y) if abs(math.sqrt(s) - r) <= _TRUSTED_GAP_RTOL * r else None
+    return -hessian.rotate("N", y) if abs(math.sqrt(s) - r) <= _TRUSTED_GAP_RTOL * r else None
 
 
 def _eigenbasis_step(lam, Q, g_red, sigma, lam_min, gnorm) -> Array:
@@ -356,18 +342,16 @@ def solve_cubic(model: ReducedCubicModel, delta: float = 0.1) -> OracleSolution:
     sigma = model.sigma
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    tri, lam_min = model.tridiagonal, model.tridiagonal.lam_min
+    hessian = model.hessian
     gnorm = _norm(model.g_red)
     p = None
-    if tri.eigh is None and gnorm > 0.0:
-        p = _tridiagonal_step(tri, model.g_red, sigma, gnorm)
+    if not hessian.eigh_at_hand and gnorm > 0.0:
+        p = _tridiagonal_step(hessian, model.g_red, sigma, gnorm)
     if p is None:
-        if tri.eigh is None:
-            tri.eigh = np.linalg.eigh(model.H_red)
-        p = _eigenbasis_step(*tri.eigh, model.g_red, sigma, lam_min, gnorm)
+        p = _eigenbasis_step(*hessian.eigh(), model.g_red, sigma, hessian.lam_min, gnorm)
 
     radius = _norm(p)
-    grad = model.g_red + model.H_red @ p + sigma * radius * p
+    grad = model.g_red + hessian.matrix @ p + sigma * radius * p
     _, cauchy_dec = cauchy_point(model)
     dec = model_decrease(model, p)
 
@@ -378,7 +362,5 @@ def solve_cubic(model: ReducedCubicModel, delta: float = 0.1) -> OracleSolution:
             f"{delta * sigma * radius**2:.3e} after secular solve"
         )
 
-    return OracleSolution(
-        p=p, u=model.Z @ p, delta_m=dec, cauchy_delta_m=cauchy_dec,
-        grad_model_norm=grad_norm, lambda_min_red=lam_min,
-    )
+    return OracleSolution(p=p, delta_m=dec, cauchy_delta_m=cauchy_dec,
+                          grad_model_norm=grad_norm)

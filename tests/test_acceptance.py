@@ -8,7 +8,7 @@ from cubeq.diagnostics import (audit_run, convergence_rate,
                                finite_difference_check)
 from cubeq.driver import CONVERGED_SOSP, SolverConfig, solve
 from cubeq.problems import builtin_problem, problem_names
-from cubeq.tangential import ReducedCubicModel, solve_cubic
+from cubeq.tangential import ReducedCubicModel, ReducedHessian, solve_cubic
 from helpers import grid_polish_min, perturb
 
 RUNTIME_BUDGET_S = 5.0
@@ -61,8 +61,7 @@ def test_criterion_3_subproblem_oracle_equivalence():
         H = rng.standard_normal((dim, dim))
         H = 0.5 * (H + H.T)
         sigma = float(rng.uniform(0.5, 4.0))
-        model = ReducedCubicModel(g_red=g, H_red=H, sigma=sigma,
-                                  Z=np.eye(dim))
+        model = ReducedCubicModel(g, sigma, ReducedHessian(H))
         sol = solve_cubic(model, 0.1)
         _, best_value = grid_polish_min(g, H, sigma, step=1e-3)
         worst_gap = max(worst_gap, abs(-sol.delta_m - best_value))

@@ -37,6 +37,9 @@ TAMPERED = [
      lambda r, z1, a1: {"u": r.u + 1e-3 * a1},
      {"correction_residual", "decrease_vs_gradient", "decrease_vs_step",
       "merit_reduction_bound", "or1_cauchy_dominance", "tangential_nullspace"}),
+    # records 0-2 share x; a perturbed lam gives record 0 a context of its own
+    ("multiplier_residual", "circle_quadratic", 0,
+     lambda r, z1, a1: {"lam": r.lam + 1e-6}, {"multiplier_residual"}),
     ("or3_curvature", "saddle_escape", 0,
      lambda r, z1, a1: {"u": 1e-3 * r.u}, {"or2_model_gradient", "or3_curvature"}),
     ("or1_cauchy_dominance", "rosenbrock_sphere", 3,

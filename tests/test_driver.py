@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cubeq import diagnostics, tangential
+from cubeq import diagnostics, driver, tangential
 from cubeq.diagnostics import audit_run
 from cubeq.driver import (CONVERGED_SOSP, LICQ_FAILURE, MAX_ITERATIONS,
                           NUMERICAL_ERROR, SUCCESSFUL, UNSUCCESSFUL,
@@ -350,6 +350,14 @@ class TestRobustness:
         assert audited.iterations == plain.iterations
         np.testing.assert_array_equal(audited.x_final, plain.x_final)
 
+    def test_near_singular_audit_allows_multiplier_rounding(self):
+        """|lam| reaches 7e10 on this Jacobian, and A (g + A^T lam) of the exact
+        multipliers is rounding of that size, not a failed residual condition."""
+        problem = _near_singular_problem()
+        result = solve(problem, config=SolverConfig(rank_tol=1e-14, max_iter=20, audit=True))
+        assert max(np.linalg.norm(r.lam) for r in result.history) > 1e10
+        assert "multiplier_residual" not in {v.code for v in result.violations}
+
     def test_frozen_step_ends_run(self):
         """An accepted step that leaves x unchanged is no progress: the run
         stops there instead of spending its budget on 1e-17 steps."""
@@ -476,11 +484,38 @@ class TestBeyondCatalog:
         assert audited.iterations == plain.iterations
         np.testing.assert_array_equal(audited.x_final, plain.x_final)
 
+    @pytest.mark.slow
+    def test_chained_rosenbrock_sphere_n300_audited(self):
+        """n = 300, k = 299, the benchmark's `curved` size: an SOSP at x* = 1,
+        a clean audit, and the audited run takes the plain run's path."""
+        problem = _chained_rosenbrock_sphere(300)
+        x0 = 1.0 + 0.1 * np.random.default_rng(5).standard_normal(300)
+        plain = solve(problem, x0=x0)
+        audited = solve(problem, x0=x0, config=SolverConfig(audit=True))
+        assert audited.status == CONVERGED_SOSP
+        assert audited.violations == []
+        np.testing.assert_allclose(audited.x_final, np.ones(300), rtol=0, atol=1e-8)
+        assert [r.x.tobytes() for r in audited.history] == [r.x.tobytes() for r in plain.history]
+        np.testing.assert_array_equal(audited.x_final, plain.x_final)
+
+    @pytest.mark.slow
+    def test_projected_rayleigh_n300_audited(self):
+        """n = 300, m = 75, the benchmark's `wide` size: reaches the compressed
+        lambda_min, a clean audit, and the audited run takes the plain run's path."""
+        problem, f_min = _projected_rayleigh_problem(seed=17, n=300, k=74)
+        plain = solve(problem)
+        audited = solve(problem, config=SolverConfig(audit=True))
+        assert audited.status == CONVERGED_SOSP
+        assert audited.violations == []
+        assert problem.objective(audited.x_final) == pytest.approx(f_min, abs=1e-8)
+        assert [r.x.tobytes() for r in audited.history] == [r.x.tobytes() for r in plain.history]
+        np.testing.assert_array_equal(audited.x_final, plain.x_final)
+
 
 class TestEvaluationEconomy:
     def test_work_once_per_iterate(self, monkeypatch):
-        """Derivatives and one tridiagonal reduction per distinct iterate, no
-        eigh; f and c per point."""
+        """Derivatives and one ReducedHessian per distinct iterate, no eigh;
+        f and c per point."""
         base = builtin_problem("maratos")
         calls = dict.fromkeys(("objective", "gradient", "objective_hessian",
                                "constraints", "jacobian", "constraint_hessians"), 0)
@@ -495,17 +530,17 @@ class TestEvaluationEconomy:
 
         problem = dataclasses.replace(base, **{kind: counted(kind) for kind in calls})
         reductions, eigh_calls = [], []
-        tridiagonalize, eigh = tangential.tridiagonalize, np.linalg.eigh
+        eigh = np.linalg.eigh
 
         def counted_reduction(H_red):
             reductions.append(1)
-            return tridiagonalize(H_red)
+            return tangential.ReducedHessian(H_red)
 
         def counted_eigh(*args, **kwargs):
             eigh_calls.append(1)
             return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(tangential, "tridiagonalize", counted_reduction)
+        monkeypatch.setattr(driver, "ReducedHessian", counted_reduction)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         # from this start the run both corrects and rejects steps
         result = solve(problem, x0=[0.0, 1.0], config=SolverConfig(sigma0=0.1))

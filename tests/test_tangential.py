@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cubeq import tangential
-from cubeq.linalg import factorize_jacobian
-from cubeq.tangential import (ReducedCubicModel, build_reduced_model,
-                              cauchy_point, model_decrease, solve_cubic)
+from cubeq.linalg import factorize_jacobian, reduce_matrix
+from cubeq.tangential import (ReducedCubicModel, ReducedHessian, cauchy_point,
+                              model_decrease, solve_cubic)
 from helpers import grid_polish_min, model_value
 
 DELTA = 0.1
@@ -18,19 +18,27 @@ def _direct_model(g_red, H_red, sigma):
     """Model in already-reduced coordinates (Z = identity)."""
     g_red = np.asarray(g_red, dtype=float).reshape(-1)
     H_red = np.atleast_2d(np.asarray(H_red, dtype=float))
-    return ReducedCubicModel(g_red=g_red, H_red=H_red,
-                             sigma=float(sigma), Z=np.eye(len(g_red)))
+    return ReducedCubicModel(g_red, float(sigma), ReducedHessian(H_red))
+
+
+def _model_at(fact, g, H, v, sigma):
+    """The model of the tangential step after the normal step ``v``, as the
+    driver forms it."""
+    return ReducedCubicModel(fact.Z.T @ (g + H @ v), sigma,
+                             ReducedHessian(reduce_matrix(fact, H)))
 
 
 class TestBuildReducedModel:
+    """The model at an iterate: g_red = Z^T (g + H v) on its ReducedHessian."""
+
     def test_projection_of_shifted_gradient(self):
         """g_red represents the null-space part of g + H v."""
         A = np.array([[1.0, 0.0]])
         fact = factorize_jacobian(A)
-        model = build_reduced_model(fact, np.array([3.0, 4.0]), np.eye(2),
-                                    np.array([-0.5, 0.0]), sigma=1.0)
+        model = _model_at(fact, np.array([3.0, 4.0]), np.eye(2),
+                          np.array([-0.5, 0.0]), sigma=1.0)
         # lifted back to full space the reduced gradient must be (0, 4)
-        np.testing.assert_allclose(model.Z @ model.g_red, [0.0, 4.0],
+        np.testing.assert_allclose(fact.Z @ model.g_red, [0.0, 4.0],
                                    atol=1e-14)
         assert abs(np.linalg.norm(model.g_red) - 4.0) <= 1e-14
 
@@ -41,51 +49,58 @@ class TestBuildReducedModel:
         H = rng.standard_normal((5, 5))
         H = 0.5 * (H + H.T)
         fact = factorize_jacobian(A)
-        model = build_reduced_model(fact, g, H, np.zeros(5), sigma=2.0)
+        model = _model_at(fact, g, H, np.zeros(5), sigma=2.0)
         np.testing.assert_allclose(model.g_red, fact.Z.T @ g, atol=1e-14)
-        np.testing.assert_array_equal(model.H_red, model.H_red.T)
+        np.testing.assert_array_equal(model.hessian.matrix, model.hessian.matrix.T)
 
     def test_zero_hessian(self):
         A = np.array([[1.0, 1.0, 0.0]])
         fact = factorize_jacobian(A)
-        model = build_reduced_model(fact, np.ones(3), np.zeros((3, 3)),
-                                    np.zeros(3), sigma=1.0)
-        np.testing.assert_array_equal(model.H_red, np.zeros((2, 2)))
+        model = _model_at(fact, np.ones(3), np.zeros((3, 3)), np.zeros(3), sigma=1.0)
+        np.testing.assert_array_equal(model.hessian.matrix, np.zeros((2, 2)))
 
     def test_model_carries_its_tridiagonal_form(self):
         """H_red = Q_T T Q_T^T, and lam_min is T's smallest eigenvalue."""
         rng = np.random.default_rng(23)
         for k in (1, 2, 3, 7):
             H = rng.standard_normal((k, k))
-            model = _direct_model(rng.standard_normal(k), 0.5 * (H + H.T), sigma=1.0)
-            tri = model.tridiagonal
-            T = np.diag(tri.d) + np.diag(tri.e, 1) + np.diag(tri.e, -1)
-            Q = np.column_stack([tri.rotate("N", col) for col in np.eye(k)])
-            np.testing.assert_allclose(Q @ T @ Q.T, model.H_red, rtol=0, atol=1e-13)
+            hessian = ReducedHessian(0.5 * (H + H.T))
+            T = np.diag(hessian.d) + np.diag(hessian.e, 1) + np.diag(hessian.e, -1)
+            Q = np.column_stack([hessian.rotate("N", col) for col in np.eye(k)])
+            np.testing.assert_allclose(Q @ T @ Q.T, hessian.matrix, rtol=0, atol=1e-13)
             np.testing.assert_allclose(Q.T @ Q, np.eye(k), rtol=0, atol=1e-13)
-            np.testing.assert_allclose(tri.rotate("T", Q[:, 0]), np.eye(k)[0], atol=1e-13)
-            lam = np.linalg.eigvalsh(model.H_red)
-            assert tri.lam_min == pytest.approx(lam[0], rel=0, abs=1e-13)
-            assert tri.norm >= np.max(np.abs(lam))
+            np.testing.assert_allclose(hessian.rotate("T", Q[:, 0]), np.eye(k)[0], atol=1e-13)
+            lam = np.linalg.eigvalsh(hessian.matrix)
+            assert hessian.lam_min == pytest.approx(lam[0], rel=0, abs=1e-13)
+            assert hessian.norm >= np.max(np.abs(lam))
             # k <= 2 carries its eigendecomposition; larger k none until a solve asks
-            assert (tri.eigh is None) == (k > 2)
+            assert hessian.eigh_at_hand == (k <= 2)
 
-    def test_reuse_keeps_reduced_hessian_and_spectrum(self):
+    def test_reuse_keeps_reduced_hessian_and_spectrum(self, monkeypatch):
+        """Models for several sigmas and reduced gradients share one
+        ReducedHessian and solve as on a fresh one; eigh(H_red) is computed
+        once, by the first solve that needs it, and kept."""
         rng = np.random.default_rng(11)
-        A = rng.standard_normal((2, 5))
-        g = rng.standard_normal(5)
-        H = rng.standard_normal((5, 5))
-        H = 0.5 * (H + H.T)
-        v = rng.standard_normal(5)
-        fact = factorize_jacobian(A)
-        first = build_reduced_model(fact, g, H, np.zeros(5), sigma=1.0)
-        again = build_reduced_model(fact, g, H, v, sigma=4.0, reuse=first)
-        fresh = build_reduced_model(fact, g, H, v, sigma=4.0)
-        assert again.H_red is first.H_red
-        assert again.tridiagonal is first.tridiagonal
-        assert again.sigma == 4.0
-        np.testing.assert_array_equal(again.g_red, fresh.g_red)
-        np.testing.assert_array_equal(solve_cubic(again).p, solve_cubic(fresh).p)
+        k = 40
+        H = rng.standard_normal((k, k))
+        hessian = ReducedHessian(0.5 * (H + H.T))
+        eigh, shared_eigh_calls = np.linalg.eigh, []
+
+        def counted_eigh(M):
+            shared_eigh_calls.append(1)
+            return eigh(M)
+
+        # g_red = 0 takes the eigenbasis, which later solves keep using
+        for sigma, g in ((1.0, rng.standard_normal(k)), (2.0, np.zeros(k)),
+                         (4.0, rng.standard_normal(k)), (8.0, np.zeros(k))):
+            fresh = solve_cubic(ReducedCubicModel(g, sigma, ReducedHessian(hessian.matrix))).p
+            monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+            shared = solve_cubic(ReducedCubicModel(g, sigma, hessian)).p
+            monkeypatch.undo()
+            np.testing.assert_allclose(shared, fresh, rtol=0,
+                                       atol=1e-12 * max(1.0, np.linalg.norm(fresh)))
+        assert shared_eigh_calls == [1]
+        assert hessian.eigh_at_hand
 
 
 class TestModelDecrease:
@@ -95,9 +110,7 @@ class TestModelDecrease:
 
     def test_hand_value_without_cubic_term(self):
         # g p + p^2/2 = -1 + 0.5 at p = 1: decrease 0.5
-        model = ReducedCubicModel(g_red=np.array([-1.0]),
-                                  H_red=np.array([[1.0]]), sigma=0.0,
-                                  Z=np.eye(1))
+        model = ReducedCubicModel(np.array([-1.0]), 0.0, ReducedHessian(np.array([[1.0]])))
         assert model_decrease(model, np.array([1.0])) == pytest.approx(0.5, abs=0)
 
     def test_matches_direct_evaluation(self):
@@ -154,8 +167,7 @@ class TestCauchyPoint:
 class TestSolveCubic:
     def test_tiny_gradient_with_positive_curvature(self):
         """The secular bracket must not cancel to zero when H_red is PD."""
-        model = ReducedCubicModel(g_red=np.array([1e-15]),
-                                  H_red=np.array([[2.0]]), sigma=0.125, Z=np.eye(1))
+        model = _direct_model([1e-15], [[2.0]], sigma=0.125)
         sol = solve_cubic(model)
         # (2 + sigma r) p = -g with r = |p| ~ 5e-16, so p = -g/2 to rounding
         assert sol.p[0] == pytest.approx(-5e-16, rel=1e-12)
@@ -210,11 +222,11 @@ class TestSolveCubic:
             sigma = float(rng.uniform(0.3, 5.0))
             model = _direct_model(g, H, sigma)
             sol = solve_cubic(model, DELTA)
-            norm_u = np.linalg.norm(sol.u)
+            norm_u = np.linalg.norm(sol.p)  # Z = I
             assert sol.delta_m >= sol.cauchy_delta_m - 1e-10 * max(
                 1.0, abs(sol.delta_m))
             assert sol.grad_model_norm <= DELTA * sigma * norm_u**2 + 1e-10
-            assert min(sol.lambda_min_red, 0.0) >= -sigma * norm_u - 1e-10
+            assert min(model.hessian.lam_min, 0.0) >= -sigma * norm_u - 1e-10
             # decrease floors in terms of the gradient and the step size
             gn = np.linalg.norm(g)
             norm_h = np.linalg.norm(H, 2)
@@ -260,11 +272,10 @@ class TestSolveCubic:
         H = rng.standard_normal((5, 5))
         H = 0.5 * (H + H.T)
         fact = factorize_jacobian(A)
-        model = build_reduced_model(fact, g, H, np.zeros(5), sigma=1.0)
-        sol = solve_cubic(model, DELTA)
-        assert sol.u.shape == (5,)
-        np.testing.assert_allclose(A @ sol.u, 0, atol=1e-10)
-        np.testing.assert_allclose(sol.u, fact.Z @ sol.p, atol=1e-14)
+        sol = solve_cubic(_model_at(fact, g, H, np.zeros(5), sigma=1.0), DELTA)
+        u = fact.Z @ sol.p
+        assert u.shape == (5,)
+        np.testing.assert_allclose(A @ u, 0, atol=1e-10)
 
 
 def _spectral_model(rng, k, kind, sigma=1.0):
@@ -304,8 +315,8 @@ class TestTridiagonalPath:
                 fallbacks.clear()
                 sol = solve_cubic(model, DELTA)
                 assert len(fallbacks) == (kind in ("hard", "tiny")), kind
-                lam, Q = np.linalg.eigh(model.H_red)
+                lam, Q = np.linalg.eigh(model.hessian.matrix)
                 ref = eigenbasis_step(lam, Q, model.g_red, model.sigma,
-                                      model.tridiagonal.lam_min, np.linalg.norm(model.g_red))
+                                      model.hessian.lam_min, np.linalg.norm(model.g_red))
                 error = np.linalg.norm(sol.p - ref)
                 assert error <= 1e-12 * max(1.0, np.linalg.norm(ref)), kind

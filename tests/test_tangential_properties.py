@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeq import tangential
-from cubeq.tangential import ReducedCubicModel, solve_cubic
+from cubeq.tangential import ReducedCubicModel, ReducedHessian, solve_cubic
 
 KINDS = ("generic", "hard", "near_hard", "tiny")
 
@@ -64,7 +64,7 @@ def _solve_with_radius(model):
     # r = (max(0, -lam_min) + t) / sigma with the model's own lam_min; the
     # hard case pads at t = 0, and a tridiagonal solve that is redone in the
     # eigenbasis leaves the eigenbasis shift last
-    floor = max(0.0, -model.tridiagonal.lam_min)
+    floor = max(0.0, -model.hessian.lam_min)
     return sol, (floor + (shifts[-1] if shifts else 0.0)) / model.sigma
 
 
@@ -72,7 +72,7 @@ def _solve_with_radius(model):
 @given(cubic_models())
 def test_solution_satisfies_global_optimality(case):
     kind, g, H, sigma = case
-    model = ReducedCubicModel(g_red=g, H_red=H, sigma=sigma, Z=np.eye(len(g)))
+    model = ReducedCubicModel(g, sigma, ReducedHessian(H))
     sol, r = _solve_with_radius(model)
     p = sol.p
     norm_p = float(np.linalg.norm(p))
