@@ -4,13 +4,13 @@ Steps decompose into a normal part that contracts the linearized constraints
 and a tangential part that globally minimizes a cubic-regularized model on
 the constraint null space; an l1 penalty with a one-way ratchet arbitrates
 acceptance, and near-feasible rejected steps get one second-order correction.
-Every iteration can be audited against the method's per-iteration invariants,
-once the solve ends or replayed from a trace file.
+``audit_run`` checks every iteration of a finished run against the method's
+per-iteration invariants, beside ``solve`` or replayed from a trace file.
 """
 
 from .diagnostics import (FDReport, RateReport, Violation, audit_iteration,
                           audit_run, convergence_rate, finite_difference_check,
-                          merit_gap_warnings, rebuild_context)
+                          rebuild_context)
 from .driver import (CONVERGED_FOSP, CONVERGED_SOSP, LICQ_FAILURE,
                      MAX_ITERATIONS, NUMERICAL_ERROR, SUCCESSFUL, UNSUCCESSFUL,
                      VERY_SUCCESSFUL, Counts, IterationRecord, SolveResult,
@@ -35,6 +35,6 @@ __all__ = [
     "SolveResult", "SolverConfig", "StationarityReport", "TraceData",
     "TraceError", "UnknownProblem", "Violation", "audit_iteration",
     "audit_run", "builtin_problem", "convergence_rate", "evaluate",
-    "finite_difference_check", "lagrangian_hessian", "merit_gap_warnings",
-    "problem_names", "read_trace", "rebuild_context", "solve", "write_trace",
+    "finite_difference_check", "lagrangian_hessian", "problem_names",
+    "read_trace", "rebuild_context", "solve", "write_trace",
 ]

@@ -50,12 +50,12 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def _build_config(eps, eps_g, eps_c, eps_h, max_iter, no_corrections,
-                  audit_flag, overrides) -> SolverConfig:
+                  overrides) -> SolverConfig:
     """The flags as (key, value) pairs, then ``--set`` pairs; later pairs win."""
     pairs = [("eps_g", eps), ("eps_c", eps), ("eps_h", eps), ("eps_g", eps_g),
              ("eps_c", eps_c), ("eps_h", eps_h), ("max_iter", max_iter)]
     values = {key: value for key, value in pairs if value is not None}
-    values.update(corrections_enabled=not no_corrections, audit=audit_flag)
+    values["corrections_enabled"] = not no_corrections
     kinds = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
     for item in overrides:
         key, sep, raw = item.partition("=")
@@ -144,7 +144,7 @@ def cmd_solve(problem_name, x0, eps, eps_g, eps_c, eps_h, max_iter,
     try:
         problem = builtin_problem(problem_name)
         config = _build_config(eps, eps_g, eps_c, eps_h, max_iter,
-                               no_corrections, audit_flag, overrides)
+                               no_corrections, overrides)
         start = _parse_x0(x0, problem)
     except UnknownProblem as exc:
         _fail(str(exc), EXIT_UNKNOWN_PROBLEM)
@@ -152,15 +152,16 @@ def cmd_solve(problem_name, x0, eps, eps_g, eps_c, eps_h, max_iter,
         _fail(str(exc), EXIT_CONFIG)
 
     result = solve(problem, start, config)
+    violations = diagnostics.audit_run(problem, result.history, config) if audit_flag else []
     if trace_path is not None:
         x_start = problem.default_start if start is None else start
-        trace_io.write_trace(trace_path, problem.name, x_start, config, result)
+        trace_io.write_trace(trace_path, problem.name, x_start, config, result, violations)
     click.echo(_summary_line(problem.name, result))
-    _echo_violations(result.violations)
+    _echo_violations(violations)
     if result.message:
         click.echo(result.message)
     code = EXIT_BY_STATUS[result.status]
-    if result.violations:
+    if violations:
         code = EXIT_VIOLATIONS
     sys.exit(code)
 
@@ -178,7 +179,7 @@ def cmd_sweep(problem_name, sweep_values, x0, eps, eps_g, eps_c, eps_h,
     try:
         problem = builtin_problem(problem_name)
         base = _build_config(eps, eps_g, eps_c, eps_h, max_iter,
-                             no_corrections, audit_flag, overrides)
+                             no_corrections, overrides)
         start = _parse_x0(x0, problem)
         values = [float(tok) for tok in sweep_values.split(",") if tok.strip()]
         if not values:
@@ -199,7 +200,8 @@ def cmd_sweep(problem_name, sweep_values, x0, eps, eps_g, eps_c, eps_h,
         final_mu = result.history[-1].mu if result.history else config.mu_init
         rows.append((eps_value, result.counts.accepted, result.iterations,
                      max_sigma, final_mu, result.status))
-        all_violations.extend(result.violations)
+        if audit_flag:
+            all_violations += diagnostics.audit_run(problem, result.history, config)
         worst = max(worst, EXIT_BY_STATUS[result.status])
 
     click.echo("eps,successful,total,max_sigma,final_mu,status")

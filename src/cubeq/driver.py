@@ -20,17 +20,17 @@ eigenvalue (up to -eps_h).  A run that exhausts its budget with the first
 two satisfied reports the first-order status as a courtesy; an accepted
 step that leaves x unchanged ends the run as a numerical error.
 
-``solve`` validates, runs the loop, then audits.  The loop appends one record
-per iteration and leaves through one ``SolveResult``, whose counts are tallied
-from the history.  ``config.audit`` sends the finished history through
-``diagnostics.audit_run``, so an audited run holds one iterate's Hessians.
+``solve`` validates and runs the loop, which appends one record per iteration
+and leaves through one ``SolveResult``, whose counts are tallied from the
+history.  The solver never audits itself: ``diagnostics.audit_run`` checks a
+finished history beside it, so auditing cannot change a run's path or status.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -89,7 +89,6 @@ class SolverConfig:
     max_iter: int = 1000
     rank_tol: float = 1e-10
     corrections_enabled: bool = True
-    audit: bool = False
 
     def validate(self) -> "SolverConfig":
         checks = [
@@ -178,7 +177,6 @@ class SolveResult:
     history: list
     final_report: Optional[StationarityReport]
     message: str = ""
-    violations: list = field(default_factory=list)  # populated when config.audit
 
     @property
     def iterations(self) -> int:
@@ -263,11 +261,7 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
     """Run the solver from ``x0`` (default: the problem's default start)."""
     config = (config or SolverConfig()).validate()
     x = np.array(problem.default_start if x0 is None else x0, dtype=float).reshape(-1)
-    result = _run(problem, x, config)
-    if config.audit:
-        from .diagnostics import audit_run  # deferred; diagnostics imports this module
-        result.violations = audit_run(problem, result.history, config)
-    return result
+    return _run(problem, x, config)
 
 
 def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:

@@ -23,14 +23,6 @@ def merit_value(f: float, c_l1: float, mu: float) -> float:
     return float(f) + mu * float(c_l1)
 
 
-def model_q(f, g, H, c, A, d, sigma, mu) -> float:
-    """q(d) evaluated literally."""
-    lin = c + A @ d
-    nd = float(np.linalg.norm(d))
-    return (float(f) + float(g @ d) + 0.5 * float(d @ H @ d)
-            + sigma / 3.0 * nd**3 + mu * float(np.sum(np.abs(lin))))
-
-
 def predicted_reduction(g, H, c, A, d, sigma, mu) -> float:
     """q(0) - q(d), expanded so the f-offsets cancel symbolically.
 

@@ -55,8 +55,9 @@ def record_from_dict(data: dict) -> IterationRecord:
         raise TraceError(f"iteration record has wrong fields: {exc}") from None
 
 
-def write_trace(path, problem_name: str, x0, config: SolverConfig, result) -> None:
-    """Write a finished run (any status) as a trace file."""
+def write_trace(path, problem_name: str, x0, config: SolverConfig, result,
+                violations=()) -> None:
+    """Write a finished run (any status) and its audit's violations as a trace file."""
     lines = [dump_line({
         "kind": "header",
         "format": FORMAT_NAME,
@@ -70,7 +71,7 @@ def write_trace(path, problem_name: str, x0, config: SolverConfig, result) -> No
         "kind": "violation",
         "code": v.code, "message": v.message,
         "value": v.value, "bound": v.bound, "k": v.k,
-    }) for v in result.violations)
+    }) for v in violations)
     report = result.final_report
     lines.append(dump_line({
         "kind": "footer",
@@ -137,8 +138,10 @@ def read_trace(path) -> TraceData:
     if header.get("format") != FORMAT_NAME:
         raise TraceError(f"not a {FORMAT_NAME} file")
     try:
-        config = SolverConfig(**header["config"])
-    except (KeyError, TypeError) as exc:
+        settings = dict(header["config"])
+        settings.pop("audit", None)  # a config field in traces of earlier versions
+        config = SolverConfig(**settings)
+    except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"header config invalid: {exc}") from None
     return TraceData(header=header, config=config, records=records,
                      violations=violations, footer=footer)

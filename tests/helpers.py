@@ -1,4 +1,5 @@
-"""Shared test utilities: brute-force subproblem oracle and record surgery."""
+"""Shared test utilities: literal models, a brute-force subproblem oracle and
+record surgery."""
 
 import dataclasses
 
@@ -13,61 +14,49 @@ def model_value(g, H, sigma, p):
     return float(g @ p + 0.5 * p @ H @ p + sigma / 3.0 * r**3)
 
 
+def model_q(f, g, H, c, A, d, sigma, mu) -> float:
+    """The merit model q(d) = f + g.d + d.H d/2 + sigma |d|^3/3 + mu |c + A d|_1,
+    evaluated literally."""
+    lin = c + A @ d
+    nd = float(np.linalg.norm(d))
+    return (float(f) + float(g @ d) + 0.5 * float(d @ H @ d)
+            + sigma / 3.0 * nd**3 + mu * float(np.sum(np.abs(lin))))
+
+
 def model_gradient(g, H, sigma, p):
     p = np.asarray(p, dtype=float)
     return g + H @ p + sigma * np.linalg.norm(p) * p
 
 
-def search_radius(g, H, sigma):
-    """Any minimizer p* satisfies sigma r^2 - |H| r - |g| <= 0 at r = |p*|."""
-    norm_h = float(np.linalg.norm(H, 2))
-    norm_g = float(np.linalg.norm(g))
-    return (norm_h + np.sqrt(norm_h**2 + 4.0 * sigma * norm_g)) / (2.0 * sigma)
+def ray_polish_min(g, H, sigma):
+    """Global minimum of the cubic model along a fan of rays, plus polish.
 
-
-def grid_polish_min(g, H, sigma, step=1e-3):
-    """Global minimum of the cubic model by dense grid search plus polish.
-
-    Deliberately independent of the solver's secular-equation machinery:
-    evaluates the model on a regular grid covering every possible minimizer,
-    then runs a local quasi-Newton polish from the best grid point.
-    Supports 1 and 2 dimensions.
+    Deliberately independent of the solver's secular-equation machinery: on
+    the ray r e, r >= 0, with e a unit vector (+-1 in 1-D, 20,000 evenly
+    spaced directions in 2-D), the model is a r + b r^2/2 + sigma r^3/3 with
+    a = g.e and b = e.H e, minimized in closed form at r = 0 or at the larger
+    root of a + b r + sigma r^2.  A local quasi-Newton polish then starts from
+    the best ray point.  Supports 1 and 2 dimensions.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    dim = len(g)
-    radius = search_radius(g, H, sigma) + 2 * step
-    xs = np.arange(-radius, radius + step, step)
-
-    if dim == 1:
-        vals = g[0] * xs + 0.5 * H[0, 0] * xs**2 + sigma / 3.0 * np.abs(xs) ** 3
-        best = np.array([xs[np.argmin(vals)]])
-    elif dim == 2:
-        best = None
-        best_val = np.inf
-        # The model is a row term in x, a column term in y, the cross term
-        # H01 x y and the cubic in r^2 = x^2 + y^2; broadcast them over
-        # chunks of rows to cap the live grid size.
-        sq = xs * xs
-        row = g[0] * xs + 0.5 * H[0, 0] * sq
-        col = g[1] * xs + 0.5 * H[1, 1] * sq
-        chunk = max(1, int(4e6 // len(xs)))
-        for lo in range(0, len(xs), chunk):
-            rows = slice(lo, lo + chunk)
-            r2 = sq[rows, None] + sq
-            V = np.sqrt(r2)
-            V *= r2
-            V *= sigma / 3.0
-            V += row[rows, None]
-            V += col
-            V += (H[0, 1] * xs[rows])[:, None] * xs
-            i, j = np.unravel_index(np.argmin(V), V.shape)
-            if V[i, j] < best_val:
-                best_val = V[i, j]
-                best = np.array([xs[lo + i], xs[j]])
+    if len(g) == 1:
+        E = np.array([[1.0], [-1.0]])
+    elif len(g) == 2:
+        theta = np.linspace(0.0, 2.0 * np.pi, 20000, endpoint=False)
+        E = np.column_stack([np.cos(theta), np.sin(theta)])
     else:
-        raise ValueError("grid oracle supports 1-D and 2-D models only")
-
+        raise ValueError("ray oracle supports 1-D and 2-D models only")
+    a = E @ g
+    b = np.einsum("ij,jk,ik->i", E, H, E)
+    root = np.sqrt(np.maximum(b * b - 4.0 * sigma * a, 0.0))
+    # the larger root, in the form that does not cancel for either sign of b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(b > 0.0, -2.0 * a / (b + root), (root - b) / (2.0 * sigma))
+    r = np.where(b * b >= 4.0 * sigma * a, np.maximum(r, 0.0), 0.0)
+    values = a * r + 0.5 * b * r**2 + sigma / 3.0 * r**3
+    i = int(np.argmin(values))
+    best = r[i] * E[i]
     res = optimize.minimize(
         lambda p: model_value(g, H, sigma, p), best,
         jac=lambda p: model_gradient(g, H, sigma, p),

@@ -82,7 +82,7 @@ class TestConfigFlags:
         assert config["max_iter"] == 3 and isinstance(config["max_iter"], int)
 
     def test_unparsable_bool_and_int(self):
-        for item in ("audit=maybe", "max_iter=3.5"):
+        for item in ("corrections_enabled=maybe", "max_iter=3.5"):
             result = _run("solve", "--problem", "circle_quadratic", "--set", item)
             assert result.exit_code == EXIT_CONFIG
             assert "cannot parse" in result.output

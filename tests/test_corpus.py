@@ -15,6 +15,7 @@ Never with a numerical error.
 
 import numpy as np
 
+from cubeq.diagnostics import audit_run
 from cubeq.driver import (CONVERGED_SOSP, LICQ_FAILURE, MAX_ITERATIONS,
                           SolverConfig, solve)
 from cubeq.problems import Problem
@@ -81,3 +82,13 @@ def test_corpus_outcomes():
             wrong.append((seed, result.status, result.message))
     assert wrong == []
     assert converged >= MIN_CONVERGED
+
+
+def test_stalled_run_audits_without_normal_residual():
+    """Seed 13 stalls at cond(A) past 1e7; its exact normal steps carry
+    rounding of that size, within the floor the solver certifies against."""
+    problem, _ = _corpus_problem(13)
+    config = SolverConfig(max_iter=300)
+    result = solve(problem, config=config)
+    assert result.status == MAX_ITERATIONS
+    assert "normal_residual" not in {v.code for v in audit_run(problem, result.history, config)}

@@ -1,17 +1,15 @@
 """Invariant auditing, derivative checks, and rate estimation."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from cubeq import diagnostics
-from cubeq.diagnostics import (audit_run, convergence_rate,
-                               finite_difference_check, merit_gap_warnings)
+from cubeq.diagnostics import audit_run, convergence_rate, finite_difference_check
 from cubeq.driver import SolverConfig, solve
 from cubeq.errors import InsufficientHistory
 from cubeq.linalg import factorize_jacobian
 from cubeq.problems import Problem, builtin_problem
+from cubeq.trace_io import read_trace, write_trace
 from helpers import perturb
 
 # One tampered record per violation code: (code, problem, k, replacements,
@@ -61,16 +59,22 @@ TAMPERED = [
 
 class TestCleanRuns:
     def test_live_audit_finds_nothing(self):
+        config = SolverConfig()
         for name in ("circle_quadratic", "maratos"):
-            result = solve(builtin_problem(name), config=SolverConfig(audit=True))
-            assert result.violations == []
+            problem = builtin_problem(name)
+            assert audit_run(problem, solve(problem, config=config).history, config) == []
 
-    def test_replay_audit_matches_live(self):
+    def test_replay_audit_matches_live(self, tmp_path):
+        """The audit of a trace read back equals the audit of the run's history."""
         problem = builtin_problem("circle_quadratic")
-        config = SolverConfig(audit=True)
+        config = SolverConfig()
         result = solve(problem, config=config)
-        replayed = audit_run(problem, result.history, config)
-        assert replayed == result.violations == []
+        live = audit_run(problem, result.history, config)
+        path = tmp_path / "run.trace"
+        write_trace(path, problem.name, problem.default_start, config, result, live)
+        data = read_trace(path)
+        replayed = audit_run(problem, data.records, data.config)
+        assert replayed == live == []
 
 
 class TestTamperedRecords:
@@ -222,41 +226,3 @@ class TestConvergenceRate:
         # errors themselves must be decreasing near the solution
         tail = report.errors[-4:]
         assert all(b < a for a, b in zip(tail, tail[1:]))
-
-
-class TestMeritGapWarnings:
-    def test_catalog_runs_stay_within_curvature_budget(self):
-        config = SolverConfig()
-        for name in ("circle_quadratic", "rosenbrock_sphere"):
-            problem = builtin_problem(name)
-            result = solve(problem, config=config)
-            warnings = []
-            for record in result.history:
-                warnings.extend(merit_gap_warnings(problem, record))
-            assert warnings == []
-
-    def test_hessians_only_at_the_iterate(self):
-        """x + d is evaluated for f, c, g and A; the Hessians only at x."""
-        base = builtin_problem("circle_quadratic")
-        config = SolverConfig()
-        result = solve(base, config=config)
-        hessian_points = []
-
-        def counted(fn):
-            def callback(x):
-                hessian_points.append(np.array(x))
-                return fn(x)
-            return callback
-
-        problem = dataclasses.replace(
-            base, objective_hessian=counted(base.objective_hessian),
-            constraint_hessians=counted(base.constraint_hessians))
-        checked = [r for r in result.history
-                   if r.accepted and not r.correction_computed and r.norm_d > 0.0]
-        assert checked
-        for record in result.history:
-            merit_gap_warnings(problem, record)
-        assert len(hessian_points) == 2 * len(checked)
-        for i, record in enumerate(checked):
-            for x in hessian_points[2 * i:2 * i + 2]:
-                np.testing.assert_array_equal(x, record.x)

@@ -319,13 +319,13 @@ def _near_singular_problem() -> Problem:
 class TestRobustness:
     def test_non_finite_trial_point_is_rejected(self, tmp_path):
         problem = _log_barrier_problem()
-        config = SolverConfig(audit=True)
+        config = SolverConfig()
         result = solve(problem, config=config)
         assert result.status == CONVERGED_SOSP
         t = (-10.0 + math.sqrt(108.0)) / 4.0
         np.testing.assert_allclose(result.x_final, [t, t], atol=1e-8)
         np.testing.assert_allclose(result.lambda_final, [2.0 * t], atol=1e-7)
-        assert result.violations == []
+        assert audit_run(problem, result.history, config) == []
         rejected = [r for r in result.history if r.rho == -math.inf]
         assert rejected
         for record, nxt in zip(result.history, result.history[1:]):
@@ -342,21 +342,28 @@ class TestRobustness:
         assert audit_run(problem, data.records, data.config) == []
 
     def test_audit_does_not_change_near_singular_run(self):
+        """The audit only reads the records it is given."""
         problem = _near_singular_problem()
-        plain = solve(problem, config=SolverConfig(rank_tol=1e-14, max_iter=20))
-        audited = solve(problem, config=SolverConfig(rank_tol=1e-14, max_iter=20,
-                                                     audit=True))
-        assert audited.status == plain.status
-        assert audited.iterations == plain.iterations
-        np.testing.assert_array_equal(audited.x_final, plain.x_final)
+        config = SolverConfig(rank_tol=1e-14, max_iter=20)
+        result = solve(problem, config=config)
+
+        def snapshot():
+            return [[v.tobytes() if isinstance(v, np.ndarray) else v
+                     for v in dataclasses.astuple(r)] for r in result.history]
+
+        before = snapshot()
+        audit_run(problem, result.history, config)
+        assert snapshot() == before
 
     def test_near_singular_audit_allows_multiplier_rounding(self):
         """|lam| reaches 7e10 on this Jacobian, and A (g + A^T lam) of the exact
         multipliers is rounding of that size, not a failed residual condition."""
         problem = _near_singular_problem()
-        result = solve(problem, config=SolverConfig(rank_tol=1e-14, max_iter=20, audit=True))
+        config = SolverConfig(rank_tol=1e-14, max_iter=20)
+        result = solve(problem, config=config)
         assert max(np.linalg.norm(r.lam) for r in result.history) > 1e10
-        assert "multiplier_residual" not in {v.code for v in result.violations}
+        violations = audit_run(problem, result.history, config)
+        assert "multiplier_residual" not in {v.code for v in violations}
 
     def test_frozen_step_ends_run(self):
         """An accepted step that leaves x unchanged is no progress: the run
@@ -377,14 +384,13 @@ class TestRobustness:
 
         monkeypatch.setattr(diagnostics, "audit_iteration", broken)
         problem = builtin_problem("maratos")
-        plain = solve(problem, config=SolverConfig())
-        audited = solve(problem, config=SolverConfig(audit=True))
-        assert audited.status == plain.status == CONVERGED_SOSP
-        assert audited.iterations == plain.iterations
-        np.testing.assert_array_equal(audited.x_final, plain.x_final)
-        assert [v.code for v in audited.violations] == ["audit_error"] * plain.iterations
-        assert [v.k for v in audited.violations] == list(range(plain.iterations))
-        assert audited.violations[0].message == "FloatingPointError: audit broke at k=0"
+        config = SolverConfig()
+        result = solve(problem, config=config)
+        assert result.status == CONVERGED_SOSP
+        violations = audit_run(problem, result.history, config)
+        assert [v.code for v in violations] == ["audit_error"] * result.iterations
+        assert [v.k for v in violations] == list(range(result.iterations))
+        assert violations[0].message == "FloatingPointError: audit broke at k=0"
 
 
 def _projected_rayleigh_problem(seed: int, n: int = 40, k: int = 9) -> tuple:
@@ -449,8 +455,8 @@ def _chained_rosenbrock_sphere(n: int) -> Problem:
 
 class TestBeyondCatalog:
     def test_chained_rosenbrock_sphere_audited(self, monkeypatch):
-        """n = 120, k = 119: an SOSP at x* = 1, a clean audit, one Householder
-        tridiagonalization per distinct iterate, and the audit changes nothing."""
+        """n = 120, k = 119: an SOSP at x* = 1, a clean audit, and one
+        Householder tridiagonalization per distinct iterate."""
         problem = _chained_rosenbrock_sphere(120)
         x0 = 1.0 + 0.1 * np.random.default_rng(3).standard_normal(120)
         lapack = tangential._lapack()
@@ -461,55 +467,45 @@ class TestBeyondCatalog:
             return dsytrd(*args, **kwargs)
 
         monkeypatch.setattr(lapack, "dsytrd", counted)
-        plain = solve(problem, x0=x0)
+        config = SolverConfig()
+        result = solve(problem, x0=x0, config=config)
         monkeypatch.undo()
-        audited = solve(problem, x0=x0, config=SolverConfig(audit=True))
-        assert audited.status == CONVERGED_SOSP
-        assert audited.violations == []
-        np.testing.assert_allclose(audited.x_final, np.ones(120), rtol=0, atol=1e-8)
-        assert len(reductions) == 1 + plain.counts.accepted
-        assert audited.status == plain.status
-        assert audited.iterations == plain.iterations
-        np.testing.assert_array_equal(audited.x_final, plain.x_final)
+        assert result.status == CONVERGED_SOSP
+        assert audit_run(problem, result.history, config) == []
+        np.testing.assert_allclose(result.x_final, np.ones(120), rtol=0, atol=1e-8)
+        assert len(reductions) == 1 + result.counts.accepted
 
     def test_projected_rayleigh_audited(self):
         """n = 40, m = 10: reaches the compressed lambda_min; the audit is clean."""
         problem, f_min = _projected_rayleigh_problem(seed=17)
-        plain = solve(problem)
-        audited = solve(problem, config=SolverConfig(audit=True))
-        assert audited.status == CONVERGED_SOSP
-        assert audited.violations == []
-        assert problem.objective(audited.x_final) == pytest.approx(f_min, abs=1e-8)
-        assert audited.status == plain.status
-        assert audited.iterations == plain.iterations
-        np.testing.assert_array_equal(audited.x_final, plain.x_final)
+        config = SolverConfig()
+        result = solve(problem, config=config)
+        assert result.status == CONVERGED_SOSP
+        assert audit_run(problem, result.history, config) == []
+        assert problem.objective(result.x_final) == pytest.approx(f_min, abs=1e-8)
 
     @pytest.mark.slow
     def test_chained_rosenbrock_sphere_n300_audited(self):
-        """n = 300, k = 299, the benchmark's `curved` size: an SOSP at x* = 1,
-        a clean audit, and the audited run takes the plain run's path."""
+        """n = 300, k = 299, the benchmark's `curved` size: an SOSP at x* = 1
+        and a clean audit."""
         problem = _chained_rosenbrock_sphere(300)
         x0 = 1.0 + 0.1 * np.random.default_rng(5).standard_normal(300)
-        plain = solve(problem, x0=x0)
-        audited = solve(problem, x0=x0, config=SolverConfig(audit=True))
-        assert audited.status == CONVERGED_SOSP
-        assert audited.violations == []
-        np.testing.assert_allclose(audited.x_final, np.ones(300), rtol=0, atol=1e-8)
-        assert [r.x.tobytes() for r in audited.history] == [r.x.tobytes() for r in plain.history]
-        np.testing.assert_array_equal(audited.x_final, plain.x_final)
+        config = SolverConfig()
+        result = solve(problem, x0=x0, config=config)
+        assert result.status == CONVERGED_SOSP
+        assert audit_run(problem, result.history, config) == []
+        np.testing.assert_allclose(result.x_final, np.ones(300), rtol=0, atol=1e-8)
 
     @pytest.mark.slow
     def test_projected_rayleigh_n300_audited(self):
         """n = 300, m = 75, the benchmark's `wide` size: reaches the compressed
-        lambda_min, a clean audit, and the audited run takes the plain run's path."""
+        lambda_min and a clean audit."""
         problem, f_min = _projected_rayleigh_problem(seed=17, n=300, k=74)
-        plain = solve(problem)
-        audited = solve(problem, config=SolverConfig(audit=True))
-        assert audited.status == CONVERGED_SOSP
-        assert audited.violations == []
-        assert problem.objective(audited.x_final) == pytest.approx(f_min, abs=1e-8)
-        assert [r.x.tobytes() for r in audited.history] == [r.x.tobytes() for r in plain.history]
-        np.testing.assert_array_equal(audited.x_final, plain.x_final)
+        config = SolverConfig()
+        result = solve(problem, config=config)
+        assert result.status == CONVERGED_SOSP
+        assert audit_run(problem, result.history, config) == []
+        assert problem.objective(result.x_final) == pytest.approx(f_min, abs=1e-8)
 
 
 class TestEvaluationEconomy:

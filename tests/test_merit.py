@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from cubeq.merit import (merit_value, model_q, mu_candidate,
-                         predicted_reduction, ratio, update_mu)
+from cubeq.merit import (merit_value, mu_candidate, predicted_reduction,
+                         ratio, update_mu)
+from helpers import model_q
 
 
 class TestMeritValue:

@@ -9,7 +9,7 @@ from cubeq import tangential
 from cubeq.linalg import factorize_jacobian, reduce_matrix
 from cubeq.tangential import (ReducedCubicModel, ReducedHessian, cauchy_point,
                               model_decrease, solve_cubic)
-from helpers import grid_polish_min, model_value
+from helpers import model_value, ray_polish_min
 
 DELTA = 0.1
 
@@ -208,7 +208,7 @@ class TestSolveCubic:
         assert abs(sol.p[0]) == pytest.approx(math.sqrt(3.0), rel=1e-12)
         assert sol.delta_m == pytest.approx(17.0 / 6.0, rel=1e-12)
         # cross-check the value against the brute-force oracle
-        _, best_val = grid_polish_min(g, H, 1.0, step=2e-3)
+        _, best_val = ray_polish_min(g, H, 1.0)
         assert -sol.delta_m == pytest.approx(best_val, abs=1e-8)
 
     def test_oracle_conditions_hold_on_random_models(self):

@@ -68,12 +68,11 @@ class TestRoundTrip:
         config = SolverConfig()
         problem = builtin_problem("circle_quadratic")
         result = solve(problem, config=config)
-        result.violations.append(
-            Violation(code="beta_interval", message="synthetic", value=0.5,
-                      bound=1.0, k=3))
+        violations = [Violation(code="beta_interval", message="synthetic", value=0.5,
+                                bound=1.0, k=3)]
         path = tmp_path / "tampered.trace"
         write_trace(path, "circle_quadratic", problem.default_start, config,
-                    result)
+                    result, violations)
         data = read_trace(path)
         assert len(data.violations) == 1
         v = data.violations[0]
@@ -168,6 +167,16 @@ class TestStrictParsing:
         lines.insert(1, json.dumps({"kind": "mystery"}))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError, match="kind"):
+            read_trace(path)
+
+    def test_unknown_config_key(self, tmp_path):
+        path, _, _ = _write_run(tmp_path)
+        lines = self._lines(path)
+        header = json.loads(lines[0])
+        header["config"]["not_a_field"] = 1
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match="header config invalid"):
             read_trace(path)
 
     def test_iteration_with_missing_fields(self, tmp_path):
