@@ -20,17 +20,17 @@ from .linalg import FactorizedJacobian, range_least_squares, rounding_bound
 Array = np.ndarray
 
 
-def in_correction_region(norm_vc: float, sigma: float, zeta: float = 0.25) -> bool:
+def in_correction_region(norm_vc: float, sigma: float, zeta: float) -> bool:
     """Whether the iterate qualifies for a correction attempt."""
     return norm_vc <= zeta / math.sqrt(sigma)
 
 
-def compute_correction(fact: FactorizedJacobian, c_trial,
-                       r_w: float = 0.0, norm_d: float = 0.0) -> Array:
+def compute_correction(fact: FactorizedJacobian, c_trial, r_w: float,
+                       norm_d: float) -> Array:
     """Correction step w in range(A^T) with |A w + c_trial| <= r_w |d|^3.
 
-    With the default r_w = 0 this is the exact least-squares solve; the
-    certificate check is defensive.
+    The solve is exact, so the certificate check, with ``SolverConfig.r_w``
+    and the trial step's |d|, is defensive.
     """
     w = range_least_squares(fact, c_trial)
     residual = float(np.linalg.norm(fact.A @ w + c_trial))

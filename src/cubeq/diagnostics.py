@@ -10,8 +10,9 @@ to audit a run, called beside ``solve`` on the finished history or on the
 records of a trace read back; the solver never calls it.  It is the one loop
 over a run's records: it rebuilds one context per group of consecutive
 records at the same x and multipliers (bit for bit), from the record and the
-problem callbacks alone, and sets c(x + d) per record.  An exception while
-one record is audited is an ``audit_error`` violation there.
+problem callbacks alone, and evaluates c(x + d) for each record with a
+correction.  An exception while one record is audited is an ``audit_error``
+violation there.
 
 All hard checks share one relative tolerance (1e-9); each violation carries
 a stable code so tests can assert that a deliberately perturbed quantity
@@ -49,22 +50,21 @@ class Violation:
 
 @dataclass
 class AuditContext:
-    """Recomputed quantities the per-iteration checks run against."""
+    """Quantities recomputed at one iterate, which the per-iteration checks run against."""
 
     point: EvalPoint
     fact: FactorizedJacobian
     H: Array
     norm_H: float  # |H|_2
     lam_min_red: float  # smallest eigenvalue of Z^T H Z
-    c_trial: Optional[Array] = None  # c(x + d); None when no correction was computed
 
 
 def rebuild_context(problem: Problem, record: IterationRecord,
-                    rank_tol: float = SolverConfig.rank_tol) -> AuditContext:
+                    rank_tol: float) -> AuditContext:
     """Recompute the quantities at the record's iterate; ``rank_tol`` is the run's own.
 
     They depend on x and the multipliers only, so one context serves every
-    record at the same iterate; ``c_trial`` is left for the caller to set.
+    record at the same iterate.
     """
     point = evaluate(problem, record.x)
     fact = factorize_jacobian(point.A, rank_tol)
@@ -75,8 +75,12 @@ def rebuild_context(problem: Problem, record: IterationRecord,
 
 
 def audit_iteration(record: IterationRecord, context: AuditContext,
-                    config: SolverConfig) -> list:
-    """All hard invariant checks for one iteration; empty list means clean."""
+                    c_trial: Optional[Array], config: SolverConfig) -> list:
+    """All hard invariant checks for one iteration; empty list means clean.
+
+    ``c_trial`` is c(x + d), which the correction checks read; None when the
+    record has no correction.
+    """
     out: list = []
 
     def flag(code, value, bound, message):
@@ -204,7 +208,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
 
     # --- correction --------------------------------------------------------
     if record.correction_computed:
-        w, c_trial = record.w, context.c_trial
+        w = record.w
         norm_w = float(np.linalg.norm(w))
         w_null = float(np.linalg.norm(Z @ (Z.T @ w)))
         if w_null > slack(norm_w):
@@ -240,9 +244,9 @@ def audit_run(problem: Problem, records, config: SolverConfig) -> list:
     """Audit the records of one run in order; returns the concatenated violations.
 
     Consecutive records at the same x and multipliers, bit for bit, share one
-    rebuilt context; c(x + d) is set for each.  An exception while auditing a
-    record is an ``audit_error`` violation there, and the next record at that
-    iterate tries the rebuild again.
+    rebuilt context; c(x + d) is evaluated for each record with a correction.
+    An exception while auditing a record is an ``audit_error`` violation
+    there, and the next record at that iterate tries the rebuild again.
     """
     violations: list = []
     by_iterate = itertools.groupby(records, key=lambda r: (
@@ -253,11 +257,10 @@ def audit_run(problem: Problem, records, config: SolverConfig) -> list:
             try:
                 if context is None:
                     context = rebuild_context(problem, record, config.rank_tol)
-                context.c_trial = None
+                c_trial = None
                 if record.correction_computed:
-                    context.c_trial = evaluate_trial(problem,
-                                                     record.x + (record.v + record.u)).c
-                violations += audit_iteration(record, context, config)
+                    c_trial = evaluate_trial(problem, record.x + (record.v + record.u)).c
+                violations += audit_iteration(record, context, c_trial, config)
             except Exception as exc:  # the audit observes; it never stops
                 violations.append(Violation("audit_error", f"{type(exc).__name__}: {exc}",
                                             math.nan, math.nan, record.k))

@@ -41,10 +41,10 @@ from .errors import (ConfigError, NonFiniteValue, NonpositivePredictedReduction,
                      RankDeficient, ResidualConditionUnmet, SecularSolveFailed)
 from .linalg import (FactorizedJacobian, estimate_multipliers, factorize_jacobian,
                      reduce_matrix)
-from .normal_step import assemble_normal
+from .normal_step import compute_vc, select_beta
 from .problems import (EvalPoint, Problem, TrialPoint, complete_point,
                        evaluate_trial, lagrangian_hessian)
-from .tangential import ReducedCubicModel, ReducedHessian, solve_cubic
+from .tangential import ReducedHessian, solve_cubic
 
 Array = np.ndarray
 
@@ -126,6 +126,8 @@ class StationarityReport:
 
 @dataclass
 class IterationRecord:
+    """One iteration; |v|, |u|, |d| and |w| are the norms of v, u, v + u and w."""
+
     k: int
     x: Array
     f: float
@@ -135,26 +137,27 @@ class IterationRecord:
     sigma: float
     mu: float
     beta: float
-    norm_v: float
-    norm_u: float
-    norm_d: float
-    norm_w: float
     delta_q: float
     delta_m_u: float
     rho: float
     rho_corr: Optional[float]
     classification: str
-    correction_computed: bool
-    accepted: bool
-    # extra state carried for trace replay and auditing
-    lam: Array = None
-    v_c: Array = None
-    v: Array = None
-    u: Array = None
-    w: Optional[Array] = None
-    sigma_next: float = 0.0
-    mu_prev: float = 0.0
-    mu_candidate: float = 0.0
+    lam: Array
+    v_c: Array
+    v: Array  # beta * v_c
+    u: Array
+    w: Optional[Array]  # None when no correction was computed
+    sigma_next: float
+    mu_prev: float
+    mu_candidate: float
+
+    @property
+    def accepted(self) -> bool:
+        return self.classification != UNSUCCESSFUL
+
+    @property
+    def correction_computed(self) -> bool:
+        return self.w is not None
 
 
 @dataclass
@@ -289,16 +292,17 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
                 break
             point, fact, H = it.point, it.fact, it.H
 
-            normal = assemble_normal(fact, point.c, sigma, r_v=config.r_v)
-            model = ReducedCubicModel(fact.Z.T @ (point.g + H @ normal.v), sigma, it.hessian)
-            tang = solve_cubic(model, config.delta)
+            v_c, norm_vc = compute_vc(fact, point.c, config.r_v)
+            beta = select_beta(norm_vc, sigma)
+            v = beta * v_c
+            tang = solve_cubic(it.hessian, fact.Z.T @ (point.g + H @ v), sigma, config.delta)
             u = fact.Z @ tang.p
-            d = normal.v + u
+            d = v + u
             norm_d = float(np.linalg.norm(d))
 
             mu_prev = mu
-            mu_cand = merit.mu_candidate(point.g, H, normal.v, d, u, sigma,
-                                         normal.beta, point.c_l1,
+            mu_cand = merit.mu_candidate(point.g, H, v, d, u, sigma,
+                                         beta, point.c_l1,
                                          config.r_v, config.tau)
             mu = merit.update_mu(mu_prev, mu_cand, config.nu)
 
@@ -323,30 +327,25 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
                 classification = classify_iteration(rho, config.eta1, config.eta2)
                 if (classification == UNSUCCESSFUL and taken is not None
                         and config.corrections_enabled
-                        and in_correction_region(normal.norm_vc, sigma, config.zeta)):
+                        and in_correction_region(norm_vc, sigma, config.zeta)):
                     w = compute_correction(fact, taken.c, config.r_w, norm_d)
                     taken, rho_corr = _score(problem, x + d + w, phi_x, mu, delta_q)
                     classification = classify_iteration(rho_corr, config.eta1, config.eta2)
 
-            accepted = classification != UNSUCCESSFUL
             sigma_next = update_sigma(sigma, classification, config)
-            history.append(IterationRecord(
+            record = IterationRecord(
                 k=k, x=point.x, f=point.f, c_l1=point.c_l1,
                 grad_lagrangian_norm=report.grad_lagrangian_norm,
                 lambda_min_red=report.lambda_min_red,
-                sigma=sigma, mu=mu, beta=normal.beta,
-                norm_v=float(np.linalg.norm(normal.v)),
-                norm_u=float(np.linalg.norm(u)),
-                norm_d=norm_d, norm_w=float(np.linalg.norm(w)) if w is not None else 0.0,
+                sigma=sigma, mu=mu, beta=beta,
                 delta_q=delta_q, delta_m_u=tang.delta_m,
                 rho=rho, rho_corr=rho_corr,
                 classification=classification,
-                correction_computed=w is not None,
-                accepted=accepted,
-                lam=lam, v_c=normal.v_c, v=normal.v, u=u, w=w,
+                lam=lam, v_c=v_c, v=v, u=u, w=w,
                 sigma_next=sigma_next, mu_prev=mu_prev, mu_candidate=mu_cand,
-            ))
-            if accepted:
+            )
+            history.append(record)
+            if record.accepted:
                 if np.array_equal(taken.x, x):
                     # d rounded away against x: accepting it again and again is no progress
                     status = NUMERICAL_ERROR

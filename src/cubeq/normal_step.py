@@ -1,38 +1,27 @@
 """Normal step: pull the iterate toward the linearized constraint set.
 
-The full normal step v_c is the minimum-norm solution of A v = -c.  It is
-then scaled by beta in (0, 1] so the scaled step never exceeds the implicit
-trust radius 1/sqrt(sigma) that the cubic weight induces; beta is chosen as
-the largest admissible value, so feasibility is restored as aggressively as
-the regularization allows.
+The full normal step v_c is the minimum-norm solution of A v = -c.  The
+driver scales it to v = beta v_c with beta in (0, 1], so that v never exceeds
+the implicit trust radius 1/sqrt(sigma) that the cubic weight induces; beta is
+chosen as the largest admissible value, so feasibility is restored as
+aggressively as the regularization allows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResidualConditionUnmet
 from .linalg import FactorizedJacobian, range_least_squares, rounding_bound
 
-Array = np.ndarray
 
-
-@dataclass(frozen=True)
-class NormalStep:
-    v_c: Array  # full normal step, in range(A^T)
-    v: Array  # beta * v_c
-    beta: float
-    norm_vc: float  # |v_c|
-
-
-def compute_vc(fact: FactorizedJacobian, c, r_v: float = 0.0) -> tuple:
+def compute_vc(fact: FactorizedJacobian, c, r_v: float) -> tuple:
     """Return (v_c, |v_c|) with the inexactness certificate enforced.
 
-    With the default r_v = 0 this is the exact least-squares solve.  A zero
-    constraint vector short-circuits to a zero step.
+    The solve is exact, so any r_v >= 0 (``SolverConfig.r_v``) only widens
+    the allowance.  A zero constraint vector short-circuits to a zero step.
     """
     c_l1 = float(np.sum(np.abs(c)))
     n = fact.A.shape[1]
@@ -62,10 +51,3 @@ def select_beta(norm_vc: float, sigma: float) -> float:
     if norm_vc == 0.0:
         return 1.0
     return min(1.0, 1.0 / (norm_vc * math.sqrt(sigma)))
-
-
-def assemble_normal(fact: FactorizedJacobian, c, sigma: float,
-                    r_v: float = 0.0) -> NormalStep:
-    v_c, norm_vc = compute_vc(fact, c, r_v)
-    beta = select_beta(norm_vc, sigma)
-    return NormalStep(v_c=v_c, v=beta * v_c, beta=beta, norm_vc=norm_vc)

@@ -16,10 +16,10 @@ evaluations (Moré & Sorensen 1983; Cartis, Gould & Toint 2011, ARC Part I, 6.1)
 
 Only g_red and sigma change between the models of one iterate, so H_red is
 its own object, a ``ReducedHessian`` that the caller builds once per iterate
-and every model there shares.  It reduces H_red to H_red = Q_T T Q_T^T with T
-tridiagonal (LAPACK dsytrd) and takes lam_min from T by bisection (dstebz),
-which the caller's stationarity test reads too.  The caller also maps the
-solution p back to the full space, u = Z p.  As in GLTR
+and passes to each ``solve_cubic`` there.  It reduces H_red to Q_T T Q_T^T
+with T tridiagonal (LAPACK dsytrd) and takes lam_min from T by bisection
+(dstebz), which the caller's stationarity test reads too.  The caller also
+maps the solution p back to the full space, u = Z p.  As in GLTR
 (Gould, Lucidi, Roma & Toint 1999), an evaluation at the shift
 t = sigma (r - r_floor) is one O(k) LDL^T of T + (floor + t) I and two solves.
 Near the floor LDL^T loses the relative accuracy of the eigenbasis, where the
@@ -143,13 +143,6 @@ class ReducedHessian:
 
 
 @dataclass(frozen=True)
-class ReducedCubicModel:
-    g_red: Array  # Z^T (g + H v)
-    sigma: float
-    hessian: ReducedHessian  # of the iterate, shared by its models
-
-
-@dataclass(frozen=True)
 class OracleSolution:
     p: Array  # reduced coordinates; the step is Z p
     delta_m: float  # m(0) - m(p)
@@ -157,27 +150,26 @@ class OracleSolution:
     grad_model_norm: float  # |g_red + H_red p + sigma |p| p|
 
 
-def model_decrease(model: ReducedCubicModel, p) -> float:
+def model_decrease(H_red, g_red, sigma, p) -> float:
     """m(0) - m(p); positive when p improves the model."""
     r = _norm(p)
-    return -float(model.g_red @ p + 0.5 * p @ model.hessian.matrix @ p
-                  + model.sigma / 3.0 * r**3)
+    return -float(g_red @ p + 0.5 * p @ H_red @ p + sigma / 3.0 * r**3)
 
 
-def cauchy_point(model: ReducedCubicModel) -> tuple:
+def cauchy_point(H_red, g_red, sigma) -> tuple:
     """Exact minimizer of the model along -g_red: returns (alpha, decrease).
 
     phi(a) = m(-a g_red) has derivative -gn^2 + a gHg + sigma a^2 gn^3,
     a positive quadratic in a with negative value at 0, so the unique
     positive root is the global minimizer over a >= 0.
     """
-    gn = _norm(model.g_red)
+    gn = _norm(g_red)
     if gn == 0.0:
         return 0.0, 0.0
-    gHg = float(model.g_red @ model.hessian.matrix @ model.g_red)
-    a_coef = model.sigma * gn**3
+    gHg = float(g_red @ H_red @ g_red)
+    a_coef = sigma * gn**3
     alpha = (-gHg + math.sqrt(gHg**2 + 4.0 * a_coef * gn**2)) / (2.0 * a_coef)
-    decrease = alpha * gn**2 - 0.5 * alpha**2 * gHg - model.sigma / 3.0 * alpha**3 * gn**3
+    decrease = alpha * gn**2 - 0.5 * alpha**2 * gHg - sigma / 3.0 * alpha**3 * gn**3
     return float(alpha), float(decrease)
 
 
@@ -332,28 +324,27 @@ def _eigenbasis_step(lam, Q, g_red, sigma, lam_min, gnorm) -> Array:
     return Q @ (-g_used / (base + t))
 
 
-def solve_cubic(model: ReducedCubicModel, delta: float = 0.1) -> OracleSolution:
-    """Global minimizer of the reduced cubic model.
+def solve_cubic(hessian: ReducedHessian, g_red, sigma: float,
+                delta: float) -> OracleSolution:
+    """Global minimizer of the cubic model of ``g_red`` and ``sigma`` on ``hessian``.
 
-    ``delta`` is the model-gradient budget of the acceptance test
-    |grad m(u)| <= delta sigma |u|^2; the exact solve lands far inside it,
-    and the value is only used for a defensive post-check.
+    ``delta`` (``SolverConfig.delta``) is the model-gradient budget of the
+    acceptance test |grad m(u)| <= delta sigma |u|^2; the exact solve lands
+    far inside it, and the value is only used for a defensive post-check.
     """
-    sigma = model.sigma
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    hessian = model.hessian
-    gnorm = _norm(model.g_red)
+    gnorm = _norm(g_red)
     p = None
     if not hessian.eigh_at_hand and gnorm > 0.0:
-        p = _tridiagonal_step(hessian, model.g_red, sigma, gnorm)
+        p = _tridiagonal_step(hessian, g_red, sigma, gnorm)
     if p is None:
-        p = _eigenbasis_step(*hessian.eigh(), model.g_red, sigma, hessian.lam_min, gnorm)
+        p = _eigenbasis_step(*hessian.eigh(), g_red, sigma, hessian.lam_min, gnorm)
 
     radius = _norm(p)
-    grad = model.g_red + hessian.matrix @ p + sigma * radius * p
-    _, cauchy_dec = cauchy_point(model)
-    dec = model_decrease(model, p)
+    grad = g_red + hessian.matrix @ p + sigma * radius * p
+    _, cauchy_dec = cauchy_point(hessian.matrix, g_red, sigma)
+    dec = model_decrease(hessian.matrix, g_red, sigma, p)
 
     grad_norm = _norm(grad)
     if grad_norm > delta * sigma * radius**2 + 1e-10 * max(1.0, gnorm):

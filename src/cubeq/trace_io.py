@@ -3,9 +3,12 @@
 A trace file holds one JSON object per line: a header (problem name, start
 point, full configuration), one record per iteration with every field of
 :class:`IterationRecord` as a named key, any audit violations, and a footer
-with the final status.  ``json.dumps`` writes every float in its shortest
-round-tripping form, so a replayed audit sees bit-identical values; files
-written with 17 significant digits by earlier versions read back the same.
+with the final status.  Records written by earlier versions also carry the
+step norms and the ``correction_computed`` and ``accepted`` flags, which the
+other fields determine; they are dropped on reading.  ``json.dumps`` writes
+every float in its shortest round-tripping form, so a replayed audit sees
+bit-identical values; files written with 17 significant digits by earlier
+versions read back the same.
 Non-finite floats use the Python dialect tokens (``Infinity``, ``NaN``)
 that ``json.loads`` accepts back.
 """
@@ -23,6 +26,8 @@ from .errors import TraceError
 
 FORMAT_NAME = "cubeq-trace"
 FORMAT_VERSION = 1
+# Record keys of earlier versions that other fields of the record determine.
+_DERIVED_KEYS = ("norm_v", "norm_u", "norm_d", "norm_w", "correction_computed", "accepted")
 
 
 def _plain(value):
@@ -43,16 +48,26 @@ def record_to_dict(record: IterationRecord) -> dict:
     return out
 
 
-def record_from_dict(data: dict) -> IterationRecord:
-    data = {k: v for k, v in data.items() if k != "kind"}
-    for key in ("x", "lam", "v_c", "v", "u"):
-        data[key] = np.asarray(data[key], dtype=float)
-    if data.get("w") is not None:
-        data["w"] = np.asarray(data["w"], dtype=float)
+def _vector(value) -> np.ndarray:
+    out = np.asarray(value, dtype=float)
+    if out.ndim != 1:
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return out
+
+
+def record_from_dict(data: dict, lineno: int) -> IterationRecord:
+    """The record on trace line ``lineno``; a malformed one is a TraceError."""
+    data = {k: v for k, v in data.items() if k != "kind" and k not in _DERIVED_KEYS}
     try:
+        for key in ("x", "lam", "v_c", "v", "u"):
+            data[key] = _vector(data[key])
+        if data.get("w") is not None:
+            data["w"] = _vector(data["w"])
         return IterationRecord(**data)
-    except TypeError as exc:
-        raise TraceError(f"iteration record has wrong fields: {exc}") from None
+    except KeyError as exc:
+        raise TraceError(f"line {lineno}: iteration record has no {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise TraceError(f"line {lineno}: iteration record has wrong fields: {exc}") from None
 
 
 def write_trace(path, problem_name: str, x0, config: SolverConfig, result,
@@ -100,6 +115,20 @@ class TraceData:
         return self.header["problem"]
 
 
+def _header_config(header: dict, lineno: int) -> SolverConfig:
+    """The run's configuration, from the checked header on line ``lineno``."""
+    if header.get("format") != FORMAT_NAME:
+        raise TraceError(f"line {lineno}: not a {FORMAT_NAME} file")
+    if not isinstance(header.get("problem"), str):
+        raise TraceError(f"line {lineno}: header has no problem name")
+    try:
+        settings = dict(header["config"])
+        settings.pop("audit", None)  # a config field in traces of earlier versions
+        return SolverConfig(**settings)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceError(f"line {lineno}: header config invalid: {exc}") from None
+
+
 def read_trace(path) -> TraceData:
     header = None
     footer = None
@@ -121,10 +150,11 @@ def read_trace(path) -> TraceData:
                 if header is not None:
                     raise TraceError(f"line {lineno}: duplicate header")
                 header = obj
+                config = _header_config(obj, lineno)
             elif kind == "iteration":
                 if header is None:
                     raise TraceError(f"line {lineno}: iteration before header")
-                records.append(record_from_dict(obj))
+                records.append(record_from_dict(obj, lineno))
             elif kind == "violation":
                 violations.append(obj)
             elif kind == "footer":
@@ -135,13 +165,5 @@ def read_trace(path) -> TraceData:
         raise TraceError("trace has no header line")
     if footer is None:
         raise TraceError("trace has no footer line (truncated?)")
-    if header.get("format") != FORMAT_NAME:
-        raise TraceError(f"not a {FORMAT_NAME} file")
-    try:
-        settings = dict(header["config"])
-        settings.pop("audit", None)  # a config field in traces of earlier versions
-        config = SolverConfig(**settings)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"header config invalid: {exc}") from None
     return TraceData(header=header, config=config, records=records,
                      violations=violations, footer=footer)

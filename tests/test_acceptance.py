@@ -8,7 +8,7 @@ from cubeq.diagnostics import (audit_run, convergence_rate,
                                finite_difference_check)
 from cubeq.driver import CONVERGED_SOSP, SolverConfig, solve
 from cubeq.problems import builtin_problem, problem_names
-from cubeq.tangential import ReducedCubicModel, ReducedHessian, solve_cubic
+from cubeq.tangential import ReducedHessian, solve_cubic
 from helpers import perturb, ray_polish_min
 
 RUNTIME_BUDGET_S = 5.0
@@ -64,8 +64,7 @@ def test_criterion_3_subproblem_oracle_equivalence():
         H = rng.standard_normal((dim, dim))
         H = 0.5 * (H + H.T)
         sigma = float(rng.uniform(0.5, 4.0))
-        model = ReducedCubicModel(g, sigma, ReducedHessian(H))
-        sol = solve_cubic(model, 0.1)
+        sol = solve_cubic(ReducedHessian(H), g, sigma, 0.1)
         _, best_value = ray_polish_min(g, H, sigma)
         worst_gap = max(worst_gap, abs(-sol.delta_m - best_value))
     _report(3, worst_gap <= 1e-6,
@@ -175,8 +174,7 @@ def test_criterion_9_negative_controls():
                        config=config).history[0]
     outcomes = {
         "inflated tangential step": (
-            tripped("linear_eq_quadratic", 1, u=1.1 * linear_rec.u,
-                    norm_u=1.1 * linear_rec.norm_u),
+            tripped("linear_eq_quadratic", 1, u=1.1 * linear_rec.u),
             {"or2_model_gradient"}),
         "understated penalty": (
             tripped("circle_quadratic", 0, mu=0.5 * circle_rec.mu_candidate),

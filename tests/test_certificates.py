@@ -45,13 +45,14 @@ def systems(draw):
 def test_exact_solves_pass_their_certificates(system):
     A, c = system
     fact = factorize_jacobian(A)  # the default rank_tol, 1e-10, admits cond 1e9
-    compute_vc(fact, c)
-    compute_correction(fact, c)
+    # r_v = r_w = 0: the rounding floor is the whole allowance
+    compute_vc(fact, c, 0.0)
+    compute_correction(fact, c, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("module, certify", [
-    (normal_step, lambda fact, c: compute_vc(fact, c)),
-    (correction, lambda fact, c: compute_correction(fact, c)),
+    (normal_step, lambda fact, c: compute_vc(fact, c, 0.0)),
+    (correction, lambda fact, c: compute_correction(fact, c, 0.0, 0.0)),
 ])
 def test_solve_off_by_1e8_relative_is_caught(monkeypatch, module, certify):
     exact = module.range_least_squares
@@ -73,7 +74,7 @@ def test_tighter_than_a_fixed_slack_when_well_conditioned():
         s = np.sort(rng.uniform(1.0, 10.0, m))[::-1] * 10.0 ** rng.uniform(-2.0, 2.0)
         fact = factorize_jacobian(_jacobian(rng, m, n, s))
         c = rng.standard_normal(m) * 10.0 ** rng.uniform(-3.0, 3.0)
-        v, _ = compute_vc(fact, c)
+        v, _ = compute_vc(fact, c, 0.0)
         bound = rounding_bound(fact, np.linalg.norm(v), np.linalg.norm(c))
         assert np.sqrt(m) * bound < 1e-11 * max(1.0, np.sum(np.abs(c)))
         assert bound < 1e-11 * max(1.0, np.linalg.norm(c))

@@ -2,14 +2,29 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from cubeq import diagnostics
 from cubeq.cli import (EXIT_BAD_TRACE, EXIT_CONFIG, EXIT_UNKNOWN_PROBLEM,
                        EXIT_VIOLATIONS, main)
+from cubeq.diagnostics import Violation
 
 
 def _run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def _edited_trace(tmp_path, index, change):
+    """A maratos trace whose line ``index`` (a JSON object) went through ``change``."""
+    trace = tmp_path / "run.trace"
+    _run("solve", "--problem", "maratos", "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    obj = json.loads(lines[index])
+    change(obj)
+    lines[index] = json.dumps(obj)
+    trace.write_text("\n".join(lines) + "\n")
+    return trace
 
 
 class TestSolve:
@@ -118,12 +133,34 @@ class TestTraceWorkflow:
         rec = json.loads(lines[2])
         assert rec["kind"] == "iteration" and rec["k"] == 1
         rec["u"] = [1.1 * value for value in rec["u"]]
-        rec["norm_u"] = 1.1 * rec["norm_u"]
         lines[2] = json.dumps(rec)
         trace.write_text("\n".join(lines) + "\n")
         result = _run("audit", str(trace))
         assert result.exit_code == EXIT_VIOLATIONS
         assert "or2_model_gradient" in result.output
+
+    @pytest.mark.parametrize("index, change", [
+        (2, lambda rec: rec.pop("u")),
+        (2, lambda rec: rec.update(x="abc")),
+        (0, lambda header: header.pop("problem")),
+    ], ids=["record_without_u", "non_numeric_x", "header_without_problem"])
+    def test_audit_malformed_trace(self, tmp_path, index, change):
+        result = _run("audit", str(_edited_trace(tmp_path, index, change)))
+        assert result.exit_code == EXIT_BAD_TRACE
+        assert isinstance(result.exception, SystemExit)  # no other exception escaped
+        assert result.output.startswith(f"error: line {index + 1}: ")
+
+    def test_audit_unknown_problem(self, tmp_path):
+        trace = _edited_trace(tmp_path, 0, lambda header: header.update(problem="no_such_model"))
+        result = _run("audit", str(trace))
+        assert result.exit_code == EXIT_UNKNOWN_PROBLEM
+        assert "no_such_model" in result.output
+
+    def test_audit_invalid_config(self, tmp_path):
+        trace = _edited_trace(tmp_path, 0, lambda header: header["config"].update(eta1=5))
+        result = _run("audit", str(trace))
+        assert result.exit_code == EXIT_CONFIG
+        assert "eta1" in result.output
 
     def test_audit_error_at_one_record(self, tmp_path):
         """A record the audit cannot rebuild is one violation; the rest are audited."""
@@ -165,6 +202,23 @@ class TestSweep:
         result = _run("sweep", "--problem", "no_such_model",
                       "--sweep", "1e-2")
         assert result.exit_code == EXIT_UNKNOWN_PROBLEM
+
+    def test_clean_audit_changes_nothing(self):
+        args = ("sweep", "--problem", "maratos", "--sweep", "1e-2,1e-4")
+        plain, audited = _run(*args), _run(*args, "--audit")
+        assert audited.exit_code == plain.exit_code == 0
+        assert audited.output == plain.output
+
+    def test_audit_violation_exits_16(self, monkeypatch):
+        violation = Violation(code="sigma_update", message="synthetic", value=2.0,
+                              bound=1.0, k=0)
+        monkeypatch.setattr(diagnostics, "audit_run",
+                            lambda problem, records, config: [violation])
+        result = _run("sweep", "--problem", "circle_quadratic", "--sweep", "1e-4",
+                      "--audit")
+        assert result.exit_code == EXIT_VIOLATIONS
+        assert ("violation k=0 sigma_update: value=2 bound=1 (synthetic)"
+                in result.output.splitlines())
 
     def test_unparsable_sweep_list(self):
         result = _run("sweep", "--problem", "circle_quadratic",

@@ -26,12 +26,12 @@ class TestRegion:
 class TestComputeCorrection:
     def test_zero_residual_gives_zero_step(self):
         fact = factorize_jacobian(np.array([[1.0, 0.0]]))
-        w = compute_correction(fact, np.zeros(1))
+        w = compute_correction(fact, np.zeros(1), 0.0, 0.0)
         np.testing.assert_array_equal(w, np.zeros(2))
 
     def test_axis_example(self):
         fact = factorize_jacobian(np.array([[1.0, 0.0]]))
-        w = compute_correction(fact, np.array([0.08]))
+        w = compute_correction(fact, np.array([0.08]), 0.0, 0.0)
         np.testing.assert_allclose(w, [-0.08, 0.0], atol=1e-15)
 
     def test_matches_pseudoinverse(self):
@@ -40,7 +40,7 @@ class TestComputeCorrection:
             A = rng.standard_normal((2, 4))
             c_trial = rng.standard_normal(2)
             fact = factorize_jacobian(A)
-            w = compute_correction(fact, c_trial)
+            w = compute_correction(fact, c_trial, 0.0, 0.0)
             np.testing.assert_allclose(w, -np.linalg.pinv(A) @ c_trial,
                                        atol=1e-10)
             # row-space membership and exact least-squares residual
@@ -56,4 +56,4 @@ class TestCorrectionInSolver:
         corrected = [r for r in result.history if r.correction_computed]
         assert corrected
         for rec in corrected:
-            assert rec.norm_w <= 1.0 * rec.norm_d**2
+            assert np.linalg.norm(rec.w) <= 1.0 * np.linalg.norm(rec.v + rec.u)**2

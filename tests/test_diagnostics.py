@@ -91,9 +91,7 @@ class TestTamperedRecords:
     def test_inflated_tangential_step(self):
         result = solve(builtin_problem("linear_eq_quadratic"))
         rec = result.history[1]
-        violations = self._audit_with("linear_eq_quadratic", 1,
-                                      u=1.1 * rec.u,
-                                      norm_u=1.1 * rec.norm_u)
+        violations = self._audit_with("linear_eq_quadratic", 1, u=1.1 * rec.u)
         assert {v.code for v in violations} == {"or2_model_gradient"}
         assert all(v.k == 1 for v in violations)
 
@@ -141,10 +139,10 @@ class TestAuditRun:
         expected = audit_run(problem, records, config)
         audit_iteration = diagnostics.audit_iteration
 
-        def broken(record, context, config):
+        def broken(record, context, c_trial, config):
             if record.k == broken_k:
                 raise FloatingPointError(f"audit broke at k={record.k}")
-            return audit_iteration(record, context, config)
+            return audit_iteration(record, context, c_trial, config)
 
         monkeypatch.setattr(diagnostics, "audit_iteration", broken)
         violations = audit_run(problem, records, config)

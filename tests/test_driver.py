@@ -176,7 +176,8 @@ class TestRunMechanics:
             for rec in result.history:
                 assert rec.accepted == (rec.classification != UNSUCCESSFUL)
                 assert (rec.rho_corr is not None) == rec.correction_computed
-                assert rec.norm_d <= rec.norm_v + rec.norm_u + 1e-12
+                norm_d = np.linalg.norm(rec.v + rec.u)
+                assert norm_d <= np.linalg.norm(rec.v) + np.linalg.norm(rec.u) + 1e-12
                 assert rec.mu >= rec.mu_prev
 
     def test_mu_never_decreases_within_run(self):
@@ -376,10 +377,10 @@ class TestRobustness:
         assert last.accepted
         np.testing.assert_array_equal(result.x_final, last.x)
         assert f"iteration {last.k} left x unchanged" in result.message
-        assert f"|d| = {last.norm_d:.3e}" in result.message
+        assert f"|d| = {np.linalg.norm(last.v + last.u):.3e}" in result.message
 
     def test_audit_exception_becomes_violation(self, monkeypatch):
-        def broken(record, context, config):
+        def broken(record, context, c_trial, config):
             raise FloatingPointError(f"audit broke at k={record.k}")
 
         monkeypatch.setattr(diagnostics, "audit_iteration", broken)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cubeq.linalg import factorize_jacobian
-from cubeq.normal_step import assemble_normal, compute_vc, select_beta
+from cubeq.normal_step import compute_vc, select_beta
 
 
 def _random_system(rng, m, n):
@@ -19,7 +19,7 @@ def _random_system(rng, m, n):
 class TestComputeVc:
     def test_zero_constraints_give_zero_step(self):
         A = np.array([[1.0, 0.0]])
-        v_c, norm_vc = compute_vc(factorize_jacobian(A), np.zeros(1))
+        v_c, norm_vc = compute_vc(factorize_jacobian(A), np.zeros(1), 0.0)
         np.testing.assert_array_equal(v_c, np.zeros(2))
         assert norm_vc == 0.0
 
@@ -30,7 +30,7 @@ class TestComputeVc:
             for _ in range(20):
                 A, c = _random_system(rng, m, n)
                 fact = factorize_jacobian(A)
-                v_c, norm_vc = compute_vc(fact, c)
+                v_c, norm_vc = compute_vc(fact, c, 0.0)
                 expected = -A.T @ np.linalg.solve(A @ A.T, c)
                 np.testing.assert_allclose(v_c, expected, atol=1e-11)
                 assert norm_vc == np.linalg.norm(v_c)
@@ -39,7 +39,7 @@ class TestComputeVc:
 
     def test_axis_aligned_example(self):
         A = np.array([[1.0, 0.0]])
-        v_c, _ = compute_vc(factorize_jacobian(A), np.array([0.3]))
+        v_c, _ = compute_vc(factorize_jacobian(A), np.array([0.3]), 0.0)
         np.testing.assert_allclose(v_c, [-0.3, 0.0], atol=1e-15)
 
 
@@ -65,6 +65,13 @@ class TestSelectBeta:
             assert beta * norm_vc <= 1.0 / math.sqrt(sigma) + 1e-12
 
 
+def _normal_step(fact, c, sigma):
+    """(v_c, beta, v = beta v_c) as the driver forms them."""
+    v_c, norm_vc = compute_vc(fact, c, 0.0)
+    beta = select_beta(norm_vc, sigma)
+    return v_c, beta, beta * v_c
+
+
 class TestAssembleNormal:
     def test_linearized_contraction(self):
         """|c + A v|_1 <= (1 - beta (1 - r_v)) |c|_1 for v = beta v_c."""
@@ -73,22 +80,21 @@ class TestAssembleNormal:
             A, c = _random_system(rng, 2, 4)
             sigma = float(rng.uniform(0.1, 100.0))
             fact = factorize_jacobian(A)
-            step = assemble_normal(fact, c, sigma)
+            _, beta, v = _normal_step(fact, c, sigma)
             c_l1 = np.sum(np.abs(c))
-            lhs = np.sum(np.abs(c + A @ step.v))
-            assert lhs <= (1.0 - step.beta) * c_l1 + 1e-10 * max(1.0, c_l1)
-            np.testing.assert_allclose(step.v, step.beta * step.v_c, atol=0)
+            lhs = np.sum(np.abs(c + A @ v))
+            assert lhs <= (1.0 - beta) * c_l1 + 1e-10 * max(1.0, c_l1)
 
     def test_step_in_range_space(self):
         rng = np.random.default_rng(53)
         A, c = _random_system(rng, 2, 5)
         fact = factorize_jacobian(A)
-        step = assemble_normal(fact, c, 1.0)
-        np.testing.assert_allclose(fact.Z.T @ step.v, 0, atol=1e-12)
+        _, _, v = _normal_step(fact, c, 1.0)
+        np.testing.assert_allclose(fact.Z.T @ v, 0, atol=1e-12)
 
     def test_feasible_point_short_circuit(self):
         A = np.array([[2.0, 1.0, 0.0]])
-        step = assemble_normal(factorize_jacobian(A), np.zeros(1), 3.0)
-        assert step.beta == 1.0
-        np.testing.assert_array_equal(step.v, np.zeros(3))
-        np.testing.assert_array_equal(step.v_c, np.zeros(3))
+        v_c, beta, v = _normal_step(factorize_jacobian(A), np.zeros(1), 3.0)
+        assert beta == 1.0
+        np.testing.assert_array_equal(v, np.zeros(3))
+        np.testing.assert_array_equal(v_c, np.zeros(3))

@@ -7,25 +7,29 @@ import pytest
 
 from cubeq import tangential
 from cubeq.linalg import factorize_jacobian, reduce_matrix
-from cubeq.tangential import (ReducedCubicModel, ReducedHessian, cauchy_point,
-                              model_decrease, solve_cubic)
+from cubeq.tangential import ReducedHessian, cauchy_point, model_decrease, solve_cubic
 from helpers import model_value, ray_polish_min
 
 DELTA = 0.1
 
 
 def _direct_model(g_red, H_red, sigma):
-    """Model in already-reduced coordinates (Z = identity)."""
+    """(hessian, g_red, sigma) of a model in already-reduced coordinates (Z = identity)."""
     g_red = np.asarray(g_red, dtype=float).reshape(-1)
     H_red = np.atleast_2d(np.asarray(H_red, dtype=float))
-    return ReducedCubicModel(g_red, float(sigma), ReducedHessian(H_red))
+    return ReducedHessian(H_red), g_red, float(sigma)
+
+
+def _arrays(model):
+    """(H_red, g_red, sigma): what cauchy_point and model_decrease read."""
+    hessian, g_red, sigma = model
+    return hessian.matrix, g_red, sigma
 
 
 def _model_at(fact, g, H, v, sigma):
-    """The model of the tangential step after the normal step ``v``, as the
-    driver forms it."""
-    return ReducedCubicModel(fact.Z.T @ (g + H @ v), sigma,
-                             ReducedHessian(reduce_matrix(fact, H)))
+    """(hessian, g_red, sigma) of the tangential step after the normal step
+    ``v``, as the driver forms them."""
+    return ReducedHessian(reduce_matrix(fact, H)), fact.Z.T @ (g + H @ v), sigma
 
 
 class TestBuildReducedModel:
@@ -35,12 +39,12 @@ class TestBuildReducedModel:
         """g_red represents the null-space part of g + H v."""
         A = np.array([[1.0, 0.0]])
         fact = factorize_jacobian(A)
-        model = _model_at(fact, np.array([3.0, 4.0]), np.eye(2),
-                          np.array([-0.5, 0.0]), sigma=1.0)
+        _, g_red, _ = _model_at(fact, np.array([3.0, 4.0]), np.eye(2),
+                                np.array([-0.5, 0.0]), sigma=1.0)
         # lifted back to full space the reduced gradient must be (0, 4)
-        np.testing.assert_allclose(fact.Z @ model.g_red, [0.0, 4.0],
+        np.testing.assert_allclose(fact.Z @ g_red, [0.0, 4.0],
                                    atol=1e-14)
-        assert abs(np.linalg.norm(model.g_red) - 4.0) <= 1e-14
+        assert abs(np.linalg.norm(g_red) - 4.0) <= 1e-14
 
     def test_feasible_point_uses_plain_gradient(self):
         rng = np.random.default_rng(5)
@@ -49,15 +53,15 @@ class TestBuildReducedModel:
         H = rng.standard_normal((5, 5))
         H = 0.5 * (H + H.T)
         fact = factorize_jacobian(A)
-        model = _model_at(fact, g, H, np.zeros(5), sigma=2.0)
-        np.testing.assert_allclose(model.g_red, fact.Z.T @ g, atol=1e-14)
-        np.testing.assert_array_equal(model.hessian.matrix, model.hessian.matrix.T)
+        hessian, g_red, _ = _model_at(fact, g, H, np.zeros(5), sigma=2.0)
+        np.testing.assert_allclose(g_red, fact.Z.T @ g, atol=1e-14)
+        np.testing.assert_array_equal(hessian.matrix, hessian.matrix.T)
 
     def test_zero_hessian(self):
         A = np.array([[1.0, 1.0, 0.0]])
         fact = factorize_jacobian(A)
-        model = _model_at(fact, np.ones(3), np.zeros((3, 3)), np.zeros(3), sigma=1.0)
-        np.testing.assert_array_equal(model.hessian.matrix, np.zeros((2, 2)))
+        hessian, _, _ = _model_at(fact, np.ones(3), np.zeros((3, 3)), np.zeros(3), sigma=1.0)
+        np.testing.assert_array_equal(hessian.matrix, np.zeros((2, 2)))
 
     def test_model_carries_its_tridiagonal_form(self):
         """H_red = Q_T T Q_T^T, and lam_min is T's smallest eigenvalue."""
@@ -93,9 +97,9 @@ class TestBuildReducedModel:
         # g_red = 0 takes the eigenbasis, which later solves keep using
         for sigma, g in ((1.0, rng.standard_normal(k)), (2.0, np.zeros(k)),
                          (4.0, rng.standard_normal(k)), (8.0, np.zeros(k))):
-            fresh = solve_cubic(ReducedCubicModel(g, sigma, ReducedHessian(hessian.matrix))).p
+            fresh = solve_cubic(ReducedHessian(hessian.matrix), g, sigma, DELTA).p
             monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-            shared = solve_cubic(ReducedCubicModel(g, sigma, hessian)).p
+            shared = solve_cubic(hessian, g, sigma, DELTA).p
             monkeypatch.undo()
             np.testing.assert_allclose(shared, fresh, rtol=0,
                                        atol=1e-12 * max(1.0, np.linalg.norm(fresh)))
@@ -106,12 +110,12 @@ class TestBuildReducedModel:
 class TestModelDecrease:
     def test_zero_step(self):
         model = _direct_model([-1.0], [[1.0]], sigma=1.0)
-        assert model_decrease(model, np.zeros(1)) == 0.0
+        assert model_decrease(*_arrays(model), np.zeros(1)) == 0.0
 
     def test_hand_value_without_cubic_term(self):
         # g p + p^2/2 = -1 + 0.5 at p = 1: decrease 0.5
-        model = ReducedCubicModel(np.array([-1.0]), 0.0, ReducedHessian(np.array([[1.0]])))
-        assert model_decrease(model, np.array([1.0])) == pytest.approx(0.5, abs=0)
+        assert model_decrease(np.array([[1.0]]), np.array([-1.0]), 0.0,
+                              np.array([1.0])) == pytest.approx(0.5, abs=0)
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(9)
@@ -123,20 +127,20 @@ class TestModelDecrease:
             sigma = float(rng.uniform(0.2, 4.0))
             p = rng.standard_normal(dim)
             model = _direct_model(g, H, sigma)
-            assert model_decrease(model, p) == pytest.approx(
+            assert model_decrease(*_arrays(model), p) == pytest.approx(
                 -model_value(g, H, sigma, p), rel=1e-13, abs=1e-13)
 
 
 class TestCauchyPoint:
     def test_zero_gradient(self):
         model = _direct_model([0.0, 0.0], np.eye(2), sigma=1.0)
-        assert cauchy_point(model) == (0.0, 0.0)
+        assert cauchy_point(*_arrays(model)) == (0.0, 0.0)
 
     def test_positive_curvature_case(self):
         # |g|=1, g^T H g = 1, sigma = 3; values frozen from a dense
         # 1-D grid search with bisection refinement on the step length
         model = _direct_model([-1.0], [[1.0]], sigma=3.0)
-        alpha, dec = cauchy_point(model)
+        alpha, dec = cauchy_point(*_arrays(model))
         assert alpha == pytest.approx(0.4342585459106648, rel=1e-13)
         assert alpha == pytest.approx((-1.0 + math.sqrt(13.0)) / 6.0, rel=1e-13)
         assert dec == pytest.approx(0.2580756164910358, rel=1e-13)
@@ -146,7 +150,7 @@ class TestCauchyPoint:
     def test_negative_curvature_case(self):
         # |g|=1, g^T H g = -1, sigma = 1: alpha is the golden ratio
         model = _direct_model([-1.0], [[-1.0]], sigma=1.0)
-        alpha, dec = cauchy_point(model)
+        alpha, dec = cauchy_point(*_arrays(model))
         assert alpha == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-13)
         assert dec == pytest.approx(1.5150283239582458, rel=1e-13)
 
@@ -158,8 +162,8 @@ class TestCauchyPoint:
             H = rng.standard_normal((dim, dim))
             H = 0.5 * (H + H.T)
             model = _direct_model(g, H, float(rng.uniform(0.5, 3.0)))
-            alpha, dec = cauchy_point(model)
-            assert dec == pytest.approx(model_decrease(model, -alpha * g),
+            alpha, dec = cauchy_point(*_arrays(model))
+            assert dec == pytest.approx(model_decrease(*_arrays(model), -alpha * g),
                                         rel=1e-11, abs=1e-11)
             assert dec >= 0.0
 
@@ -168,7 +172,7 @@ class TestSolveCubic:
     def test_tiny_gradient_with_positive_curvature(self):
         """The secular bracket must not cancel to zero when H_red is PD."""
         model = _direct_model([1e-15], [[2.0]], sigma=0.125)
-        sol = solve_cubic(model)
+        sol = solve_cubic(*model, DELTA)
         # (2 + sigma r) p = -g with r = |p| ~ 5e-16, so p = -g/2 to rounding
         assert sol.p[0] == pytest.approx(-5e-16, rel=1e-12)
         assert sol.delta_m > 0.0
@@ -176,14 +180,14 @@ class TestSolveCubic:
     def test_scalar_model_root(self):
         # gradient of the model: -1 + p + p^2 = 0 at the positive root
         model = _direct_model([-1.0], [[1.0]], sigma=1.0)
-        sol = solve_cubic(model, DELTA)
+        sol = solve_cubic(*model, DELTA)
         assert sol.p[0] == pytest.approx((-1.0 + math.sqrt(5.0)) / 2.0,
                                          rel=1e-12)
         assert sol.grad_model_norm <= 1e-10
 
     def test_zero_gradient_positive_definite(self):
         model = _direct_model([0.0, 0.0], np.eye(2), sigma=1.0)
-        sol = solve_cubic(model, DELTA)
+        sol = solve_cubic(*model, DELTA)
         np.testing.assert_array_equal(sol.p, np.zeros(2))
         assert sol.delta_m == 0.0
 
@@ -191,7 +195,7 @@ class TestSolveCubic:
         # g = 0, H = (-2), sigma = 1: |p| = 2, decrease 4 - 8/3 = 4/3,
         # frozen against a dense grid search over [-5, 5]
         model = _direct_model([0.0], [[-2.0]], sigma=1.0)
-        sol = solve_cubic(model, DELTA)
+        sol = solve_cubic(*model, DELTA)
         assert abs(sol.p[0]) == pytest.approx(2.0, rel=1e-12)
         assert sol.delta_m == pytest.approx(4.0 / 3.0, rel=1e-12)
 
@@ -202,7 +206,7 @@ class TestSolveCubic:
         g = np.array([0.0, 3.0])
         H = np.diag([-2.0, 1.0])
         model = _direct_model(g, H, sigma=1.0)
-        sol = solve_cubic(model, DELTA)
+        sol = solve_cubic(*model, DELTA)
         assert np.linalg.norm(sol.p) == pytest.approx(2.0, rel=1e-12)
         assert sol.p[1] == pytest.approx(-1.0, rel=1e-12)
         assert abs(sol.p[0]) == pytest.approx(math.sqrt(3.0), rel=1e-12)
@@ -221,12 +225,12 @@ class TestSolveCubic:
             H = 0.5 * (H + H.T)
             sigma = float(rng.uniform(0.3, 5.0))
             model = _direct_model(g, H, sigma)
-            sol = solve_cubic(model, DELTA)
+            sol = solve_cubic(*model, DELTA)
             norm_u = np.linalg.norm(sol.p)  # Z = I
             assert sol.delta_m >= sol.cauchy_delta_m - 1e-10 * max(
                 1.0, abs(sol.delta_m))
             assert sol.grad_model_norm <= DELTA * sigma * norm_u**2 + 1e-10
-            assert min(model.hessian.lam_min, 0.0) >= -sigma * norm_u - 1e-10
+            assert min(model[0].lam_min, 0.0) >= -sigma * norm_u - 1e-10
             # decrease floors in terms of the gradient and the step size
             gn = np.linalg.norm(g)
             norm_h = np.linalg.norm(H, 2)
@@ -262,7 +266,7 @@ class TestSolveCubic:
             H = rng.standard_normal((dim, dim))
             models.append((g, 0.5 * (H + H.T), float(rng.uniform(0.3, 5.0))))
         for g, H, sigma in models:
-            solve_cubic(_direct_model(g, H, sigma), DELTA)
+            solve_cubic(*_direct_model(g, H, sigma), DELTA)
         assert calls / len(models) <= 12.0
 
     def test_lifted_step_stays_in_null_space(self):
@@ -272,7 +276,7 @@ class TestSolveCubic:
         H = rng.standard_normal((5, 5))
         H = 0.5 * (H + H.T)
         fact = factorize_jacobian(A)
-        sol = solve_cubic(_model_at(fact, g, H, np.zeros(5), sigma=1.0), DELTA)
+        sol = solve_cubic(*_model_at(fact, g, H, np.zeros(5), sigma=1.0), DELTA)
         u = fact.Z @ sol.p
         assert u.shape == (5,)
         np.testing.assert_allclose(A @ u, 0, atol=1e-10)
@@ -313,10 +317,11 @@ class TestTridiagonalPath:
             for _ in range(3):
                 model = _spectral_model(rng, k, kind, sigma=float(rng.uniform(0.5, 4.0)))
                 fallbacks.clear()
-                sol = solve_cubic(model, DELTA)
+                sol = solve_cubic(*model, DELTA)
                 assert len(fallbacks) == (kind in ("hard", "tiny")), kind
-                lam, Q = np.linalg.eigh(model.hessian.matrix)
-                ref = eigenbasis_step(lam, Q, model.g_red, model.sigma,
-                                      model.hessian.lam_min, np.linalg.norm(model.g_red))
+                hessian, g_red, sigma = model
+                lam, Q = np.linalg.eigh(hessian.matrix)
+                ref = eigenbasis_step(lam, Q, g_red, sigma, hessian.lam_min,
+                                      np.linalg.norm(g_red))
                 error = np.linalg.norm(sol.p - ref)
                 assert error <= 1e-12 * max(1.0, np.linalg.norm(ref)), kind

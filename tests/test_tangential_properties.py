@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeq import tangential
-from cubeq.tangential import ReducedCubicModel, ReducedHessian, solve_cubic
+from cubeq.tangential import ReducedHessian, solve_cubic
 
 KINDS = ("generic", "hard", "near_hard", "tiny")
 
@@ -48,7 +48,7 @@ def cubic_models(draw):
     return kind, Q @ ghat, H, sigma
 
 
-def _solve_with_radius(model):
+def _solve_with_radius(hessian, g, sigma):
     """solve_cubic's step and the radius r of the shifted system it solved."""
     shifts = []
     secular_shift = tangential._secular_shift
@@ -60,20 +60,19 @@ def _solve_with_radius(model):
         return t
 
     with mock.patch.object(tangential, "_secular_shift", spy):
-        sol = solve_cubic(model, 0.1)
+        sol = solve_cubic(hessian, g, sigma, 0.1)
     # r = (max(0, -lam_min) + t) / sigma with the model's own lam_min; the
     # hard case pads at t = 0, and a tridiagonal solve that is redone in the
     # eigenbasis leaves the eigenbasis shift last
-    floor = max(0.0, -model.hessian.lam_min)
-    return sol, (floor + (shifts[-1] if shifts else 0.0)) / model.sigma
+    floor = max(0.0, -hessian.lam_min)
+    return sol, (floor + (shifts[-1] if shifts else 0.0)) / sigma
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(cubic_models())
 def test_solution_satisfies_global_optimality(case):
     kind, g, H, sigma = case
-    model = ReducedCubicModel(g, sigma, ReducedHessian(H))
-    sol, r = _solve_with_radius(model)
+    sol, r = _solve_with_radius(ReducedHessian(H), g, sigma)
     p = sol.p
     norm_p = float(np.linalg.norm(p))
     spectrum = np.linalg.eigvalsh(H)

@@ -15,6 +15,8 @@ from cubeq.problems import builtin_problem
 from cubeq.trace_io import dump_line, read_trace, record_to_dict, write_trace
 
 _ARRAY_FIELDS = ("x", "lam", "v_c", "v", "u", "w")
+# Record keys of earlier traces that the other fields of the record determine.
+_DERIVED_KEYS = ("norm_v", "norm_u", "norm_d", "norm_w", "accepted", "correction_computed")
 # A maratos run written by the earlier emitter, every float with %.17g.
 _V1_17G_TRACE = Path(__file__).parent / "data" / "maratos_v1.trace"
 
@@ -118,6 +120,32 @@ class TestRoundTrip:
                     assert a == b, field.name
 
 
+    def test_earlier_derived_keys_agree_with_the_records(self, tmp_path):
+        """Earlier writers also stored each record's step norms and its
+        `accepted` and `correction_computed` flags; read_trace drops them, and
+        each equals the value the record's other fields determine."""
+        stored = [json.loads(line) for line in _V1_17G_TRACE.read_text().splitlines()]
+        stored = [obj for obj in stored if obj["kind"] == "iteration"]
+        data = read_trace(_V1_17G_TRACE)
+        for obj, rec in zip(stored, data.records, strict=True):
+            assert set(_DERIVED_KEYS) <= obj.keys()
+            assert obj["norm_v"] == np.linalg.norm(rec.v)
+            assert obj["norm_u"] == np.linalg.norm(rec.u)
+            assert obj["norm_d"] == np.linalg.norm(rec.v + rec.u)
+            assert obj["norm_w"] == (0.0 if rec.w is None else np.linalg.norm(rec.w))
+            assert obj["accepted"] is rec.accepted
+            assert obj["correction_computed"] is rec.correction_computed
+        # the current writer stores none of them
+        path = tmp_path / "rewritten.trace"
+        write_trace(path, data.problem_name, data.header["x0"], data.config,
+                    solve(builtin_problem("maratos"), data.header["x0"], data.config))
+        for line in path.read_text().splitlines():
+            obj = json.loads(line)
+            if obj["kind"] == "iteration":
+                assert obj.keys().isdisjoint(_DERIVED_KEYS)
+                assert obj.keys() == {"kind"} | {f.name for f in dataclasses.fields(rec)}
+
+
 class TestStrictParsing:
     def _lines(self, path):
         return path.read_text().splitlines()
@@ -187,4 +215,35 @@ class TestStrictParsing:
         lines[1] = json.dumps(rec)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError):
+            read_trace(path)
+
+    def _edit_line(self, path, index, change):
+        lines = self._lines(path)
+        obj = json.loads(lines[index])
+        change(obj)
+        lines[index] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_iteration_without_an_array_field(self, tmp_path):
+        path, _, _ = _write_run(tmp_path)
+        self._edit_line(path, 1, lambda rec: rec.pop("u"))
+        with pytest.raises(TraceError, match="line 2: iteration record has no 'u' field"):
+            read_trace(path)
+
+    def test_iteration_with_a_non_numeric_array_field(self, tmp_path):
+        path, _, _ = _write_run(tmp_path)
+        self._edit_line(path, 2, lambda rec: rec.update(x="abc"))
+        with pytest.raises(TraceError, match="line 3: iteration record has wrong fields"):
+            read_trace(path)
+
+    def test_iteration_with_a_null_array_field(self, tmp_path):
+        path, _, _ = _write_run(tmp_path)
+        self._edit_line(path, 1, lambda rec: rec.update(v=None))
+        with pytest.raises(TraceError, match="line 2: iteration record has wrong fields"):
+            read_trace(path)
+
+    def test_header_without_problem(self, tmp_path):
+        path, _, _ = _write_run(tmp_path)
+        self._edit_line(path, 0, lambda header: header.pop("problem"))
+        with pytest.raises(TraceError, match="line 1: header has no problem name"):
             read_trace(path)
