@@ -1,22 +1,22 @@
 """Auditing, derivative verification, and convergence-rate estimation.
 
 ``audit_iteration`` re-derives every hard per-iteration invariant of the
-method from first principles — residual certificates, the beta interval, the
-three tangential-step certificates, the step-size and decrease floors, the
-merit-reduction bound, subspace memberships, and the legality of the sigma
-update — and reports violations as data rather than raising; it only reads
-its context.  ``audit_run(problem, result.history, config)`` is the only way
-to audit a run, called beside ``solve`` on the finished history or on the
-records of a trace read back; the solver never calls it.  It is the one loop
-over a run's records: it rebuilds one context per group of consecutive
-records at the same x and multipliers (bit for bit), from the record and the
-problem callbacks alone, and evaluates c(x + d) for each record with a
-correction.  An exception while one record is audited is an ``audit_error``
-violation there.
+method from first principles — residual certificates with the solver's own
+rounding floors, the beta interval, the tangential-step properties or1-or3,
+the step-size and decrease floors, the merit-reduction bound, subspace
+memberships, and the legality of the sigma update — and reports violations
+as data rather than raising; it only reads its context.  ``audit_run`` is
+the only way to audit a run, called beside ``solve`` on the finished history
+or on the records of a trace read back; the solver never calls it.  It is
+the one loop over a run's records: it rebuilds one context per group of
+consecutive records at the same x and multipliers (bit for bit), from the
+record and the problem callbacks alone, and evaluates c(x + d) for each
+record with a correction.  An exception while one record is audited is an
+``audit_error`` violation there.
 
-All hard checks share one relative tolerance (1e-9); each violation carries
-a stable code so tests can assert that a deliberately perturbed quantity
-trips exactly the check it should.
+All hard checks share one relative tolerance (1e-9) on top of those floors;
+each violation carries a stable code so tests can assert that a deliberately
+perturbed quantity trips exactly the check it should.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ from typing import Optional
 import numpy as np
 
 from . import merit
-from .driver import SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL, IterationRecord, SolverConfig
+from .driver import SUCCESSFUL, VERY_SUCCESSFUL, IterationRecord, SolverConfig
 from .errors import InsufficientHistory
-from .linalg import FactorizedJacobian, factorize_jacobian, reduce_matrix, rounding_bound
+from .linalg import (FactorizedJacobian, factorize_jacobian, reduce_matrix, rounding_bound,
+                     rounding_bound_l1)
 from .problems import EvalPoint, Problem, evaluate, evaluate_trial, lagrangian_hessian
 
 Array = np.ndarray
@@ -104,8 +105,8 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     # --- normal step -------------------------------------------------------
     residual = float(np.sum(np.abs(A @ v_c + c)))
     allowed = config.r_v * min(c_l1, norm_vc**3)
-    # the rounding floor compute_vc certifies against: a 2-norm bound on a 1-norm
-    normal_floor = math.sqrt(len(c)) * rounding_bound(fact, norm_vc, float(np.linalg.norm(c)))
+    # the rounding floor compute_vc certifies against
+    normal_floor = rounding_bound_l1(fact, norm_vc, float(np.linalg.norm(c)))
     if residual > allowed + slack(c_l1) + normal_floor:
         flag("normal_residual", residual, allowed,
              "normal-step residual certificate violated")
@@ -214,9 +215,12 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
         if w_null > slack(norm_w):
             flag("correction_range", w_null, 0.0,
                  "correction has a null-space component")
+        norm_c_trial = float(np.linalg.norm(c_trial))
         corr_residual = float(np.linalg.norm(A @ w + c_trial))
         corr_allowed = config.r_w * norm_d**3
-        if corr_residual > corr_allowed + slack(float(np.linalg.norm(c_trial))):
+        # the rounding floor compute_correction certifies against
+        corr_floor = rounding_bound(fact, norm_w, norm_c_trial)
+        if corr_residual > corr_allowed + slack(norm_c_trial) + corr_floor:
             flag("correction_residual", corr_residual, corr_allowed,
                  "correction residual certificate violated")
         if abs(beta - 1.0) > TOLERANCE:

@@ -1,11 +1,11 @@
 """Outer loop: step assembly, acceptance, penalty and weight updates.
 
 At each new iterate the solver completes the point with its derivatives,
-factorizes the Jacobian, estimates multipliers, forms the Lagrangian Hessian
-H and one ``ReducedHessian`` of Z^T H Z, whose lam_min the stationarity test
-reads; none of that depends on sigma, so it is done once per distinct iterate
-and reused after an unsuccessful step.  Each iteration then builds the normal
-step v = beta v_c toward the linearized constraints, solves the cubic model of
+factorizes the Jacobian, estimates multipliers, computes the full normal step
+v_c, forms the Lagrangian Hessian H and one ``ReducedHessian`` of Z^T H Z,
+whose lam_min the stationarity test reads; none of that depends on sigma, so
+it is done once per distinct iterate and reused after an unsuccessful step.
+Each iteration then scales v = beta v_c, solves the cubic model of
 g_red = Z^T (g + H v) and sigma on that reduced Hessian, and sets u = Z p.
 The composite d = v + u is accepted when the achieved l1-merit decrease
 covers at least eta1 of the predicted decrease.  One step test scores the
@@ -36,12 +36,10 @@ from typing import Optional
 import numpy as np
 
 from . import merit
-from .correction import compute_correction, in_correction_region
 from .errors import (ConfigError, NonFiniteValue, NonpositivePredictedReduction,
                      RankDeficient, ResidualConditionUnmet, SecularSolveFailed)
-from .linalg import (FactorizedJacobian, estimate_multipliers, factorize_jacobian,
-                     reduce_matrix)
-from .normal_step import compute_vc, select_beta
+from .linalg import (FactorizedJacobian, compute_correction, compute_vc,
+                     estimate_multipliers, factorize_jacobian, reduce_matrix)
 from .problems import (EvalPoint, Problem, TrialPoint, complete_point,
                        evaluate_trial, lagrangian_hessian)
 from .tangential import ReducedHessian, solve_cubic
@@ -210,6 +208,24 @@ def update_sigma(sigma: float, classification: str, config: SolverConfig) -> flo
     return config.gamma1 * sigma
 
 
+def select_beta(norm_vc: float, sigma: float) -> float:
+    """Largest admissible scaling: min(1, 1/(|v_c| sqrt(sigma))).
+
+    The admissible interval is [min(1, theta/(|v_c| sqrt(sigma))), that same
+    expression with theta = 1]; taking the upper endpoint keeps |v| at the
+    1/sqrt(sigma) cap whenever the full step would overshoot it.  theta
+    (``SolverConfig.theta``) only bounds the interval the auditor checks.
+    """
+    if norm_vc == 0.0:
+        return 1.0
+    return min(1.0, 1.0 / (norm_vc * math.sqrt(sigma)))
+
+
+def in_correction_region(norm_vc: float, sigma: float, zeta: float) -> bool:
+    """Whether the iterate qualifies for a correction attempt."""
+    return norm_vc <= zeta / math.sqrt(sigma)
+
+
 def check_stationarity(grad_lagrangian_norm: float, c_l1: float,
                        lambda_min_red: float, config: SolverConfig) -> StationarityReport:
     fosp = grad_lagrangian_norm <= config.eps_g and c_l1 <= config.eps_c
@@ -232,21 +248,24 @@ class _Iterate:
     point: EvalPoint
     fact: FactorizedJacobian
     lam: Array
+    v_c: Array
+    norm_vc: float
     H: Array
     hessian: ReducedHessian  # Z^T H Z, shared by every cubic model at the iterate
     report: StationarityReport
 
 
 def _at_iterate(problem: Problem, at: TrialPoint, config: SolverConfig) -> _Iterate:
-    """Derivatives, factorization, multipliers and the reduced Hessian at ``at``."""
+    """Derivatives, factorization, multipliers, v_c and the reduced Hessian at ``at``."""
     point = complete_point(problem, at)
     fact = factorize_jacobian(point.A, config.rank_tol)
     lam = estimate_multipliers(fact, point.g)
+    v_c, norm_vc = compute_vc(fact, point.c, config.r_v)
     H = lagrangian_hessian(point, lam)
     grad_l_norm = float(np.linalg.norm(point.g + point.A.T @ lam))
     hessian = ReducedHessian(reduce_matrix(fact, H))
     report = check_stationarity(grad_l_norm, point.c_l1, hessian.lam_min, config)
-    return _Iterate(point, fact, lam, H, hessian, report)
+    return _Iterate(point, fact, lam, v_c, norm_vc, H, hessian, report)
 
 
 def _score(problem: Problem, y: Array, phi_x: float, mu: float,
@@ -290,9 +309,8 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
                 status = CONVERGED_FOSP if report.fosp else MAX_ITERATIONS
                 message = f"stopped after {config.max_iter} iterations"
                 break
-            point, fact, H = it.point, it.fact, it.H
+            point, fact, H, v_c, norm_vc = it.point, it.fact, it.H, it.v_c, it.norm_vc
 
-            v_c, norm_vc = compute_vc(fact, point.c, config.r_v)
             beta = select_beta(norm_vc, sigma)
             v = beta * v_c
             tang = solve_cubic(it.hessian, fact.Z.T @ (point.g + H @ v), sigma, config.delta)

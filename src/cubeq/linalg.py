@@ -1,20 +1,23 @@
-"""The constraint Jacobian's factorization, its solves and their rounding.
+"""The constraint Jacobian's factorization, its solves and their certificates.
 
 This module alone knows that A is factorized by one full SVD (m < n).  The
 trailing n - m right singular vectors give an orthonormal null-space basis Z:
 tangential quantities live in Z-coordinates.  Other modules see Z and the
-singular values, never U or V; every minimum-norm solve in range(A^T) (normal
-step, correction, least-squares multipliers) happens here, as does the
-rounding bound that certifies the first two.  Dense LAPACK only.
+singular values, never U or V.  Every minimum-norm solve in range(A^T) happens
+here: the multipliers, the normal step v_c (A v = -c) and the correction w
+(A w = -c(x + d)).  The last two certify their residuals against the paper's
+allowance plus a rounding floor written once, here, which the audit's check
+of the same residual calls too.  Dense LAPACK only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient
+from .errors import RankDeficient, ResidualConditionUnmet
 
 Array = np.ndarray
 
@@ -87,6 +90,50 @@ def rounding_bound(fact: FactorizedJacobian, norm_v: float, norm_rhs: float) -> 
     """
     return _ROUNDING_KAPPA * np.finfo(float).eps * (
         fact.largest_singular_value * norm_v + norm_rhs)
+
+
+def rounding_bound_l1(fact: FactorizedJacobian, norm_v: float, norm_rhs: float) -> float:
+    """The rounding floor of the 1-norm |A v + rhs|_1: sqrt(m) times ``rounding_bound``."""
+    return math.sqrt(len(fact.singular_values)) * rounding_bound(fact, norm_v, norm_rhs)
+
+
+def compute_vc(fact: FactorizedJacobian, c, r_v: float) -> tuple:
+    """Return (v_c, |v_c|) with the inexactness certificate enforced.
+
+    The solve is exact, so any r_v >= 0 (``SolverConfig.r_v``) only widens
+    the allowance.  A zero constraint vector short-circuits to a zero step.
+    """
+    c_l1 = float(np.sum(np.abs(c)))
+    if c_l1 == 0.0:
+        return np.zeros(fact.A.shape[1]), 0.0
+    v_c = range_least_squares(fact, c)
+    residual = float(np.sum(np.abs(fact.A @ v_c + c)))
+    norm_vc = float(np.linalg.norm(v_c))
+    allowed = (r_v * min(c_l1, norm_vc**3)
+               + rounding_bound_l1(fact, norm_vc, float(np.linalg.norm(c))))
+    if residual > allowed:
+        raise ResidualConditionUnmet(
+            f"normal-step residual {residual:.3e} exceeds certificate {allowed:.3e}"
+        )
+    return v_c, norm_vc
+
+
+def compute_correction(fact: FactorizedJacobian, c_trial, r_w: float,
+                       norm_d: float) -> Array:
+    """Correction step w in range(A^T) with |A w + c_trial| <= r_w |d|^3.
+
+    The solve is exact, so the certificate check, with ``SolverConfig.r_w``
+    and the trial step's |d|, is defensive.
+    """
+    w = range_least_squares(fact, c_trial)
+    residual = float(np.linalg.norm(fact.A @ w + c_trial))
+    allowed = r_w * norm_d**3 + rounding_bound(fact, float(np.linalg.norm(w)),
+                                               float(np.linalg.norm(c_trial)))
+    if residual > allowed:
+        raise ResidualConditionUnmet(
+            f"correction residual {residual:.3e} exceeds certificate {allowed:.3e}"
+        )
+    return w
 
 
 def reduce_matrix(fact: FactorizedJacobian, M) -> Array:

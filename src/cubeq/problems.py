@@ -18,7 +18,7 @@ closed form exists, the optimal primal/dual pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

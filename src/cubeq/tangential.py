@@ -33,10 +33,11 @@ case g_red is (numerically) orthogonal to the leftmost eigenspace, the
 secular curve never reaches the diagonal, and r stays at r_floor with an
 eigenvector component padding |p| = r.
 
-The returned solution certifies three properties the rest of the solver
-relies on: it decreases the model at least as much as the exact Cauchy point
-(steepest descent on the model), its model gradient is far below the
-delta * sigma * |u|^2 budget, and lam_min(H_red) >= -sigma |u|.
+The global minimizer has three properties the rest of the method relies
+on: or1, it decreases the model at least as much as the exact Cauchy point
+(steepest descent on the model); or2, its model gradient is within the
+delta * sigma * |u|^2 budget; or3, lam_min(H_red) >= -sigma |u|.  The solver
+enforces or2 (``SecularSolveFailed`` otherwise); the audit checks all three.
 """
 
 from __future__ import annotations
@@ -146,7 +147,6 @@ class ReducedHessian:
 class OracleSolution:
     p: Array  # reduced coordinates; the step is Z p
     delta_m: float  # m(0) - m(p)
-    cauchy_delta_m: float
     grad_model_norm: float  # |g_red + H_red p + sigma |p| p|
 
 
@@ -154,23 +154,6 @@ def model_decrease(H_red, g_red, sigma, p) -> float:
     """m(0) - m(p); positive when p improves the model."""
     r = _norm(p)
     return -float(g_red @ p + 0.5 * p @ H_red @ p + sigma / 3.0 * r**3)
-
-
-def cauchy_point(H_red, g_red, sigma) -> tuple:
-    """Exact minimizer of the model along -g_red: returns (alpha, decrease).
-
-    phi(a) = m(-a g_red) has derivative -gn^2 + a gHg + sigma a^2 gn^3,
-    a positive quadratic in a with negative value at 0, so the unique
-    positive root is the global minimizer over a >= 0.
-    """
-    gn = _norm(g_red)
-    if gn == 0.0:
-        return 0.0, 0.0
-    gHg = float(g_red @ H_red @ g_red)
-    a_coef = sigma * gn**3
-    alpha = (-gHg + math.sqrt(gHg**2 + 4.0 * a_coef * gn**2)) / (2.0 * a_coef)
-    decrease = alpha * gn**2 - 0.5 * alpha**2 * gHg - sigma / 3.0 * alpha**3 * gn**3
-    return float(alpha), float(decrease)
 
 
 def _moments(d, e, q):
@@ -326,14 +309,12 @@ def _eigenbasis_step(lam, Q, g_red, sigma, lam_min, gnorm) -> Array:
 
 def solve_cubic(hessian: ReducedHessian, g_red, sigma: float,
                 delta: float) -> OracleSolution:
-    """Global minimizer of the cubic model of ``g_red`` and ``sigma`` on ``hessian``.
+    """Global minimizer of the cubic model of ``g_red`` and ``sigma`` > 0 on ``hessian``.
 
     ``delta`` (``SolverConfig.delta``) is the model-gradient budget of the
     acceptance test |grad m(u)| <= delta sigma |u|^2; the exact solve lands
     far inside it, and the value is only used for a defensive post-check.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
     gnorm = _norm(g_red)
     p = None
     if not hessian.eigh_at_hand and gnorm > 0.0:
@@ -343,7 +324,6 @@ def solve_cubic(hessian: ReducedHessian, g_red, sigma: float,
 
     radius = _norm(p)
     grad = g_red + hessian.matrix @ p + sigma * radius * p
-    _, cauchy_dec = cauchy_point(hessian.matrix, g_red, sigma)
     dec = model_decrease(hessian.matrix, g_red, sigma, p)
 
     grad_norm = _norm(grad)
@@ -353,5 +333,4 @@ def solve_cubic(hessian: ReducedHessian, g_red, sigma: float,
             f"{delta * sigma * radius**2:.3e} after secular solve"
         )
 
-    return OracleSolution(p=p, delta_m=dec, cauchy_delta_m=cauchy_dec,
-                          grad_model_norm=grad_norm)
+    return OracleSolution(p=p, delta_m=dec, grad_model_norm=grad_norm)

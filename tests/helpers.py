@@ -1,7 +1,8 @@
-"""Shared test utilities: literal models, a brute-force subproblem oracle and
-record surgery."""
+"""Shared test utilities: literal models, the Cauchy point, a brute-force
+subproblem oracle and record surgery."""
 
 import dataclasses
+import math
 
 import numpy as np
 from scipy import optimize
@@ -21,6 +22,23 @@ def model_q(f, g, H, c, A, d, sigma, mu) -> float:
     nd = float(np.linalg.norm(d))
     return (float(f) + float(g @ d) + 0.5 * float(d @ H @ d)
             + sigma / 3.0 * nd**3 + mu * float(np.sum(np.abs(lin))))
+
+
+def cauchy_point(H_red, g_red, sigma) -> tuple:
+    """Exact minimizer of the model along -g_red: returns (alpha, decrease).
+
+    phi(a) = m(-a g_red) has derivative -gn^2 + a gHg + sigma a^2 gn^3,
+    a positive quadratic in a with negative value at 0, so the unique
+    positive root is the global minimizer over a >= 0.
+    """
+    gn = float(np.linalg.norm(g_red))
+    if gn == 0.0:
+        return 0.0, 0.0
+    gHg = float(g_red @ H_red @ g_red)
+    a_coef = sigma * gn**3
+    alpha = (-gHg + math.sqrt(gHg**2 + 4.0 * a_coef * gn**2)) / (2.0 * a_coef)
+    decrease = alpha * gn**2 - 0.5 * alpha**2 * gHg - sigma / 3.0 * alpha**3 * gn**3
+    return float(alpha), float(decrease)
 
 
 def model_gradient(g, H, sigma, p):

@@ -3,7 +3,8 @@
 The normal step and the correction check |A v + rhs| against the paper's
 allowance plus ``linalg.rounding_bound``.  An exact solve must pass on any
 Jacobian the factorization accepts, however ill-conditioned; a solve that is
-wrong well above rounding must not.
+wrong well above rounding must not.  The audit's check of the same residual
+allows the same floor.
 """
 
 import numpy as np
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeq import correction, normal_step
-from cubeq.correction import compute_correction
+from cubeq import linalg
+from cubeq.diagnostics import audit_run
+from cubeq.driver import SolverConfig, solve
 from cubeq.errors import ResidualConditionUnmet
-from cubeq.linalg import factorize_jacobian, rounding_bound
-from cubeq.normal_step import compute_vc
+from cubeq.linalg import compute_correction, compute_vc, factorize_jacobian, rounding_bound
+from cubeq.problems import Problem
+from helpers import perturb
 
 
 def _jacobian(rng, m, n, singular_values):
@@ -50,13 +53,13 @@ def test_exact_solves_pass_their_certificates(system):
     compute_correction(fact, c, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("module, certify", [
-    (normal_step, lambda fact, c: compute_vc(fact, c, 0.0)),
-    (correction, lambda fact, c: compute_correction(fact, c, 0.0, 0.0)),
-])
-def test_solve_off_by_1e8_relative_is_caught(monkeypatch, module, certify):
-    exact = module.range_least_squares
-    monkeypatch.setattr(module, "range_least_squares",
+@pytest.mark.parametrize("certify", [
+    lambda fact, c: compute_vc(fact, c, 0.0),
+    lambda fact, c: compute_correction(fact, c, 0.0, 0.0),
+], ids=["compute_vc", "compute_correction"])
+def test_solve_off_by_1e8_relative_is_caught(monkeypatch, certify):
+    exact = linalg.range_least_squares
+    monkeypatch.setattr(linalg, "range_least_squares",
                         lambda fact, rhs: (1.0 + 1e-8) * exact(fact, rhs))
     rng = np.random.default_rng(3)
     for m, n in [(1, 3), (2, 5), (4, 9)]:
@@ -78,3 +81,27 @@ def test_tighter_than_a_fixed_slack_when_well_conditioned():
         bound = rounding_bound(fact, np.linalg.norm(v), np.linalg.norm(c))
         assert np.sqrt(m) * bound < 1e-11 * max(1.0, np.sum(np.abs(c)))
         assert bound < 1e-11 * max(1.0, np.linalg.norm(c))
+
+
+def test_audit_allows_the_rounding_of_an_exact_correction():
+    """At cond(A) = 1e9 and |c(x + d)| >= 1 an exact correction's residual
+    exceeds 1e-9 |c(x + d)|; the audit allows the floor the solver certifies."""
+    rng = np.random.default_rng(0)
+    m, n = 4, 8
+    A = _jacobian(rng, m, n, np.logspace(0.0, -9.0, m))
+    b = 10.0 * rng.standard_normal(m)
+    problem = Problem(name="ill_conditioned_linear", n=n, m=m,
+                      objective=lambda x: 0.5 * x @ x, gradient=lambda x: x,
+                      objective_hessian=lambda x: np.eye(n),
+                      constraints=lambda x: A @ x - b, jacobian=lambda x: A,
+                      constraint_hessians=lambda x: [np.zeros((n, n))] * m,
+                      default_start=np.zeros(n))
+    config = SolverConfig(max_iter=1)
+    record = solve(problem, config=config).history[0]
+    c_trial = problem.constraints(record.x + record.v + record.u)
+    w = compute_correction(factorize_jacobian(A), c_trial, 0.0, 0.0)
+    residual = np.linalg.norm(A @ w + c_trial)
+    assert np.linalg.norm(c_trial) >= 1.0
+    assert residual > 1e-9 * np.linalg.norm(c_trial)  # beyond the tolerance alone
+    violations = audit_run(problem, [perturb(record, w=w)], config)
+    assert "correction_residual" not in {v.code for v in violations}

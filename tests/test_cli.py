@@ -64,6 +64,16 @@ class TestSolve:
                       "--set", "eta1=0.0")
         assert result.exit_code == EXIT_CONFIG
 
+    def test_override_without_equals(self):
+        result = _run("solve", "--problem", "circle_quadratic", "--set", "eta1")
+        assert result.exit_code == EXIT_CONFIG
+        assert "KEY=VALUE" in result.output
+
+    def test_non_numeric_start_point(self):
+        result = _run("solve", "--problem", "circle_quadratic", "--x0", "1,a")
+        assert result.exit_code == EXIT_CONFIG
+        assert "comma-separated float list" in result.output
+
     def test_budget_exhaustion_exit_code(self):
         result = _run("solve", "--problem", "rosenbrock_sphere",
                       "--max-iter", "2")
@@ -73,6 +83,17 @@ class TestSolve:
     def test_live_audit_clean(self):
         result = _run("solve", "--problem", "circle_quadratic", "--audit")
         assert result.exit_code == 0
+
+    def test_audit_violation_exits_16(self, monkeypatch):
+        violation = Violation(code="sigma_update", message="synthetic", value=2.0,
+                              bound=1.0, k=0)
+        monkeypatch.setattr(diagnostics, "audit_run",
+                            lambda problem, records, config: [violation])
+        result = _run("solve", "--problem", "circle_quadratic", "--audit")
+        assert result.exit_code == EXIT_VIOLATIONS
+        assert "status=converged_sosp" in result.output
+        assert ("violation k=0 sigma_update: value=2 bound=1 (synthetic)"
+                in result.output.splitlines())
 
 
 class TestConfigFlags:
@@ -224,3 +245,8 @@ class TestSweep:
         result = _run("sweep", "--problem", "circle_quadratic",
                       "--sweep", "1e-2,banana")
         assert result.exit_code == EXIT_CONFIG
+
+    def test_empty_sweep_list(self):
+        result = _run("sweep", "--problem", "circle_quadratic", "--sweep", ",")
+        assert result.exit_code == EXIT_CONFIG
+        assert "at least one tolerance" in result.output

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from cubeq.correction import compute_correction, in_correction_region
-from cubeq.driver import SolverConfig, solve
-from cubeq.linalg import factorize_jacobian
+from cubeq.driver import SolverConfig, in_correction_region, solve
+from cubeq.linalg import compute_correction, factorize_jacobian
 from cubeq.problems import builtin_problem
 
 

@@ -511,7 +511,7 @@ class TestBeyondCatalog:
 
 class TestEvaluationEconomy:
     def test_work_once_per_iterate(self, monkeypatch):
-        """Derivatives and one ReducedHessian per distinct iterate, no eigh;
+        """Derivatives, v_c and one ReducedHessian per distinct iterate, no eigh;
         f and c per point."""
         base = builtin_problem("maratos")
         calls = dict.fromkeys(("objective", "gradient", "objective_hessian",
@@ -526,8 +526,8 @@ class TestEvaluationEconomy:
             return callback
 
         problem = dataclasses.replace(base, **{kind: counted(kind) for kind in calls})
-        reductions, eigh_calls = [], []
-        eigh = np.linalg.eigh
+        reductions, eigh_calls, vc_calls = [], [], []
+        eigh, compute_vc = np.linalg.eigh, driver.compute_vc
 
         def counted_reduction(H_red):
             reductions.append(1)
@@ -537,7 +537,12 @@ class TestEvaluationEconomy:
             eigh_calls.append(1)
             return eigh(*args, **kwargs)
 
+        def counted_vc(*args):
+            vc_calls.append(1)
+            return compute_vc(*args)
+
         monkeypatch.setattr(driver, "ReducedHessian", counted_reduction)
+        monkeypatch.setattr(driver, "compute_vc", counted_vc)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         # from this start the run both corrects and rejects steps
         result = solve(problem, x0=[0.0, 1.0], config=SolverConfig(sigma0=0.1))
@@ -552,5 +557,5 @@ class TestEvaluationEconomy:
         assert calls["objective"] == calls["constraints"] == points
         for kind in ("gradient", "jacobian", "objective_hessian", "constraint_hessians"):
             assert calls[kind] == iterates, kind
-        assert len(reductions) == iterates
+        assert len(reductions) == len(vc_calls) == iterates
         assert eigh_calls == []  # the eigenbasis fallback never ran

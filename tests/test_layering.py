@@ -1,4 +1,5 @@
-"""The package's modules import each other along an acyclic graph."""
+"""The package's modules import each other along an acyclic graph, and
+every top-level definition is used by the package or exported by it."""
 
 import ast
 import graphlib
@@ -31,3 +32,32 @@ def test_intra_package_imports_are_acyclic():
              for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
     assert graph["cli"] >= {"diagnostics", "driver"}  # the parser sees the imports
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def _is_click_command(node):
+    """Whether a decorator such as ``@main.command("solve")`` registers ``node``."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def _names_used(tree):
+    """Names read and attributes taken anywhere in ``tree``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    """A function or class that only tests call is code the package does not need."""
+    statements = [(path.stem, node, _names_used(node)) for path in PACKAGE.glob("*.py")
+                  for node in ast.parse(path.read_text()).body]
+    unused = [f"{module}.{node.name}" for module, node, _ in statements
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not _is_click_command(node) and node.name not in cubeq.__all__
+              and not any(node.name in names for _, other, names in statements
+                          if other is not node)]
+    assert unused == []

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cubeq.linalg import factorize_jacobian
-from cubeq.normal_step import compute_vc, select_beta
+from cubeq.driver import select_beta
+from cubeq.linalg import compute_vc, factorize_jacobian
 
 
 def _random_system(rng, m, n):

@@ -1,5 +1,7 @@
 """Catalog well-formedness, point evaluation, and the Lagrangian Hessian."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,17 @@ class TestEvaluate:
             default_start=p.default_start,
         )
         with pytest.raises(ValueError, match="jacobian"):
+            evaluate(bad, bad.default_start)
+
+    @pytest.mark.parametrize("kind, value, message", [
+        ("gradient", np.zeros(3), "gradient"),
+        ("objective_hessian", np.zeros((2, 3)), "objective hessian"),
+        ("constraint_hessians", [np.zeros((2, 2))] * 2, "constraint hessians"),
+    ])
+    def test_wrong_derivative_shape(self, kind, value, message):
+        bad = dataclasses.replace(builtin_problem("circle_quadratic"),
+                                  **{kind: lambda x: value})
+        with pytest.raises(ValueError, match=message):
             evaluate(bad, bad.default_start)
 
     def test_m_must_be_below_n(self):

@@ -164,6 +164,20 @@ class TestStrictParsing:
         with pytest.raises(TraceError):
             read_trace(path)
 
+    def test_no_header_at_all(self, tmp_path):
+        path, _, _ = _write_run(tmp_path)
+        path.write_text(self._lines(path)[-1] + "\n")  # the footer alone
+        with pytest.raises(TraceError, match="no header"):
+            read_trace(path)
+
+    def test_line_that_is_not_an_object(self, tmp_path):
+        path, _, _ = _write_run(tmp_path)
+        lines = self._lines(path)
+        lines.insert(1, "[1, 2]")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match="line 2: expected an object"):
+            read_trace(path)
+
     def test_duplicate_header(self, tmp_path):
         path, _, _ = _write_run(tmp_path)
         lines = self._lines(path)
