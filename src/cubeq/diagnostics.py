@@ -5,18 +5,15 @@ method from first principles — residual certificates with the solver's own
 rounding floors, the beta interval, the tangential-step properties or1-or3,
 the step-size and decrease floors, the merit-reduction bound, subspace
 memberships, and the legality of the sigma update — and reports violations
-as data rather than raising; it only reads its context.  ``audit_run`` is
-the only way to audit a run, called beside ``solve`` on the finished history
-or on the records of a trace read back; the solver never calls it.  It is
-the one loop over a run's records: it rebuilds one context per group of
-consecutive records at the same x and multipliers (bit for bit), from the
-record and the problem callbacks alone, and evaluates c(x + d) for each
-record with a correction.  An exception while one record is audited is an
-``audit_error`` violation there.
-
-All hard checks share one relative tolerance (1e-9) on top of those floors;
-each violation carries a stable code so tests can assert that a deliberately
-perturbed quantity trips exactly the check it should.
+as data, each with a stable code and all with one relative tolerance (1e-9)
+on top of those floors; it only reads its context.  The checks on |H|_2 and
+lambda_min(Z^T H Z) first try max |H_ii| and a Cholesky, algorithms the
+solver does not use; ``eigvalsh`` runs only where those do not pass.
+``audit_run``, beside ``solve``, is the one loop over a run's records: it
+rebuilds one context per group of consecutive records at the same x and
+multipliers (bit for bit) from the callbacks, evaluates c(x + d) for each
+record with a correction, and reports an exception while one record is
+audited as an ``audit_error`` violation there.
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -38,6 +36,7 @@ from .problems import EvalPoint, Problem, evaluate, evaluate_trial, lagrangian_h
 Array = np.ndarray
 
 TOLERANCE = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -51,13 +50,36 @@ class Violation:
 
 @dataclass
 class AuditContext:
-    """Quantities recomputed at one iterate, which the per-iteration checks run against."""
+    """What the checks run against at one iterate; |H|_2 and lambda_min(Z^T H Z) on first need."""
 
     point: EvalPoint
     fact: FactorizedJacobian
     H: Array
-    norm_H: float  # |H|_2
-    lam_min_red: float  # smallest eigenvalue of Z^T H Z
+    H_red: Array  # Z^T H Z
+
+    @cached_property
+    def norm_H(self) -> float:  # |H|_2
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.H))))
+
+    @cached_property
+    def lam_min_red(self) -> float:  # smallest eigenvalue of Z^T H Z
+        return float(np.linalg.eigvalsh(self.H_red)[0])
+
+
+def clears_floor(M: Array, floor: float) -> bool:
+    """True when a Cholesky of M - t I (shifted in place, then restored) proves that
+    lambda_min(M) >= floor; t - floor covers its backward error (Higham, ch. 10) and eigvalsh's."""
+    k = len(M)
+    diagonal = M.diagonal().copy()
+    t = floor + k * (k + 1) * _EPS * (math.sqrt(np.vdot(M, M)) + k**0.5 * abs(floor))
+    M.flat[::k + 1] -= t
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        M.flat[::k + 1] = diagonal
+    return math.isfinite(t)
 
 
 def rebuild_context(problem: Problem, record: IterationRecord,
@@ -69,10 +91,8 @@ def rebuild_context(problem: Problem, record: IterationRecord,
     """
     point = evaluate(problem, record.x)
     fact = factorize_jacobian(point.A, rank_tol)
-    H = lagrangian_hessian(point, record.lam)  # exactly symmetric, for eigvalsh
-    return AuditContext(point=point, fact=fact, H=H,
-                        norm_H=float(np.max(np.abs(np.linalg.eigvalsh(H)))),
-                        lam_min_red=float(np.linalg.eigvalsh(reduce_matrix(fact, H))[0]))
+    H = lagrangian_hessian(point, record.lam)
+    return AuditContext(point=point, fact=fact, H=H, H_red=reduce_matrix(fact, H))
 
 
 def audit_iteration(record: IterationRecord, context: AuditContext,
@@ -85,8 +105,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     out: list = []
 
     def flag(code, value, bound, message):
-        out.append(Violation(code=code, message=message, value=float(value),
-                             bound=float(bound), k=record.k))
+        out.append(Violation(code, message, float(value), float(bound), record.k))
 
     point, fact, H = context.point, context.fact, context.H
     A, Z = fact.A, fact.Z
@@ -97,7 +116,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     norm_vc = float(np.linalg.norm(v_c))
     norm_u = float(np.linalg.norm(u))
     norm_d = float(np.linalg.norm(d))
-    norm_A, norm_H = fact.largest_singular_value, context.norm_H
+    norm_A = fact.largest_singular_value
 
     def slack(*vals):
         return TOLERANCE * max(1.0, *[abs(float(x)) for x in vals])
@@ -172,25 +191,32 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
         flag("or2_model_gradient", grad_norm, grad_budget,
              "model gradient at the tangential step exceeds its budget")
 
-    lam_min = context.lam_min_red
     curv_floor = -sigma * norm_u
-    if min(lam_min, 0.0) < curv_floor - slack(curv_floor, lam_min):
-        flag("or3_curvature", lam_min, curv_floor,
-             "reduced curvature below -sigma |u|")
+    if not clears_floor(context.H_red, curv_floor - slack(curv_floor)):
+        lam_min = context.lam_min_red
+        if min(lam_min, 0.0) < curv_floor - slack(curv_floor, lam_min):
+            flag("or3_curvature", lam_min, curv_floor, "reduced curvature below -sigma |u|")
 
     tangency = float(np.linalg.norm(A @ u))
     if tangency > slack(norm_A * norm_u):
         flag("tangential_nullspace", tangency, 0.0,
              "tangential step leaves the constraint null space")
 
-    size_bound = 3.0 * max(norm_H / sigma, math.sqrt(gn_red / sigma))
-    if norm_u > size_bound + slack(size_bound):
+    # |H|_2 only loosens both checks: what passes with max |H_ii| <= |H|_2 passes with it.
+    norm_H = float(np.abs(H.diagonal()).max())
+    for exact in (False, True):
+        size_bound = 3.0 * max(norm_H / sigma, math.sqrt(gn_red / sigma))
+        gradient_floor = 0.3 * gn_red * min(gn_red / (1.0 + norm_H), math.sqrt(gn_red / sigma))
+        size_trips = norm_u > size_bound + slack(size_bound)
+        gradient_trips = delta_m < gradient_floor - slack(gradient_floor, delta_m)
+        if exact or not (size_trips or gradient_trips):
+            break
+        norm_H = context.norm_H
+    if size_trips:
         flag("tangential_size", norm_u, size_bound,
              "|u| exceeds 3 max(|H|/sigma, sqrt(|g_red|/sigma))")
 
-    gradient_floor = 0.3 * gn_red * min(gn_red / (1.0 + norm_H),
-                                        math.sqrt(gn_red / sigma))
-    if delta_m < gradient_floor - slack(gradient_floor, delta_m):
+    if gradient_trips:
         flag("decrease_vs_gradient", delta_m, gradient_floor,
              "model decrease below its gradient-based floor")
 
@@ -204,8 +230,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     merit_floor = delta_m + config.tau * mu * beta * c_l1
     if delta_q < merit_floor - slack(delta_q):
         flag("merit_reduction_bound", delta_q, merit_floor,
-             "predicted merit reduction below tangential decrease plus "
-             "feasibility margin")
+             "predicted merit reduction below tangential decrease plus feasibility margin")
 
     # --- correction --------------------------------------------------------
     if record.correction_computed:

@@ -1,14 +1,19 @@
 """Invariant auditing, derivative checks, and rate estimation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeq import diagnostics
-from cubeq.diagnostics import audit_run, convergence_rate, finite_difference_check
+from cubeq.diagnostics import (TOLERANCE, audit_run, clears_floor, convergence_rate,
+                               finite_difference_check, rebuild_context)
 from cubeq.driver import SolverConfig, solve
 from cubeq.errors import InsufficientHistory
-from cubeq.linalg import factorize_jacobian
-from cubeq.problems import Problem, builtin_problem
+from cubeq.linalg import factorize_jacobian, reduce_matrix
+from cubeq.problems import Problem, builtin_problem, evaluate, lagrangian_hessian
 from cubeq.trace_io import read_trace, write_trace
 from helpers import perturb
 
@@ -55,6 +60,39 @@ TAMPERED = [
     ("beta_interval", "saddle_escape", 0,
      lambda r, z1, a1: {"beta": 0.5}, {"beta_interval", "correction_beta_one"}),
 ]
+
+
+SPECTRAL_CODES = ("or3_curvature", "tangential_size", "decrease_vs_gradient")
+
+
+def _spectral_magnitudes(problem, record, rank_tol):
+    """(value, bound) of each check in SPECTRAL_CODES, with |H|_2 and
+    lambda_min(Z^T H Z) from eigvalsh."""
+    point = evaluate(problem, record.x)
+    fact = factorize_jacobian(point.A, rank_tol)
+    H = lagrangian_hessian(point, record.lam)
+    norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))
+    lam_min = float(np.linalg.eigvalsh(reduce_matrix(fact, H))[0])
+    g_shift = point.g + H @ record.v
+    gn = float(np.linalg.norm(fact.Z.T @ g_shift))
+    u, sigma = record.u, record.sigma
+    norm_u = float(np.linalg.norm(u))
+    delta_m = -(float(g_shift @ u) + 0.5 * float(u @ H @ u) + sigma / 3.0 * norm_u**3)
+    return {
+        "or3_curvature": (lam_min, -sigma * norm_u),
+        "tangential_size": (norm_u, 3.0 * max(norm_H / sigma, math.sqrt(gn / sigma))),
+        "decrease_vs_gradient": (delta_m, 0.3 * gn * min(gn / (1.0 + norm_H),
+                                                         math.sqrt(gn / sigma))),
+    }
+
+
+def _assert_spectral_magnitudes(violations, problem, record, rank_tol):
+    expected = _spectral_magnitudes(problem, record, rank_tol)
+    for v in violations:
+        if v.code in expected:
+            value, bound = expected[v.code]
+            assert v.value == pytest.approx(value, rel=1e-12, abs=1e-15), v.code
+            assert v.bound == pytest.approx(bound, rel=1e-12, abs=1e-15), v.code
 
 
 class TestCleanRuns:
@@ -119,6 +157,7 @@ class TestTamperedRecords:
         assert code in codes
         assert {v.code for v in violations if v.k == k} == codes
         assert all(v.k == k for v in violations)
+        _assert_spectral_magnitudes(violations, problem, records[k], config.rank_tol)
 
     def test_violation_carries_magnitudes(self):
         violations = self._audit_with("circle_quadratic", 0, beta=0.5)
@@ -126,6 +165,129 @@ class TestTamperedRecords:
         assert v.k == 0
         assert v.value != v.bound
         assert "beta" in v.message
+
+
+def _bilinear_on_sphere():
+    """min x1 x2 on the unit sphere of R^3, from near the saddle at the pole.
+
+    The start's multiplier is 0, so H there has a zero diagonal and |H|_2 = 1:
+    the lower bound max |H_ii| = 0 is as weak as it gets.
+    """
+    bilinear = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    return Problem(
+        name="bilinear_on_sphere", n=3, m=1,
+        objective=lambda x: float(x[0] * x[1]),
+        gradient=lambda x: bilinear @ x,
+        objective_hessian=lambda x: bilinear,
+        constraints=lambda x: np.array([x @ x - 1.0]),
+        jacobian=lambda x: 2.0 * x[None, :],
+        constraint_hessians=lambda x: [2.0 * np.eye(3)],
+        default_start=np.array([1e-3, 0.0, math.sqrt(1.0 - 1e-6)]),
+    )
+
+
+class TestSpectralFallbacks:
+    """The checks that read |H|_2 or lambda_min(Z^T H Z) report what the exact
+    values decide, also where the cheap test cannot decide."""
+
+    def _run(self):
+        problem = _bilinear_on_sphere()
+        config = SolverConfig()
+        return problem, config, list(solve(problem, config=config).history)
+
+    def test_norm_bound_that_trips_falls_back_to_the_exact_norm(self, monkeypatch):
+        problem, config, records = self._run()
+        context = rebuild_context(problem, records[0], config.rank_tol)
+        assert np.all(np.diagonal(context.H) == 0.0)
+        assert context.norm_H == pytest.approx(1.0)
+        # with |H| = 0 the size bound is 3 sqrt(|g_red| / sigma), which |u| exceeds
+        gn_red = float(np.linalg.norm(context.fact.Z.T @ context.point.g))
+        assert np.linalg.norm(records[0].u) > 6.0 * math.sqrt(gn_red / records[0].sigma)
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(M):
+            sizes.append(len(M))
+            return eigvalsh(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert audit_run(problem, records, config) == []
+        assert sizes.count(problem.n) >= 1  # |H|_2 was computed, at k = 0 at least
+
+    @pytest.mark.parametrize("scale, codes", [
+        (0.0, {"or3_curvature", "decrease_vs_gradient"}),
+        (5.0, {"tangential_size", "decrease_vs_gradient"}),
+    ])
+    def test_tripped_checks_report_exact_spectral_values(self, scale, codes):
+        problem, config, records = self._run()
+        records[0] = perturb(records[0], u=scale * records[0].u)
+        violations = [v for v in audit_run(problem, records, config) if v.k == 0]
+        assert {v.code for v in violations} & set(SPECTRAL_CODES) == codes
+        _assert_spectral_magnitudes(violations, problem, records[0], config.rank_tol)
+
+    def test_curvature_within_the_cholesky_margin(self):
+        """sigma |u| placed ulps around the or3 threshold: the Cholesky cannot
+        decide, and the verdict is the exact lambda_min's on both sides."""
+        problem, config, records = self._run()
+        record = records[0]
+        context = rebuild_context(problem, record, config.rank_tol)
+        lam_min = float(np.linalg.eigvalsh(context.H_red)[0])
+        unit_u = record.u / np.linalg.norm(record.u)
+        outcomes = set()
+        for j in range(-8, 9):
+            target = -lam_min / (1.0 + TOLERANCE) * (1.0 + 2e-16 * j)
+            tampered = perturb(record, u=unit_u * (target / record.sigma))
+            floor = -record.sigma * float(np.linalg.norm(tampered.u))
+            assert not clears_floor(context.H_red, floor - TOLERANCE * max(1.0, -floor))
+            trips = min(lam_min, 0.0) < floor - TOLERANCE * max(1.0, -floor, abs(lam_min))
+            reported = [(v.value, v.bound) for v in audit_run(problem, [tampered], config)
+                        if v.code == "or3_curvature"]
+            assert reported == ([(lam_min, floor)] if trips else [])
+            outcomes.add(trips)
+        assert outcomes == {False, True}
+
+
+@st.composite
+def spectra(draw, gap):
+    """(M, floor): symmetric k x k M with |M|_2 about 10^(-6..6) and lambda_min
+    placed ``gap(draw, scale)`` above the floor."""
+    k = draw(st.integers(1, 60))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    floor = scale * draw(st.floats(-1.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam_min = floor + gap(draw, scale)
+    spectrum = np.concatenate([[lam_min], lam_min + scale * rng.uniform(0.0, 1.0, k - 1)])
+    Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    M = (Q * spectrum) @ Q.T
+    return 0.5 * (M + M.T), floor
+
+
+def _ulps(draw, scale):
+    return draw(st.sampled_from([-1.0, 1.0])) * draw(st.integers(1, 1000)) * np.spacing(scale)
+
+
+def _clearance(draw, scale):
+    return scale * 10.0 ** draw(st.floats(-8.0, 0.0))
+
+
+class TestCholeskyCertificate:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(spectra(_ulps))
+    def test_certified_implies_the_floor(self, case):
+        M, floor = case
+        original = M.tobytes()
+        certified = clears_floor(M, floor)
+        assert M.tobytes() == original  # the shifted diagonal is restored bit for bit
+        if certified:
+            assert np.linalg.eigvalsh(M)[0] >= floor
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(spectra(_clearance))
+    def test_clear_margin_is_certified(self, case):
+        M, floor = case
+        eigenvalues = np.linalg.eigvalsh(M)
+        if eigenvalues[0] >= floor + 1e-8 * np.max(np.abs(eigenvalues)):
+            assert clears_floor(M, floor)
 
 
 class TestAuditRun:

@@ -485,7 +485,6 @@ class TestBeyondCatalog:
         assert audit_run(problem, result.history, config) == []
         assert problem.objective(result.x_final) == pytest.approx(f_min, abs=1e-8)
 
-    @pytest.mark.slow
     def test_chained_rosenbrock_sphere_n300_audited(self):
         """n = 300, k = 299, the benchmark's `curved` size: an SOSP at x* = 1
         and a clean audit."""
@@ -497,7 +496,6 @@ class TestBeyondCatalog:
         assert audit_run(problem, result.history, config) == []
         np.testing.assert_allclose(result.x_final, np.ones(300), rtol=0, atol=1e-8)
 
-    @pytest.mark.slow
     def test_projected_rayleigh_n300_audited(self):
         """n = 300, m = 75, the benchmark's `wide` size: reaches the compressed
         lambda_min and a clean audit."""

@@ -1,4 +1,4 @@
-"""The benchmark runs against this tree, and a solve loads no scipy.linalg.
+"""The benchmark runs against this tree, and a solve and its audit load no scipy.linalg.
 
 Both run in a fresh interpreter: the benchmark is a script, and the test
 helpers import ``scipy.optimize``, which loads ``scipy.linalg`` itself.
@@ -50,16 +50,21 @@ problem = cubeq.Problem(
     constraint_hessians=lambda x: [2.0 * np.eye(n)],
     default_start=np.linspace(0.5, 1.5, n),
 )
-result = cubeq.solve(problem)
+config = cubeq.SolverConfig()
+result = cubeq.solve(problem, config=config)
+violations = cubeq.audit_run(problem, result.history, config)
 print(json.dumps({"status": result.status,
+                  "violations": [v.code for v in violations],
                   "modules": sorted(name for name in sys.modules
                                     if name == "_flapack" or name.startswith("scipy.linalg"))}))
 """
 
 
 def test_solve_loads_flapack_without_scipy_linalg():
-    """The LAPACK routines come from `_flapack` alone: importing the
-    scipy.linalg package would add about 25 MB of resident memory."""
+    """The solver's LAPACK routines come from `_flapack` alone, and the audit's
+    Cholesky and eigvalsh from numpy: importing the scipy.linalg package would
+    add about 25 MB of resident memory."""
     result = json.loads(_python("-c", _SOLVE_N5)[-1])
     assert result["status"] == "converged_sosp"
+    assert result["violations"] == []
     assert result["modules"] == ["_flapack"]
