@@ -29,8 +29,8 @@ import numpy as np
 from . import merit
 from .driver import SUCCESSFUL, VERY_SUCCESSFUL, IterationRecord, SolverConfig
 from .errors import InsufficientHistory
-from .linalg import (FactorizedJacobian, factorize_jacobian, reduce_matrix, rounding_bound,
-                     rounding_bound_l1)
+from .linalg import (FactorizedJacobian, factorize_jacobian, norm, reduce_matrix,
+                     rounding_bound, rounding_bound_l1, rounding_bound_l1_change)
 from .problems import EvalPoint, Problem, evaluate, evaluate_trial, lagrangian_hessian
 
 Array = np.ndarray
@@ -107,15 +107,12 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     def flag(code, value, bound, message):
         out.append(Violation(code, message, float(value), float(bound), record.k))
 
-    point, fact, H = context.point, context.fact, context.H
-    A, Z = fact.A, fact.Z
+    point, fact, H, A = context.point, context.fact, context.H, context.fact.A
     g, c, c_l1 = point.g, point.c, point.c_l1
     sigma, beta, mu = record.sigma, record.beta, record.mu
     v_c, v, u, lam = record.v_c, record.v, record.u, record.lam
     d = v + u
-    norm_vc = float(np.linalg.norm(v_c))
-    norm_u = float(np.linalg.norm(u))
-    norm_d = float(np.linalg.norm(d))
+    norm_vc, norm_u, norm_d = norm(v_c), norm(u), norm(d)
     norm_A = fact.largest_singular_value
 
     def slack(*vals):
@@ -140,7 +137,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
             flag("beta_interval", beta, hi,
                  f"beta outside admissible interval [{lo:.6g}, {hi:.6g}]")
 
-    null_part = float(np.linalg.norm(Z @ (Z.T @ v_c)))
+    null_part = float(np.linalg.norm(fact.to_null(v_c)))  # |Z Z^T v_c|
     if null_part > slack(norm_vc):
         flag("normal_range", null_part, 0.0, "v_c has a null-space component")
 
@@ -167,13 +164,13 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
 
     # --- tangential step ---------------------------------------------------
     g_shift = g + H @ v  # ambient gradient of the reduced model at u = 0
-    g_red = Z.T @ g_shift
+    g_red = fact.to_null(g_shift)
     gn_red = float(np.linalg.norm(g_red))
-    p = Z.T @ u
+    p = fact.to_null(u)
     delta_m = -(float(g_shift @ u) + 0.5 * float(u @ H @ u)
                 + sigma / 3.0 * norm_u**3)
 
-    gHg = float(g_red @ (Z.T @ (H @ (Z @ g_red))))
+    gHg = float(g_red @ context.H_red @ g_red)
     cauchy_dec = 0.0
     if gn_red > 0.0:
         a_coef = sigma * gn_red**3
@@ -184,7 +181,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
         flag("or1_cauchy_dominance", delta_m, cauchy_dec,
              "tangential step decreases the model less than the Cauchy point")
 
-    grad_red = Z.T @ (g_shift + H @ u) + sigma * norm_u * p
+    grad_red = fact.to_null(g_shift + H @ u) + sigma * norm_u * p
     grad_norm = float(np.linalg.norm(grad_red))
     grad_budget = config.delta * sigma * norm_u**2
     if grad_norm > grad_budget + slack(grad_budget):
@@ -228,7 +225,8 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     # --- merit -------------------------------------------------------------
     delta_q = merit.predicted_reduction(g, H, c, A, d, sigma, mu)
     merit_floor = delta_m + config.tau * mu * beta * c_l1
-    if delta_q < merit_floor - slack(delta_q):
+    # and mu times the rounding floor of the |c|_1 - |c + A d|_1 inside delta_q
+    if delta_q < merit_floor - slack(delta_q) - mu * rounding_bound_l1_change(fact, c, d):
         flag("merit_reduction_bound", delta_q, merit_floor,
              "predicted merit reduction below tangential decrease plus feasibility margin")
 
@@ -236,7 +234,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     if record.correction_computed:
         w = record.w
         norm_w = float(np.linalg.norm(w))
-        w_null = float(np.linalg.norm(Z @ (Z.T @ w)))
+        w_null = float(np.linalg.norm(fact.to_null(w)))
         if w_null > slack(norm_w):
             flag("correction_range", w_null, 0.0,
                  "correction has a null-space component")

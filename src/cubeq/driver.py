@@ -6,7 +6,8 @@ v_c, forms the Lagrangian Hessian H and one ``ReducedHessian`` of Z^T H Z,
 whose lam_min the stationarity test reads; none of that depends on sigma, so
 it is done once per distinct iterate and reused after an unsuccessful step.
 Each iteration then scales v = beta v_c, solves the cubic model of
-g_red = Z^T (g + H v) and sigma on that reduced Hessian, and sets u = Z p.
+g_red = Z^T (g + H v) and sigma on that reduced Hessian, and sets u = Z p
+(the factorization's null-space maps; Z itself is never formed).
 The composite d = v + u is accepted when the achieved l1-merit decrease
 covers at least eta1 of the predicted decrease.  One step test scores the
 trial point x + d and, if a finite trial point fails near the constraint
@@ -18,7 +19,8 @@ Termination requires all three stationarity measures at once: the Lagrangian
 gradient norm, the l1 infeasibility, and the smallest reduced Hessian
 eigenvalue (up to -eps_h).  A run that exhausts its budget with the first
 two satisfied reports the first-order status as a courtesy; an accepted
-step that leaves x unchanged ends the run as a numerical error.
+step that leaves x unchanged to one ulp of |x|_inf ends the run as a
+numerical error.
 
 ``solve`` validates and runs the loop, which appends one record per iteration
 and leaves through one ``SolveResult``, whose counts are tallied from the
@@ -39,7 +41,7 @@ from . import merit
 from .errors import (ConfigError, NonFiniteValue, NonpositivePredictedReduction,
                      RankDeficient, ResidualConditionUnmet, SecularSolveFailed)
 from .linalg import (FactorizedJacobian, compute_correction, compute_vc,
-                     estimate_multipliers, factorize_jacobian, reduce_matrix)
+                     estimate_multipliers, factorize_jacobian, norm, reduce_matrix)
 from .problems import (EvalPoint, Problem, TrialPoint, complete_point,
                        evaluate_trial, lagrangian_hessian)
 from .tangential import ReducedHessian, solve_cubic
@@ -262,7 +264,7 @@ def _at_iterate(problem: Problem, at: TrialPoint, config: SolverConfig) -> _Iter
     lam = estimate_multipliers(fact, point.g)
     v_c, norm_vc = compute_vc(fact, point.c, config.r_v)
     H = lagrangian_hessian(point, lam)
-    grad_l_norm = float(np.linalg.norm(point.g + point.A.T @ lam))
+    grad_l_norm = norm(point.g + point.A.T @ lam)
     hessian = ReducedHessian(reduce_matrix(fact, H))
     report = check_stationarity(grad_l_norm, point.c_l1, hessian.lam_min, config)
     return _Iterate(point, fact, lam, v_c, norm_vc, H, hessian, report)
@@ -313,10 +315,10 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
 
             beta = select_beta(norm_vc, sigma)
             v = beta * v_c
-            tang = solve_cubic(it.hessian, fact.Z.T @ (point.g + H @ v), sigma, config.delta)
-            u = fact.Z @ tang.p
+            tang = solve_cubic(it.hessian, fact.to_null(point.g + H @ v), sigma, config.delta)
+            u = fact.from_null(tang.p)
             d = v + u
-            norm_d = float(np.linalg.norm(d))
+            norm_d = norm(d)
 
             mu_prev = mu
             mu_cand = merit.mu_candidate(point.g, H, v, d, u, sigma,
@@ -364,10 +366,10 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
             )
             history.append(record)
             if record.accepted:
-                if np.array_equal(taken.x, x):
-                    # d rounded away against x: accepting it again and again is no progress
+                if np.max(np.abs(taken.x - x)) <= np.spacing(np.max(np.abs(x))):
+                    # d rounded to one ulp against x: accepting it again and again is no progress
                     status = NUMERICAL_ERROR
-                    message = (f"accepted step at iteration {k} left x unchanged "
+                    message = (f"accepted step at iteration {k} left x unchanged to one ulp "
                                f"(|d| = {norm_d:.3e})")
                     break
                 at, x, it, point = taken, taken.x, None, None  # frees x's Hessians

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import norm
+
 Array = np.ndarray
 
 
@@ -29,19 +31,15 @@ def predicted_reduction(g, H, c, A, d, sigma, mu) -> float:
     The expanded form keeps the result accurate near convergence, where the
     literal difference of two q values would be pure cancellation.
     """
-    lin = c + A @ d
-    nd = float(np.linalg.norm(d))
-    quad = float(g @ d) + 0.5 * float(d @ H @ d) + sigma / 3.0 * nd**3
-    return -quad + mu * float(np.sum(np.abs(c)) - np.sum(np.abs(lin)))
+    quad = float(g @ d) + 0.5 * float(d @ H @ d) + sigma / 3.0 * norm(d)**3
+    return -quad + mu * float(np.abs(c).sum() - np.abs(c + A @ d).sum())
 
 
 def mu_candidate(g, H, v, d, u, sigma, beta, c_l1, r_v, tau) -> float:
     """Penalty candidate; zero at feasible points, may be negative."""
     if c_l1 == 0.0:
         return 0.0
-    nd = float(np.linalg.norm(d))
-    nu_ = float(np.linalg.norm(u))
-    num = float(g @ v) + 0.5 * float(v @ H @ v) + sigma / 3.0 * (nd**3 - nu_**3)
+    num = float(g @ v) + 0.5 * float(v @ H @ v) + sigma / 3.0 * (norm(d)**3 - norm(u)**3)
     return num / ((1.0 - r_v - tau) * beta * c_l1)
 
 

@@ -75,7 +75,7 @@ class EvalPoint:
 
 def _check_finite(problem: Problem, x: Array, *values) -> None:
     for value in values:
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise NonFiniteValue(f"non-finite evaluation of '{problem.name}' at x={x}")
 
 
@@ -95,7 +95,7 @@ def evaluate_trial(problem: Problem, x) -> TrialPoint:
     if c.shape != (m,):
         raise ValueError(f"constraints have shape {c.shape}, expected ({m},)")
     _check_finite(problem, x, f, c)
-    return TrialPoint(x=x.copy(), f=f, c=c, c_l1=float(np.sum(np.abs(c))))
+    return TrialPoint(x=x.copy(), f=f, c=c, c_l1=float(np.abs(c).sum()))
 
 
 def complete_point(problem: Problem, trial: TrialPoint) -> EvalPoint:
@@ -146,7 +146,7 @@ def lagrangian_hessian(point: EvalPoint, lam) -> Array:
     for li, Hi in zip(lam[1:], point.c_hess[1:]):
         H += np.multiply(Hi, li, out=buf)
     H += point.f_hess
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise NonFiniteValue(f"non-finite Lagrangian Hessian at x={point.x}")
     return 0.5 * (H + H.T)
 

@@ -1,11 +1,13 @@
 """Tangential step: globally minimize the reduced cubic model.
 
-The model lives in the Z-coordinates of the constraint null space,
+The model lives in coordinates p of the constraint null space,
 
     m(p) = g_red . p + p . H_red p / 2 + sigma |p|^3 / 3,
 
-and because Z has orthonormal columns, |Z p| = |p|, so the cubic weight in
-the full space and in coordinates agree.  A global minimizer p* satisfies
+for the basis Z = Q[:, m:] of the Jacobian's Householder QR, which
+``linalg.FactorizedJacobian`` applies (``to_null``, ``from_null``) without
+forming it.  Z's columns are orthonormal, so |Z p| = |p| and the cubic weight
+in the full space and in coordinates agree.  A global minimizer p* satisfies
 
     (H_red + sigma r I) p* = -g_red,   r = |p*|,   H_red + sigma r I psd,
 
@@ -19,7 +21,7 @@ its own object, a ``ReducedHessian`` that the caller builds once per iterate
 and passes to each ``solve_cubic`` there.  It reduces H_red to Q_T T Q_T^T
 with T tridiagonal (LAPACK dsytrd) and takes lam_min from T by bisection
 (dstebz), which the caller's stationarity test reads too.  The caller also
-maps the solution p back to the full space, u = Z p.  As in GLTR
+maps the solution p back to the full space, u = Z p (``from_null``).  As in GLTR
 (Gould, Lucidi, Roma & Toint 1999), an evaluation at the shift
 t = sigma (r - r_floor) is one O(k) LDL^T of T + (floor + t) I and two solves.
 Near the floor LDL^T loses the relative accuracy of the eigenbasis, where the
@@ -53,6 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SecularSolveFailed
+from .linalg import norm
 
 Array = np.ndarray
 
@@ -84,10 +87,6 @@ def _lapack():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _norm(x) -> float:  # np.linalg.norm's value for a vector, without its overhead
-    return math.sqrt(np.dot(x, x))
 
 
 class ReducedHessian:
@@ -152,7 +151,7 @@ class OracleSolution:
 
 def model_decrease(H_red, g_red, sigma, p) -> float:
     """m(0) - m(p); positive when p improves the model."""
-    r = _norm(p)
+    r = norm(p)
     return -float(g_red @ p + 0.5 * p @ H_red @ p + sigma / 3.0 * r**3)
 
 
@@ -286,13 +285,13 @@ def _eigenbasis_step(lam, Q, g_red, sigma, lam_min, gnorm) -> Array:
     base = lam + max(0.0, -lam[0])  # lam_i + sigma r_floor; the shift t is added to it
     leftmost = lam <= lam[0] + _HARD_CASE_RTOL * max(1.0, abs(lam_min))
     g_used, gn_used = ghat, gnorm
-    if lam_min < 0.0 and _norm(ghat[leftmost]) <= _HARD_CASE_RTOL * gnorm:
+    if lam_min < 0.0 and norm(ghat[leftmost]) <= _HARD_CASE_RTOL * gnorm:
         # Hard-case candidate: the leftmost components of ghat are noise;
         # drop them and see whether the remaining curve still crosses r.
         g_used = np.where(leftmost, 0.0, ghat)
-        gn_used = _norm(g_used)
+        gn_used = norm(g_used)
         coef = -g_used / np.where(leftmost, 1.0, base)
-        interior_norm = _norm(coef)
+        interior_norm = norm(coef)
         if interior_norm < r_floor:
             # True hard case: pad with an eigenvector component so |p| = r.
             pad = math.sqrt(max(0.0, r_floor**2 - interior_norm**2))
@@ -315,18 +314,18 @@ def solve_cubic(hessian: ReducedHessian, g_red, sigma: float,
     acceptance test |grad m(u)| <= delta sigma |u|^2; the exact solve lands
     far inside it, and the value is only used for a defensive post-check.
     """
-    gnorm = _norm(g_red)
+    gnorm = norm(g_red)
     p = None
     if not hessian.eigh_at_hand and gnorm > 0.0:
         p = _tridiagonal_step(hessian, g_red, sigma, gnorm)
     if p is None:
         p = _eigenbasis_step(*hessian.eigh(), g_red, sigma, hessian.lam_min, gnorm)
 
-    radius = _norm(p)
+    radius = norm(p)
     grad = g_red + hessian.matrix @ p + sigma * radius * p
     dec = model_decrease(hessian.matrix, g_red, sigma, p)
 
-    grad_norm = _norm(grad)
+    grad_norm = norm(grad)
     if grad_norm > delta * sigma * radius**2 + 1e-10 * max(1.0, gnorm):
         raise SecularSolveFailed(
             f"model gradient {grad_norm:.3e} exceeds budget "

@@ -1,5 +1,5 @@
 """Shared test utilities: literal models, the Cauchy point, a brute-force
-subproblem oracle and record surgery."""
+subproblem oracle, record surgery and the factorization's null-space basis."""
 
 import dataclasses
 import math
@@ -87,3 +87,9 @@ def ray_polish_min(g, H, sigma):
 def perturb(record, **replacements):
     """Copy an iteration record with chosen fields replaced."""
     return dataclasses.replace(record, **replacements)
+
+
+def null_basis(fact):
+    """The columns Z e_i of the factorization's implicit null-space basis, as a matrix."""
+    k = fact.A.shape[1] - fact.A.shape[0]
+    return np.column_stack([fact.from_null(e) for e in np.eye(k)])

@@ -6,6 +6,7 @@ import pytest
 from cubeq.driver import SolverConfig, in_correction_region, solve
 from cubeq.linalg import compute_correction, factorize_jacobian
 from cubeq.problems import builtin_problem
+from helpers import null_basis
 
 
 class TestRegion:
@@ -43,7 +44,7 @@ class TestComputeCorrection:
             np.testing.assert_allclose(w, -np.linalg.pinv(A) @ c_trial,
                                        atol=1e-10)
             # row-space membership and exact least-squares residual
-            np.testing.assert_allclose(fact.Z.T @ w, 0, atol=1e-10)
+            np.testing.assert_allclose(null_basis(fact).T @ w, 0, atol=1e-10)
             np.testing.assert_allclose(A @ w + c_trial, 0, atol=1e-10)
 
 

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeq import diagnostics
-from cubeq.diagnostics import (TOLERANCE, audit_run, clears_floor, convergence_rate,
-                               finite_difference_check, rebuild_context)
-from cubeq.driver import SolverConfig, solve
+from cubeq import diagnostics, merit
+from cubeq.diagnostics import (TOLERANCE, audit_iteration, audit_run, clears_floor,
+                               convergence_rate, finite_difference_check, rebuild_context)
+from cubeq.driver import SUCCESSFUL, IterationRecord, SolverConfig, solve
 from cubeq.errors import InsufficientHistory
 from cubeq.linalg import factorize_jacobian, reduce_matrix
 from cubeq.problems import Problem, builtin_problem, evaluate, lagrangian_hessian
 from cubeq.trace_io import read_trace, write_trace
-from helpers import perturb
+from helpers import null_basis, perturb
 
 # One tampered record per violation code: (code, problem, k, replacements,
 # every code reported at k).  ``replacements`` maps the record r, z1 (the first
@@ -74,7 +74,7 @@ def _spectral_magnitudes(problem, record, rank_tol):
     norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))
     lam_min = float(np.linalg.eigvalsh(reduce_matrix(fact, H))[0])
     g_shift = point.g + H @ record.v
-    gn = float(np.linalg.norm(fact.Z.T @ g_shift))
+    gn = float(np.linalg.norm(null_basis(fact).T @ g_shift))
     u, sigma = record.u, record.sigma
     norm_u = float(np.linalg.norm(u))
     delta_m = -(float(g_shift @ u) + 0.5 * float(u @ H @ u) + sigma / 3.0 * norm_u**3)
@@ -152,7 +152,7 @@ class TestTamperedRecords:
         config = SolverConfig()
         records = list(solve(problem, config=config).history)
         fact = factorize_jacobian(problem.jacobian(records[k].x))
-        records[k] = perturb(records[k], **replace(records[k], fact.Z[:, 0], fact.A[0]))
+        records[k] = perturb(records[k], **replace(records[k], null_basis(fact)[:, 0], fact.A[0]))
         violations = audit_run(problem, records, config)
         assert code in codes
         assert {v.code for v in violations if v.k == k} == codes
@@ -201,7 +201,7 @@ class TestSpectralFallbacks:
         assert np.all(np.diagonal(context.H) == 0.0)
         assert context.norm_H == pytest.approx(1.0)
         # with |H| = 0 the size bound is 3 sqrt(|g_red| / sigma), which |u| exceeds
-        gn_red = float(np.linalg.norm(context.fact.Z.T @ context.point.g))
+        gn_red = float(np.linalg.norm(null_basis(context.fact).T @ context.point.g))
         assert np.linalg.norm(records[0].u) > 6.0 * math.sqrt(gn_red / records[0].sigma)
         sizes = []
         eigvalsh = np.linalg.eigvalsh
@@ -288,6 +288,46 @@ class TestCholeskyCertificate:
         eigenvalues = np.linalg.eigvalsh(M)
         if eigenvalues[0] >= floor + 1e-8 * np.max(np.abs(eigenvalues)):
             assert clears_floor(M, floor)
+
+
+class TestMeritRounding:
+    def test_l1_sums_rounding_up_at_a_large_penalty_is_not_a_violation(self):
+        """Exactly, |c + A d|_1 = (1 - beta) |c|_1 here, but A u = 0 only in exact
+        arithmetic, and |c + A d|_1 rounds one or two ulps above |c|_1 (two
+        without a fused multiply-add).  At mu = 1e9 those ulps, and the
+        tau mu beta |c|_1 margin they erase, are 1e-7: far above the relative
+        tolerance, within mu times the rounding floor of the two 1-norm sums."""
+        a = np.array([1.546, 1.75])
+        problem = Problem(
+            name="plane", n=2, m=1,
+            objective=lambda x: 0.0, gradient=lambda x: np.zeros(2),
+            objective_hessian=lambda x: np.zeros((2, 2)),
+            constraints=lambda x: np.array([a @ x + 1.0]),
+            jacobian=lambda x: a[None, :], constraint_hessians=lambda x: [np.zeros((2, 2))],
+            default_start=np.zeros(2),
+        )
+        config = SolverConfig()
+        beta, sigma, mu = 1e-16, 1e-12, 1e9
+        v_c = -a / (a @ a)
+        u = 1.153718 * np.array([a[1], -a[0]])
+        d = beta * v_c + u
+        record = IterationRecord(
+            k=0, x=np.zeros(2), f=0.0, c_l1=1.0, grad_lagrangian_norm=0.0,
+            lambda_min_red=0.0, sigma=sigma, mu=mu, beta=beta, delta_q=0.0,
+            delta_m_u=0.0, rho=1.0, rho_corr=None, classification=SUCCESSFUL,
+            lam=np.zeros(1), v_c=v_c, v=beta * v_c, u=u, w=None,
+            sigma_next=sigma, mu_prev=mu, mu_candidate=0.0)
+        context = rebuild_context(problem, record, config.rank_tol)
+        point = context.point
+        assert np.abs(point.c + point.A @ d).sum() > point.c_l1 == 1.0
+        delta_q = merit.predicted_reduction(point.g, context.H, point.c, point.A, d,
+                                            sigma, mu)
+        delta_m = -sigma / 3.0 * float(np.linalg.norm(u))**3
+        # the bound without a floor for the sums' rounding trips by more than 1e-7
+        shortfall = delta_m + config.tau * mu * beta * point.c_l1 - delta_q
+        assert shortfall > 1e-7 > TOLERANCE * max(1.0, abs(delta_q))
+        codes = {v.code for v in audit_iteration(record, context, None, config)}
+        assert "merit_reduction_bound" not in codes
 
 
 class TestAuditRun:

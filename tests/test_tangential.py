@@ -8,7 +8,7 @@ import pytest
 from cubeq import tangential
 from cubeq.linalg import factorize_jacobian, reduce_matrix
 from cubeq.tangential import ReducedHessian, model_decrease, solve_cubic
-from helpers import cauchy_point, model_value, ray_polish_min
+from helpers import cauchy_point, model_value, null_basis, ray_polish_min
 
 DELTA = 0.1
 
@@ -29,7 +29,7 @@ def _arrays(model):
 def _model_at(fact, g, H, v, sigma):
     """(hessian, g_red, sigma) of the tangential step after the normal step
     ``v``, as the driver forms them."""
-    return ReducedHessian(reduce_matrix(fact, H)), fact.Z.T @ (g + H @ v), sigma
+    return ReducedHessian(reduce_matrix(fact, H)), fact.to_null(g + H @ v), sigma
 
 
 class TestBuildReducedModel:
@@ -42,7 +42,7 @@ class TestBuildReducedModel:
         _, g_red, _ = _model_at(fact, np.array([3.0, 4.0]), np.eye(2),
                                 np.array([-0.5, 0.0]), sigma=1.0)
         # lifted back to full space the reduced gradient must be (0, 4)
-        np.testing.assert_allclose(fact.Z @ g_red, [0.0, 4.0],
+        np.testing.assert_allclose(fact.from_null(g_red), [0.0, 4.0],
                                    atol=1e-14)
         assert abs(np.linalg.norm(g_red) - 4.0) <= 1e-14
 
@@ -54,7 +54,7 @@ class TestBuildReducedModel:
         H = 0.5 * (H + H.T)
         fact = factorize_jacobian(A)
         hessian, g_red, _ = _model_at(fact, g, H, np.zeros(5), sigma=2.0)
-        np.testing.assert_allclose(g_red, fact.Z.T @ g, atol=1e-14)
+        np.testing.assert_allclose(g_red, null_basis(fact).T @ g, atol=1e-14)
         np.testing.assert_array_equal(hessian.matrix, hessian.matrix.T)
 
     def test_zero_hessian(self):
@@ -277,7 +277,7 @@ class TestSolveCubic:
         H = 0.5 * (H + H.T)
         fact = factorize_jacobian(A)
         sol = solve_cubic(*_model_at(fact, g, H, np.zeros(5), sigma=1.0), DELTA)
-        u = fact.Z @ sol.p
+        u = fact.from_null(sol.p)
         assert u.shape == (5,)
         np.testing.assert_allclose(A @ u, 0, atol=1e-10)
 

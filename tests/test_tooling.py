@@ -1,4 +1,5 @@
-"""The benchmark runs against this tree, and a solve and its audit load no scipy.linalg.
+"""The benchmark runs against this tree, and a solve and its audit load no scipy.linalg,
+nor scipy's LAPACK module where the reduced Hessian is at most 2 x 2.
 
 Both run in a fresh interpreter: the benchmark is a script, and the test
 helpers import ``scipy.optimize``, which loads ``scipy.linalg`` itself.
@@ -68,3 +69,31 @@ def test_solve_loads_flapack_without_scipy_linalg():
     assert result["status"] == "converged_sosp"
     assert result["violations"] == []
     assert result["modules"] == ["_flapack"]
+
+
+_SOLVE_CATALOG = """
+import json, sys
+import cubeq
+
+config = cubeq.SolverConfig()
+runs = {}
+for name in cubeq.problem_names():
+    problem = cubeq.builtin_problem(name)
+    result = cubeq.solve(problem, config=config)
+    violations = cubeq.audit_run(problem, result.history, config)
+    runs[name] = [problem.n - problem.m, result.status, [v.code for v in violations]]
+print(json.dumps({"runs": runs,
+                  "modules": sorted(name for name in sys.modules
+                                    if name == "_flapack" or name.startswith("scipy.linalg"))}))
+"""
+
+
+def test_small_reduced_problems_load_no_scipy_lapack():
+    """With n - m <= 2, as in every catalog problem, the factorization, the
+    solves and the reduced eigensolve are numpy's: loading `_flapack` would add
+    about 3.6 MB of resident memory to the smallest solves."""
+    result = json.loads(_python("-c", _SOLVE_CATALOG)[-1])
+    assert result["runs"]
+    for name, (k, status, codes) in result["runs"].items():
+        assert k <= 2 and status == "converged_sosp" and codes == [], name
+    assert result["modules"] == []
