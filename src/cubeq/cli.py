@@ -15,6 +15,7 @@ Exit codes are stable so scripts can dispatch on them:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import sys
 
@@ -71,16 +72,42 @@ def _build_config(eps, eps_g, eps_c, eps_h, max_iter, no_corrections,
     return SolverConfig(**values).validate()
 
 
-def _parse_x0(text, problem):
-    if text is None:
-        return None
+def _floats(flag: str, text: str) -> list:
+    """The comma-separated floats given to ``flag``."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"--x0 expects a comma-separated float list, got {text!r}") from None
-    if len(values) != problem.n:
-        raise ConfigError(f"--x0 has {len(values)} entries, {problem.name} needs {problem.n}")
-    return np.array(values)
+        raise ConfigError(f"{flag} expects a comma-separated float list, got {text!r}") from None
+
+
+@contextlib.contextmanager
+def _setup_errors():
+    """Exit 14 on an unknown problem and 15 on a bad configuration."""
+    try:
+        yield
+    except UnknownProblem as exc:
+        _fail(str(exc), EXIT_UNKNOWN_PROBLEM)
+    except ConfigError as exc:
+        _fail(str(exc), EXIT_CONFIG)
+
+
+def _setup(problem_name, x0, eps, eps_g, eps_c, eps_h, max_iter, no_corrections,
+           overrides, sweep=None) -> tuple:
+    """The problem, the start and every configuration the command runs (one per
+    ``sweep`` tolerance), all validated before the first solve."""
+    with _setup_errors():
+        problem = builtin_problem(problem_name)
+        config = _build_config(eps, eps_g, eps_c, eps_h, max_iter, no_corrections, overrides)
+        start = None if x0 is None else np.array(_floats("--x0", x0))
+        if start is not None and len(start) != problem.n:
+            raise ConfigError(f"--x0 has {len(start)} entries, {problem.name} needs {problem.n}")
+        if sweep is None:
+            return problem, start, [config]
+        values = _floats("--sweep", sweep)
+        if not values:
+            raise ConfigError("--sweep needs at least one tolerance value")
+        return problem, start, [dataclasses.replace(config, eps_g=v, eps_c=v, eps_h=v).validate()
+                                for v in values]
 
 
 def _solver_options(fn):
@@ -138,19 +165,9 @@ def main():
 @click.option("--trace", "trace_path", default=None,
               type=click.Path(dir_okay=False),
               help="Write a line-delimited JSON trace of the run.")
-def cmd_solve(problem_name, x0, eps, eps_g, eps_c, eps_h, max_iter,
-              no_corrections, audit_flag, overrides, trace_path):
+def cmd_solve(problem_name, audit_flag, trace_path, **options):
     """Run the solver on one catalog problem."""
-    try:
-        problem = builtin_problem(problem_name)
-        config = _build_config(eps, eps_g, eps_c, eps_h, max_iter,
-                               no_corrections, overrides)
-        start = _parse_x0(x0, problem)
-    except UnknownProblem as exc:
-        _fail(str(exc), EXIT_UNKNOWN_PROBLEM)
-    except ConfigError as exc:
-        _fail(str(exc), EXIT_CONFIG)
-
+    problem, start, (config,) = _setup(problem_name, **options)
     result = solve(problem, start, config)
     violations = diagnostics.audit_run(problem, result.history, config) if audit_flag else []
     if trace_path is not None:
@@ -172,33 +189,18 @@ def cmd_solve(problem_name, x0, eps, eps_g, eps_c, eps_h, max_iter,
 @click.option("--sweep", "sweep_values", required=True, metavar="V1,V2,...",
               help="Tolerance values; each run sets eps-g = eps-c = eps-h.")
 @_solver_options
-def cmd_sweep(problem_name, sweep_values, x0, eps, eps_g, eps_c, eps_h,
-              max_iter, no_corrections, audit_flag, overrides):
+def cmd_sweep(problem_name, sweep_values, audit_flag, **options):
     """Solve one problem at several tolerances; print a CSV table and the
     fitted log-log slope of accepted-iteration count against 1/eps."""
-    try:
-        problem = builtin_problem(problem_name)
-        base = _build_config(eps, eps_g, eps_c, eps_h, max_iter,
-                             no_corrections, overrides)
-        start = _parse_x0(x0, problem)
-        values = [float(tok) for tok in sweep_values.split(",") if tok.strip()]
-        if not values:
-            raise ConfigError("--sweep needs at least one tolerance value")
-    except UnknownProblem as exc:
-        _fail(str(exc), EXIT_UNKNOWN_PROBLEM)
-    except (ConfigError, ValueError) as exc:
-        _fail(str(exc), EXIT_CONFIG)
-
+    problem, start, configs = _setup(problem_name, sweep=sweep_values, **options)
     worst = 0
     rows = []
     all_violations = []
-    for eps_value in values:
-        config = dataclasses.replace(base, eps_g=eps_value, eps_c=eps_value,
-                                     eps_h=eps_value)
+    for config in configs:
         result = solve(problem, start, config)
         max_sigma = max((r.sigma for r in result.history), default=config.sigma0)
         final_mu = result.history[-1].mu if result.history else config.mu_init
-        rows.append((eps_value, result.counts.accepted, result.iterations,
+        rows.append((config.eps_g, result.counts.accepted, result.iterations,
                      max_sigma, final_mu, result.status))
         if audit_flag:
             all_violations += diagnostics.audit_run(problem, result.history, config)
@@ -232,13 +234,9 @@ def cmd_audit(trace_path):
         data = trace_io.read_trace(trace_path)
     except (OSError, TraceError) as exc:
         _fail(str(exc), EXIT_BAD_TRACE)
-    try:
+    with _setup_errors():
         problem = builtin_problem(data.problem_name)
         config = data.config.validate()
-    except UnknownProblem as exc:
-        _fail(str(exc), EXIT_UNKNOWN_PROBLEM)
-    except ConfigError as exc:
-        _fail(str(exc), EXIT_CONFIG)
 
     violations = diagnostics.audit_run(problem, data.records, config)
     _echo_violations(violations)

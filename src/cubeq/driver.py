@@ -105,7 +105,8 @@ class SolverConfig:
             (self.r_w >= 0.0, "need r_w >= 0"),
             (self.sigma0 >= self.sigma_min > 0.0, "need sigma0 >= sigma_min > 0"),
             (self.mu_init > 0.0, "need mu_init > 0"),
-            (min(self.eps_g, self.eps_c, self.eps_h) > 0.0, "tolerances must be positive"),
+            (self.eps_g > 0.0 and self.eps_c > 0.0 and self.eps_h > 0.0,
+             "tolerances must be positive"),
             (self.max_iter >= 1, "need max_iter >= 1"),
             (0.0 < self.rank_tol < 1.0, "need rank_tol in (0, 1)"),
         ]
@@ -126,7 +127,8 @@ class StationarityReport:
 
 @dataclass
 class IterationRecord:
-    """One iteration; |v|, |u|, |d| and |w| are the norms of v, u, v + u and w."""
+    """One iteration at the iterate ``x``: its measures, the step v + u (and the
+    correction w, if one was computed), the ratios and the sigma and mu updates."""
 
     k: int
     x: Array

@@ -20,20 +20,20 @@ Only g_red and sigma change between the models of one iterate, so H_red is
 its own object, a ``ReducedHessian`` that the caller builds once per iterate
 and passes to each ``solve_cubic`` there.  It reduces H_red to Q_T T Q_T^T
 with T tridiagonal (LAPACK dsytrd) and takes lam_min from T by bisection
-(dstebz), which the caller's stationarity test reads too.  The caller also
-maps the solution p back to the full space, u = Z p (``from_null``).  As in GLTR
-(Gould, Lucidi, Roma & Toint 1999), an evaluation at the shift
-t = sigma (r - r_floor) is one O(k) LDL^T of T + (floor + t) I and two solves.
-Near the floor LDL^T loses the relative accuracy of the eigenbasis, where the
-leftmost term of lam_i + sigma r is t exactly.  So eigh(H_red), which the
-ReducedHessian computes when first needed and keeps for every solve after,
-takes over if g_red = 0, if LDL^T fails, if the root lies below
-t_min = kappa eps (|T| + floor) - max(lam_min, 0) (the hard case, or a tiny
-gradient under negative curvature), or if the step misses |p| = r by more
-than 1e-13 r; for k <= 2 eigh is cheaper and is used at once.  In the hard
-case g_red is (numerically) orthogonal to the leftmost eigenspace, the
-secular curve never reaches the diagonal, and r stays at r_floor with an
-eigenvector component padding |p| = r.
+(dstebz), which the caller's stationarity test reads too.  A solve works on T
+and q = Q_T^T g_red and maps its step back by Q_T once; the caller maps that
+to the full space, u = Z p (``from_null``).  As in GLTR (Gould, Lucidi, Roma
+& Toint 1999), an evaluation at the shift t = sigma (r - r_floor) is one O(k)
+LDL^T of T + (floor + t) I and two solves.  Near the floor LDL^T loses the
+relative accuracy of the eigenbasis, where the leftmost term of
+lam_i + sigma r is t exactly.  So T's eigendecomposition (dstevd), computed
+when first needed and kept for every solve after, takes over if g_red = 0,
+if LDL^T fails, if the root lies below t_min = kappa eps (|T| + floor) -
+max(lam_min, 0) (the hard case, or a tiny gradient under negative
+curvature), or if the step misses |p| = r by more than 1e-13 r; for k <= 2
+it is at hand at once.  In the hard case q is (numerically) orthogonal to
+the leftmost eigenspace, the secular curve never reaches the diagonal, and
+r stays at r_floor with an eigenvector component padding |p| = r.
 
 The global minimizer has three properties the rest of the method relies
 on: or1, it decreases the model at least as much as the exact Cauchy point
@@ -93,7 +93,7 @@ class ReducedHessian:
     """H_red = Z^T H Z at one iterate, shared by every cubic model there.
 
     Construction reduces it to H_red = Q_T T Q_T^T (dsytrd, lower) and takes
-    lam_min from T (dstebz); ``eigh`` computes eigh(H_red) on first use and
+    lam_min from T (dstebz); ``eigh`` decomposes T (dstevd) on first use and
     keeps it.  For k <= 2, H_red is its own T and its eigendecomposition comes
     along: at hand (k = 1) or cheaper than the LAPACK calls (k = 2).
     """
@@ -126,9 +126,12 @@ class ReducedHessian:
         return self._eigh is not None
 
     def eigh(self) -> tuple:
-        """eigh(H_red), computed on the first call."""
+        """(lam, Q) with T = Q diag(lam) Q^T, computed on the first call."""
         if self._eigh is None:
-            self._eigh = np.linalg.eigh(self.matrix)
+            lam, Q, info = _lapack().dstevd(self.d, self.e)
+            if info != 0:
+                raise SecularSolveFailed(f"eigendecomposition of T failed (info={info})")
+            self._eigh = (lam, Q)
         return self._eigh
 
     def rotate(self, trans: str, x: Array) -> Array:
@@ -257,11 +260,11 @@ def _secular_shift(moments, sigma, floor, lo, hi):
                              f"{_MAX_SECULAR_STEPS} steps (lo={lo}, hi={hi})")
 
 
-def _tridiagonal_step(hessian: ReducedHessian, g_red, sigma, gnorm) -> Optional[Array]:
-    """The step by Newton on T; None where LDL^T cannot be trusted."""
+def _tridiagonal_step(hessian: ReducedHessian, q, sigma, gnorm) -> Optional[Array]:
+    """The step in T's coordinates by Newton on T; None where LDL^T cannot be trusted."""
     floor = max(0.0, -hessian.lam_min)
     t_min = max(0.0, _LDL_KAPPA * _EPS * (hessian.norm + floor) - max(hessian.lam_min, 0.0))
-    moments = _moments(hessian.d + floor, hessian.e, hessian.rotate("T", g_red))
+    moments = _moments(hessian.d + floor, hessian.e, q)
     try:
         t = _secular_shift(moments, sigma, floor, t_min,
                            _shift_upper_bound(hessian.lam_min, gnorm, sigma))
@@ -271,17 +274,17 @@ def _tridiagonal_step(hessian: ReducedHessian, g_red, sigma, gnorm) -> Optional[
     except (np.linalg.LinAlgError, SecularSolveFailed):
         return None
     r = (floor + t) / sigma
-    return -hessian.rotate("N", y) if abs(math.sqrt(s) - r) <= _TRUSTED_GAP_RTOL * r else None
+    return -y if abs(math.sqrt(s) - r) <= _TRUSTED_GAP_RTOL * r else None
 
 
-def _eigenbasis_step(lam, Q, g_red, sigma, lam_min, gnorm) -> Array:
-    """The step by the secular equation in the eigenbasis H_red = Q diag(lam) Q^T;
-    r counts from the model's ``lam_min``, lam_i + sigma r from lam[0] exactly."""
+def _eigenbasis_step(lam, Q, g, sigma, lam_min, gnorm) -> Array:
+    """The step for the gradient g of T = Q diag(lam) Q^T by the secular equation in
+    its eigenbasis; r counts from the model's ``lam_min``, lam_i + sigma r from lam[0]."""
     floor = max(0.0, -lam_min)
     r_floor = floor / sigma
     if gnorm == 0.0:
-        return np.zeros_like(g_red) if lam_min >= 0.0 else r_floor * Q[:, 0]
-    ghat = Q.T @ g_red
+        return np.zeros_like(g) if lam_min >= 0.0 else r_floor * Q[:, 0]
+    ghat = Q.T @ g
     base = lam + max(0.0, -lam[0])  # lam_i + sigma r_floor; the shift t is added to it
     leftmost = lam <= lam[0] + _HARD_CASE_RTOL * max(1.0, abs(lam_min))
     g_used, gn_used = ghat, gnorm
@@ -315,17 +318,17 @@ def solve_cubic(hessian: ReducedHessian, g_red, sigma: float,
     far inside it, and the value is only used for a defensive post-check.
     """
     gnorm = norm(g_red)
-    p = None
+    q, y = hessian.rotate("T", g_red), None
     if not hessian.eigh_at_hand and gnorm > 0.0:
-        p = _tridiagonal_step(hessian, g_red, sigma, gnorm)
-    if p is None:
-        p = _eigenbasis_step(*hessian.eigh(), g_red, sigma, hessian.lam_min, gnorm)
+        y = _tridiagonal_step(hessian, q, sigma, gnorm)
+    if y is None:
+        y = _eigenbasis_step(*hessian.eigh(), q, sigma, hessian.lam_min, gnorm)
+    p = hessian.rotate("N", y)
 
     radius = norm(p)
-    grad = g_red + hessian.matrix @ p + sigma * radius * p
+    grad_norm = norm(g_red + hessian.matrix @ p + sigma * radius * p)
     dec = model_decrease(hessian.matrix, g_red, sigma, p)
 
-    grad_norm = norm(grad)
     if grad_norm > delta * sigma * radius**2 + 1e-10 * max(1.0, gnorm):
         raise SecularSolveFailed(
             f"model gradient {grad_norm:.3e} exceeds budget "

@@ -17,17 +17,52 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import IterationRecord, SolverConfig
+from .driver import (SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL, IterationRecord,
+                     SolverConfig)
 from .errors import TraceError
 
 FORMAT_NAME = "cubeq-trace"
 FORMAT_VERSION = 1
 # Record keys of earlier versions that other fields of the record determine.
 _DERIVED_KEYS = ("norm_v", "norm_u", "norm_d", "norm_w", "correction_computed", "accepted")
+
+
+def _number(value) -> bool:
+    """Whether ``value`` is a JSON number (``Infinity`` and ``NaN`` included)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_CHECKS = {  # annotation -> (what a value read for it must be, the test)
+    float: ("a number", _number),
+    int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
+    bool: ("a boolean", lambda value: isinstance(value, bool)),
+    typing.Optional[float]: ("a number or null", lambda value: value is None or _number(value)),
+}
+
+
+def _field_checks(cls) -> dict:
+    """The checks of the scalar fields of the dataclass ``cls``, by field name."""
+    return {name: _CHECKS[hint] for name, hint in typing.get_type_hints(cls).items()
+            if hint in _CHECKS}
+
+
+_CONFIG_CHECKS = _field_checks(SolverConfig)
+_CLASSIFICATIONS = (VERY_SUCCESSFUL, SUCCESSFUL, UNSUCCESSFUL)
+_RECORD_CHECKS = {**_field_checks(IterationRecord), "classification": (
+    f"one of {', '.join(_CLASSIFICATIONS)}", _CLASSIFICATIONS.__contains__)}
+
+
+def _check_fields(data: dict, checks: dict, lineno: int, what: str) -> None:
+    """A TraceError, naming the line and the key, for a value of the wrong type."""
+    for key, value in data.items():
+        check = checks.get(key)
+        if check is not None and not check[1](value):
+            raise TraceError(f"line {lineno}: {what} {key} must be {check[0]}, got {value!r}")
 
 
 def _plain(value):
@@ -58,6 +93,7 @@ def _vector(value) -> np.ndarray:
 def record_from_dict(data: dict, lineno: int) -> IterationRecord:
     """The record on trace line ``lineno``; a malformed one is a TraceError."""
     data = {k: v for k, v in data.items() if k != "kind" and k not in _DERIVED_KEYS}
+    _check_fields(data, _RECORD_CHECKS, lineno, "iteration record field")
     try:
         for key in ("x", "lam", "v_c", "v", "u"):
             data[key] = _vector(data[key])
@@ -124,6 +160,7 @@ def _header_config(header: dict, lineno: int) -> SolverConfig:
     try:
         settings = dict(header["config"])
         settings.pop("audit", None)  # a config field in traces of earlier versions
+        _check_fields(settings, _CONFIG_CHECKS, lineno, "header config")
         return SolverConfig(**settings)
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"line {lineno}: header config invalid: {exc}") from None

@@ -1,11 +1,15 @@
 """Shared test utilities: literal models, the Cauchy point, a brute-force
-subproblem oracle, record surgery and the factorization's null-space basis."""
+subproblem oracle, the global-optimality check, record surgery and the
+factorization's null-space basis."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 from scipy import optimize
+
+from cubeq import tangential
 
 
 def model_value(g, H, sigma, p):
@@ -82,6 +86,45 @@ def ray_polish_min(g, H, sigma):
     )
     candidate = res.x if res.fun <= model_value(g, H, sigma, best) else best
     return candidate, model_value(g, H, sigma, candidate)
+
+
+def solve_with_radius(hessian, g, sigma):
+    """solve_cubic's solution and the radius r of the shifted system it solved."""
+    shifts = []
+    secular_shift = tangential._secular_shift
+
+    def spy(*args):
+        t = secular_shift(*args)
+        if t is not None:  # None: the root lies below the tridiagonal form's reach
+            shifts.append(t)
+        return t
+
+    with mock.patch.object(tangential, "_secular_shift", spy):
+        sol = tangential.solve_cubic(hessian, g, sigma, 0.1)
+    # r = (max(0, -lam_min) + t) / sigma with the model's own lam_min; the
+    # hard case pads at t = 0, and a tridiagonal solve that is redone in the
+    # eigenbasis leaves the eigenbasis shift last
+    floor = max(0.0, -hessian.lam_min)
+    return sol, (floor + (shifts[-1] if shifts else 0.0)) / sigma
+
+
+def assert_global_minimizer(g, H, sigma, sol, r, label=""):
+    """A step p with r = |p| globally minimizes the cubic model exactly when
+    (H + sigma r I) p = -g and lambda_min(H) + sigma r >= 0; it also beats the
+    Cauchy point."""
+    p = sol.p
+    norm_p = float(np.linalg.norm(p))
+    spectrum = np.linalg.eigvalsh(H)
+    lam_min, norm_h = float(spectrum[0]), float(np.max(np.abs(spectrum)))
+    # the size of the terms of (H + sigma r I) p + g
+    scale = float(np.linalg.norm(g)) + (norm_h + sigma * r) * norm_p
+
+    residual = float(np.linalg.norm(H @ p + sigma * r * p + g))
+    assert residual <= 1e-12 * scale, label
+    assert abs(norm_p - r) <= 1e-12 * r, label
+    assert lam_min + sigma * r >= -1e-12 * max(1.0, abs(lam_min)), label
+    cauchy_dec = cauchy_point(H, g, sigma)[1]
+    assert sol.delta_m >= cauchy_dec - 1e-12 * max(1.0, abs(sol.delta_m)), label
 
 
 def perturb(record, **replacements):

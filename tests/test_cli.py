@@ -171,6 +171,22 @@ class TestTraceWorkflow:
         assert isinstance(result.exception, SystemExit)  # no other exception escaped
         assert result.output.startswith(f"error: line {index + 1}: ")
 
+    @pytest.mark.parametrize("index, key, value", [
+        (0, "eta1", "abc"), (0, "rank_tol", None), (0, "max_iter", "3"),
+        (0, "corrections_enabled", "no"), (2, "sigma", "abc"), (2, "beta", None),
+        (2, "classification", "bogus"), (2, "k", "x"), (2, "rho_corr", "x"),
+    ])
+    def test_audit_wrongly_typed_field(self, tmp_path, index, key, value):
+        """A header config or record value of the wrong JSON type is a malformed
+        trace, named by its line and key."""
+        def change(obj):
+            (obj["config"] if index == 0 else obj)[key] = value
+        result = _run("audit", str(_edited_trace(tmp_path, index, change)))
+        assert result.exit_code == EXIT_BAD_TRACE
+        assert isinstance(result.exception, SystemExit)  # no other exception escaped
+        assert result.output.startswith(f"error: line {index + 1}: ")
+        assert f" {key} must be " in result.output
+
     def test_audit_unknown_problem(self, tmp_path):
         trace = _edited_trace(tmp_path, 0, lambda header: header.update(problem="no_such_model"))
         result = _run("audit", str(trace))
@@ -245,6 +261,13 @@ class TestSweep:
         result = _run("sweep", "--problem", "circle_quadratic",
                       "--sweep", "1e-2,banana")
         assert result.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("values", ["0,1e-3", "nan", "1e-3,-1"])
+    def test_bad_tolerance_exits_before_any_solve(self, values):
+        result = _run("sweep", "--problem", "maratos", "--sweep", values)
+        assert result.exit_code == EXIT_CONFIG
+        assert isinstance(result.exception, SystemExit)  # no other exception escaped
+        assert result.output == "error: tolerances must be positive\n"
 
     def test_empty_sweep_list(self):
         result = _run("sweep", "--problem", "circle_quadratic", "--sweep", ",")

@@ -35,6 +35,7 @@ class TestConfig:
             dict(r_lambda=-1.0), dict(r_w=-1.0), dict(sigma0=0.0),
             dict(sigma0=1e-9, sigma_min=1e-8), dict(mu_init=0.0),
             dict(eps_g=0.0), dict(eps_c=-1.0), dict(eps_h=0.0),
+            dict(eps_c=math.nan), dict(eps_h=math.nan),
             dict(max_iter=0), dict(rank_tol=0.0), dict(rank_tol=1.0),
         ]
         for overrides in bad:
@@ -262,6 +263,31 @@ class TestFailureModes:
         result = solve(_nan_constraint_hessian_problem())
         assert result.status == NUMERICAL_ERROR
         assert "NonFiniteValue" in result.message
+
+    def test_failed_decomposition_of_t_reported(self, monkeypatch):
+        """k = 19: with the Newton iteration on T handing over, a nonzero info
+        from dstevd ends the run."""
+        lapack = tangential._lapack()
+        dstevd = lapack.dstevd
+        monkeypatch.setattr(tangential, "_tridiagonal_step", lambda *args: None)
+        monkeypatch.setattr(lapack, "dstevd", lambda d, e: (*dstevd(d, e)[:2], 1))
+        x0 = 1.0 + 0.1 * np.random.default_rng(3).standard_normal(20)
+        result = solve(_chained_rosenbrock_sphere(20), x0=x0)
+        assert result.status == NUMERICAL_ERROR
+        assert result.message.startswith("SecularSolveFailed: eigendecomposition of T failed")
+
+    def test_failed_model_gradient_check_reported(self, monkeypatch):
+        """A cubic step that misses the model's stationarity ends the run."""
+        monkeypatch.setattr(tangential, "_eigenbasis_step", lambda lam, Q, g, *args: 0.0 * g)
+        result = solve(builtin_problem("maratos"))
+        assert result.status == NUMERICAL_ERROR
+        assert result.message.startswith("SecularSolveFailed: model gradient")
+
+    def test_nonpositive_predicted_reduction_reported(self, monkeypatch):
+        monkeypatch.setattr(driver.merit, "predicted_reduction", lambda *args: -1.0)
+        result = solve(builtin_problem("maratos"))
+        assert result.status == NUMERICAL_ERROR
+        assert result.message.startswith("NonpositivePredictedReduction: ")
 
     def test_wrong_start_length_rejected(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from cubeq import tangential
+from cubeq.errors import SecularSolveFailed
 from cubeq.linalg import factorize_jacobian, reduce_matrix
 from cubeq.tangential import ReducedHessian, model_decrease, solve_cubic
-from helpers import cauchy_point, model_value, null_basis, ray_polish_min
+from helpers import (assert_global_minimizer, cauchy_point, model_value, null_basis,
+                     ray_polish_min, solve_with_radius)
 
 DELTA = 0.1
 
@@ -30,6 +32,17 @@ def _model_at(fact, g, H, v, sigma):
     """(hessian, g_red, sigma) of the tangential step after the normal step
     ``v``, as the driver forms them."""
     return ReducedHessian(reduce_matrix(fact, H)), fact.to_null(g + H @ v), sigma
+
+
+def _counted(lapack, name, calls, info=None):
+    """``lapack.name`` that appends to ``calls``; with ``info``, a failing one."""
+    routine = getattr(lapack, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        out = routine(*args, **kwargs)
+        return out if info is None else (*out[:-1], info)
+    return counted
 
 
 class TestBuildReducedModel:
@@ -82,28 +95,24 @@ class TestBuildReducedModel:
 
     def test_reuse_keeps_reduced_hessian_and_spectrum(self, monkeypatch):
         """Models for several sigmas and reduced gradients share one
-        ReducedHessian and solve as on a fresh one; eigh(H_red) is computed
-        once, by the first solve that needs it, and kept."""
+        ReducedHessian and solve as on a fresh one; T is decomposed once, by
+        the first solve that needs it, and the decomposition is kept."""
         rng = np.random.default_rng(11)
         k = 40
         H = rng.standard_normal((k, k))
         hessian = ReducedHessian(0.5 * (H + H.T))
-        eigh, shared_eigh_calls = np.linalg.eigh, []
-
-        def counted_eigh(M):
-            shared_eigh_calls.append(1)
-            return eigh(M)
-
+        lapack, shared_decompositions = tangential._lapack(), []
+        counted_dstevd = _counted(lapack, "dstevd", shared_decompositions)
         # g_red = 0 takes the eigenbasis, which later solves keep using
         for sigma, g in ((1.0, rng.standard_normal(k)), (2.0, np.zeros(k)),
                          (4.0, rng.standard_normal(k)), (8.0, np.zeros(k))):
             fresh = solve_cubic(ReducedHessian(hessian.matrix), g, sigma, DELTA).p
-            monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+            monkeypatch.setattr(lapack, "dstevd", counted_dstevd)
             shared = solve_cubic(hessian, g, sigma, DELTA).p
             monkeypatch.undo()
             np.testing.assert_allclose(shared, fresh, rtol=0,
                                        atol=1e-12 * max(1.0, np.linalg.norm(fresh)))
-        assert shared_eigh_calls == [1]
+        assert shared_decompositions == [1]
         assert hessian.eigh_at_hand
 
 
@@ -325,3 +334,51 @@ class TestTridiagonalPath:
                                       np.linalg.norm(g_red))
                 error = np.linalg.norm(sol.p - ref)
                 assert error <= 1e-12 * max(1.0, np.linalg.norm(ref)), kind
+
+
+class TestEigenbasisOfT:
+    @pytest.mark.parametrize("k", [3, 4, 7, 20, 50])
+    def test_no_dense_eigensolver_runs_for_three_or_more_dimensions(self, k, monkeypatch):
+        """For k >= 3 the eigenbasis is T's: np.linalg.eigh never runs on a
+        matrix of order >= 3, every step is a global minimizer, and T is
+        decomposed once per ReducedHessian (the g_red = 0 solve forces it)."""
+        dense_eigh = np.linalg.eigh
+
+        def small_eigh_only(M, *args, **kwargs):
+            assert np.shape(M)[-1] < 3, f"dense eigh of order {np.shape(M)[-1]}"
+            return dense_eigh(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", small_eigh_only)
+        lapack, decompositions = tangential._lapack(), []
+        monkeypatch.setattr(lapack, "dstevd", _counted(lapack, "dstevd", decompositions))
+        rng = np.random.default_rng(300 + k)
+        for kind in ("generic", "near_hard", "hard", "tiny"):
+            hessian, g_red, sigma = _spectral_model(rng, k, kind, float(rng.uniform(0.5, 4.0)))
+            decompositions.clear()
+            for g, s in ((g_red, sigma), (np.zeros(k), sigma), (g_red, 4.0 * sigma)):
+                sol, r = solve_with_radius(hessian, g, s)
+                assert_global_minimizer(g, hessian.matrix, s, sol, r, kind)
+            assert decompositions == [1], kind
+
+    def test_failed_ldlt_hands_over_to_the_eigenbasis(self, monkeypatch):
+        """A dpttrf failure in the Newton iteration on T hands the solve to T's
+        eigenbasis, which still returns the global minimizer."""
+        lapack, ldlt_calls, decompositions = tangential._lapack(), [], []
+        monkeypatch.setattr(lapack, "dpttrf", _counted(lapack, "dpttrf", ldlt_calls, info=1))
+        monkeypatch.setattr(lapack, "dstevd", _counted(lapack, "dstevd", decompositions))
+        rng = np.random.default_rng(29)
+        for kind in ("generic", "near_hard"):
+            hessian, g_red, sigma = _spectral_model(rng, 12, kind)
+            ldlt_calls.clear()
+            decompositions.clear()
+            sol, r = solve_with_radius(hessian, g_red, sigma)
+            assert ldlt_calls and decompositions == [1], kind
+            assert_global_minimizer(g_red, hessian.matrix, sigma, sol, r, kind)
+
+    def test_failed_decomposition_of_t_raises(self, monkeypatch):
+        """A nonzero info from dstevd is a SecularSolveFailed, not a wrong step."""
+        lapack = tangential._lapack()
+        monkeypatch.setattr(lapack, "dstevd", _counted(lapack, "dstevd", [], info=3))
+        hessian, _, sigma = _spectral_model(np.random.default_rng(31), 6, "generic")
+        with pytest.raises(SecularSolveFailed, match="info=3"):
+            solve_cubic(hessian, np.zeros(6), sigma, DELTA)

@@ -9,15 +9,12 @@ leftmost eigenvalues, true hard cases (g orthogonal to the leftmost
 eigenspace), near-hard cases (a small leftmost component) and tiny gradients.
 """
 
-from unittest import mock
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeq import tangential
-from cubeq.tangential import ReducedHessian, solve_cubic
-from helpers import cauchy_point
+from cubeq.tangential import ReducedHessian
+from helpers import assert_global_minimizer, solve_with_radius
 
 KINDS = ("generic", "hard", "near_hard", "tiny")
 
@@ -49,41 +46,8 @@ def cubic_models(draw):
     return kind, Q @ ghat, H, sigma
 
 
-def _solve_with_radius(hessian, g, sigma):
-    """solve_cubic's step and the radius r of the shifted system it solved."""
-    shifts = []
-    secular_shift = tangential._secular_shift
-
-    def spy(*args):
-        t = secular_shift(*args)
-        if t is not None:  # None: the root lies below the tridiagonal form's reach
-            shifts.append(t)
-        return t
-
-    with mock.patch.object(tangential, "_secular_shift", spy):
-        sol = solve_cubic(hessian, g, sigma, 0.1)
-    # r = (max(0, -lam_min) + t) / sigma with the model's own lam_min; the
-    # hard case pads at t = 0, and a tridiagonal solve that is redone in the
-    # eigenbasis leaves the eigenbasis shift last
-    floor = max(0.0, -hessian.lam_min)
-    return sol, (floor + (shifts[-1] if shifts else 0.0)) / sigma
-
-
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(cubic_models())
 def test_solution_satisfies_global_optimality(case):
     kind, g, H, sigma = case
-    sol, r = _solve_with_radius(ReducedHessian(H), g, sigma)
-    p = sol.p
-    norm_p = float(np.linalg.norm(p))
-    spectrum = np.linalg.eigvalsh(H)
-    lam_min, norm_h = float(spectrum[0]), float(np.max(np.abs(spectrum)))
-    # the size of the terms of (H + sigma r I) p + g
-    scale = float(np.linalg.norm(g)) + (norm_h + sigma * r) * norm_p
-
-    residual = float(np.linalg.norm(H @ p + sigma * r * p + g))
-    assert residual <= 1e-12 * scale, kind
-    assert abs(norm_p - r) <= 1e-12 * r, kind
-    assert lam_min + sigma * r >= -1e-12 * max(1.0, abs(lam_min)), kind
-    cauchy_dec = cauchy_point(H, g, sigma)[1]
-    assert sol.delta_m >= cauchy_dec - 1e-12 * max(1.0, abs(sol.delta_m)), kind
+    assert_global_minimizer(g, H, sigma, *solve_with_radius(ReducedHessian(H), g, sigma), kind)
