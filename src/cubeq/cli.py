@@ -48,15 +48,12 @@ def _fail(message: str, code: int):
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
+_TOLERANCES = ("eps_g", "eps_c", "eps_h")  # what --eps and each --sweep value set
 
 
-def _build_config(eps, eps_g, eps_c, eps_h, max_iter, no_corrections,
-                  overrides) -> SolverConfig:
-    """The flags as (key, value) pairs, then ``--set`` pairs; later pairs win."""
-    pairs = [("eps_g", eps), ("eps_c", eps), ("eps_h", eps), ("eps_g", eps_g),
-             ("eps_c", eps_c), ("eps_h", eps_h), ("max_iter", max_iter)]
-    values = {key: value for key, value in pairs if value is not None}
-    values["corrections_enabled"] = not no_corrections
+def _build_config(overrides, eps=None) -> SolverConfig:
+    """``--eps`` as all three tolerances, then the ``--set`` pairs; later pairs win."""
+    values = {} if eps is None else dict.fromkeys(_TOLERANCES, eps)
     kinds = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
     for item in overrides:
         key, sep, raw = item.partition("=")
@@ -91,18 +88,21 @@ def _setup_errors():
         _fail(str(exc), EXIT_CONFIG)
 
 
-def _setup(problem_name, x0, eps, eps_g, eps_c, eps_h, max_iter, no_corrections,
-           overrides, sweep=None) -> tuple:
+def _setup(problem_name, x0, overrides, eps=None, sweep=None) -> tuple:
     """The problem, the start and every configuration the command runs (one per
     ``sweep`` tolerance), all validated before the first solve."""
     with _setup_errors():
         problem = builtin_problem(problem_name)
-        config = _build_config(eps, eps_g, eps_c, eps_h, max_iter, no_corrections, overrides)
+        config = _build_config(overrides, eps)
         start = None if x0 is None else np.array(_floats("--x0", x0))
         if start is not None and len(start) != problem.n:
             raise ConfigError(f"--x0 has {len(start)} entries, {problem.name} needs {problem.n}")
         if sweep is None:
             return problem, start, [config]
+        for item in overrides:
+            if item.partition("=")[0] in _TOLERANCES:
+                raise ConfigError(f"each --sweep value sets eps_g, eps_c and eps_h; "
+                                  f"drop --set {item}")
         values = _floats("--sweep", sweep)
         if not values:
             raise ConfigError("--sweep needs at least one tolerance value")
@@ -110,30 +110,13 @@ def _setup(problem_name, x0, eps, eps_g, eps_c, eps_h, max_iter, no_corrections,
                                 for v in values]
 
 
-def _solver_options(fn):
-    options = [
-        click.option("--x0", default=None, metavar="V1,V2,...",
-                     help="Start point (default: the problem's)."),
-        click.option("--eps", type=float, default=None,
-                     help="Set all three termination tolerances at once."),
-        click.option("--eps-g", type=float, default=None,
-                     help="Lagrangian-gradient tolerance."),
-        click.option("--eps-c", type=float, default=None,
-                     help="Infeasibility tolerance."),
-        click.option("--eps-h", type=float, default=None,
-                     help="Reduced-curvature tolerance."),
-        click.option("--max-iter", type=int, default=None,
-                     help="Iteration budget."),
-        click.option("--no-corrections", is_flag=True,
-                     help="Disable second-order correction steps."),
-        click.option("--audit", "audit_flag", is_flag=True,
-                     help="Check every iteration against the full invariant suite."),
-        click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
-                     help="Override any config field (repeatable)."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+_PROBLEM = click.option("--problem", "problem_name", required=True, help="Catalog problem name.")
+_X0 = click.option("--x0", default=None, metavar="V1,V2,...",
+                   help="Start point (default: the problem's).")
+_AUDIT = click.option("--audit", "audit_flag", is_flag=True,
+                      help="Check every iteration against the full invariant suite.")
+_SET = click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
+                    help="Set any SolverConfig field (repeatable; later pairs win).")
 
 
 def _echo_violations(violations):
@@ -159,15 +142,18 @@ def main():
 
 
 @main.command("solve")
-@click.option("--problem", "problem_name", required=True,
-              help="Catalog problem name.")
-@_solver_options
+@_PROBLEM
+@_X0
+@click.option("--eps", type=float, default=None,
+              help="Set eps_g, eps_c and eps_h at once (a later --set of one wins).")
+@_AUDIT
+@_SET
 @click.option("--trace", "trace_path", default=None,
               type=click.Path(dir_okay=False),
               help="Write a line-delimited JSON trace of the run.")
-def cmd_solve(problem_name, audit_flag, trace_path, **options):
+def cmd_solve(problem_name, x0, eps, audit_flag, overrides, trace_path):
     """Run the solver on one catalog problem."""
-    problem, start, (config,) = _setup(problem_name, **options)
+    problem, start, (config,) = _setup(problem_name, x0, overrides, eps=eps)
     result = solve(problem, start, config)
     violations = diagnostics.audit_run(problem, result.history, config) if audit_flag else []
     if trace_path is not None:
@@ -184,15 +170,17 @@ def cmd_solve(problem_name, audit_flag, trace_path, **options):
 
 
 @main.command("sweep")
-@click.option("--problem", "problem_name", required=True,
-              help="Catalog problem name.")
+@_PROBLEM
 @click.option("--sweep", "sweep_values", required=True, metavar="V1,V2,...",
-              help="Tolerance values; each run sets eps-g = eps-c = eps-h.")
-@_solver_options
-def cmd_sweep(problem_name, sweep_values, audit_flag, **options):
+              help="Tolerance values; each run sets eps_g = eps_c = eps_h to one "
+                   "(so --set of these is an error).")
+@_X0
+@_AUDIT
+@_SET
+def cmd_sweep(problem_name, sweep_values, x0, audit_flag, overrides):
     """Solve one problem at several tolerances; print a CSV table and the
     fitted log-log slope of accepted-iteration count against 1/eps."""
-    problem, start, configs = _setup(problem_name, sweep=sweep_values, **options)
+    problem, start, configs = _setup(problem_name, x0, overrides, sweep=sweep_values)
     worst = 0
     rows = []
     all_violations = []

@@ -24,7 +24,8 @@ numerical error.
 
 ``solve`` validates and runs the loop, which appends one record per iteration
 and leaves through one ``SolveResult``, whose counts are tallied from the
-history.  The solver never audits itself: ``diagnostics.audit_run`` checks a
+history and whose x, lambda and report are those of the last completed
+iterate.  The solver never audits itself: ``diagnostics.audit_run`` checks a
 finished history beside it, so auditing cannot change a run's path or status.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -91,6 +92,8 @@ class SolverConfig:
     corrections_enabled: bool = True
 
     def validate(self) -> "SolverConfig":
+        infinite = [f.name for f in fields(self)
+                    if type(f.default) is float and math.isinf(getattr(self, f.name))]
         checks = [
             (0.0 < self.eta1 < self.eta2 < 1.0, "need 0 < eta1 < eta2 < 1"),
             (self.nu > 1.0, "need nu > 1"),
@@ -109,6 +112,11 @@ class SolverConfig:
              "tolerances must be positive"),
             (self.max_iter >= 1, "need max_iter >= 1"),
             (0.0 < self.rank_tol < 1.0, "need rank_tol in (0, 1)"),
+            # after the ranges, which reject NaN with their own messages
+            (not infinite, f"need finite {', '.join(infinite)}"),
+            (isinstance(self.max_iter, (int, np.integer)) and not isinstance(self.max_iter, bool),
+             "need an integer max_iter"),
+            (isinstance(self.corrections_enabled, bool), "need a boolean corrections_enabled"),
         ]
         for ok, message in checks:
             if not ok:
@@ -304,7 +312,7 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
         for k in range(config.max_iter + 1):
             if it is None:
                 it = _at_iterate(problem, at, config)
-                lam, report = it.lam, it.report
+                x, lam, report = at.x, it.lam, it.report
             if report.sosp:
                 status = CONVERGED_SOSP
                 break
@@ -374,7 +382,7 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
                     message = (f"accepted step at iteration {k} left x unchanged to one ulp "
                                f"(|d| = {norm_d:.3e})")
                     break
-                at, x, it, point = taken, taken.x, None, None  # frees x's Hessians
+                at, it, point = taken, None, None  # frees x's Hessians; x moves once completed
             sigma = sigma_next
     except RankDeficient as exc:
         status, message = LICQ_FAILURE, str(exc)

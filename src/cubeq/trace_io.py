@@ -83,11 +83,12 @@ def record_to_dict(record: IterationRecord) -> dict:
     return out
 
 
-def _vector(value) -> np.ndarray:
-    out = np.asarray(value, dtype=float)
-    if out.ndim != 1:
-        raise ValueError(f"expected a list of numbers, got {value!r}")
-    return out
+def _vector(key: str, value) -> np.ndarray:
+    """The list of JSON numbers ``value`` as a float array; nothing else converts."""
+    out = np.array(value)
+    if out.ndim != 1 or out.dtype.kind not in "iuf":
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return out.astype(float, copy=False)
 
 
 def record_from_dict(data: dict, lineno: int) -> IterationRecord:
@@ -96,9 +97,9 @@ def record_from_dict(data: dict, lineno: int) -> IterationRecord:
     _check_fields(data, _RECORD_CHECKS, lineno, "iteration record field")
     try:
         for key in ("x", "lam", "v_c", "v", "u"):
-            data[key] = _vector(data[key])
+            data[key] = _vector(key, data[key])
         if data.get("w") is not None:
-            data["w"] = _vector(data["w"])
+            data["w"] = _vector("w", data["w"])
         return IterationRecord(**data)
     except KeyError as exc:
         raise TraceError(f"line {lineno}: iteration record has no {exc} field") from None

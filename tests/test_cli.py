@@ -40,7 +40,7 @@ class TestSolve:
 
     def test_corrections_flag_plumbed(self):
         with_corr = _run("solve", "--problem", "maratos")
-        without = _run("solve", "--problem", "maratos", "--no-corrections")
+        without = _run("solve", "--problem", "maratos", "--set", "corrections_enabled=off")
         assert "corrections=3" in with_corr.output
         assert "corrections=0" in without.output
 
@@ -76,7 +76,7 @@ class TestSolve:
 
     def test_budget_exhaustion_exit_code(self):
         result = _run("solve", "--problem", "rosenbrock_sphere",
-                      "--max-iter", "2")
+                      "--set", "max_iter=2")
         assert result.exit_code == 11
         assert "status=max_iterations" in result.output
 
@@ -105,7 +105,7 @@ class TestConfigFlags:
         return json.loads(trace.read_text().splitlines()[0])["config"]
 
     def test_eps_then_one_tolerance(self, tmp_path):
-        config = self._config(tmp_path, "--eps", "1e-3", "--eps-g", "1e-6")
+        config = self._config(tmp_path, "--eps", "1e-3", "--set", "eps_g=1e-6")
         assert (config["eps_g"], config["eps_c"], config["eps_h"]) == (1e-6, 1e-3, 1e-3)
 
     def test_set_bool(self, tmp_path):
@@ -114,14 +114,32 @@ class TestConfigFlags:
         assert config["corrections_enabled"] is False
 
     def test_set_int_comes_last(self, tmp_path):
-        config = self._config(tmp_path, "--max-iter", "5", "--set", "max_iter=3")
+        config = self._config(tmp_path, "--set", "max_iter=5", "--set", "max_iter=3")
         assert config["max_iter"] == 3 and isinstance(config["max_iter"], int)
+
+    @pytest.mark.parametrize("flags", [("--eps", "inf"), ("--set", "sigma0=inf")])
+    def test_infinite_setting_exits_before_the_solve(self, flags):
+        result = _run("solve", "--problem", "rosenbrock_sphere", *flags)
+        assert result.exit_code == EXIT_CONFIG
+        assert result.output.startswith("error: ") and "status=" not in result.output
 
     def test_unparsable_bool_and_int(self):
         for item in ("corrections_enabled=maybe", "max_iter=3.5"):
             result = _run("solve", "--problem", "circle_quadratic", "--set", item)
             assert result.exit_code == EXIT_CONFIG
             assert "cannot parse" in result.output
+
+
+@pytest.mark.parametrize("command, options", [
+    ("solve", ["--problem", "--x0", "--eps", "--audit", "--set", "--trace"]),
+    ("sweep", ["--problem", "--sweep", "--x0", "--audit", "--set"]),
+])
+def test_options_are_one_way_in(command, options):
+    """Every SolverConfig field is reached through --set; --eps is solve's one shorthand."""
+    result = _run(command, "--help")
+    listed = [line.split()[0] for line in result.output.splitlines()
+              if line.startswith("  --")]
+    assert listed == options + ["--help"]
 
 
 class TestTraceWorkflow:
@@ -175,6 +193,8 @@ class TestTraceWorkflow:
         (0, "eta1", "abc"), (0, "rank_tol", None), (0, "max_iter", "3"),
         (0, "corrections_enabled", "no"), (2, "sigma", "abc"), (2, "beta", None),
         (2, "classification", "bogus"), (2, "k", "x"), (2, "rho_corr", "x"),
+        (2, "x", ["0.5", "0.5"]), (2, "lam", ["1.0"]), (2, "w", ["0", "0"]),
+        (2, "u", [True, False]), (2, "x", [1.0, None]),
     ])
     def test_audit_wrongly_typed_field(self, tmp_path, index, key, value):
         """A header config or record value of the wrong JSON type is a malformed
@@ -268,6 +288,15 @@ class TestSweep:
         assert result.exit_code == EXIT_CONFIG
         assert isinstance(result.exception, SystemExit)  # no other exception escaped
         assert result.output == "error: tolerances must be positive\n"
+
+    @pytest.mark.parametrize("key", ["eps_g", "eps_c", "eps_h"])
+    def test_tolerance_override_exits_before_any_solve(self, key):
+        """Each --sweep value sets all three tolerances, so a --set of one would be ignored."""
+        result = _run("sweep", "--problem", "maratos", "--sweep", "1e-3", "--set", f"{key}=0.5")
+        assert result.exit_code == EXIT_CONFIG
+        assert isinstance(result.exception, SystemExit)  # no other exception escaped
+        assert result.output.splitlines() == [
+            f"error: each --sweep value sets eps_g, eps_c and eps_h; drop --set {key}=0.5"]
 
     def test_empty_sweep_list(self):
         result = _run("sweep", "--problem", "circle_quadratic", "--sweep", ",")

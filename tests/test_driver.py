@@ -1,4 +1,5 @@
-"""End-to-end solver behaviour: classification, updates, and convergence."""
+"""End-to-end solver behaviour: classification, updates, the correction region,
+and convergence."""
 
 import dataclasses
 import math
@@ -11,7 +12,8 @@ from cubeq.diagnostics import audit_run
 from cubeq.driver import (CONVERGED_SOSP, LICQ_FAILURE, MAX_ITERATIONS,
                           NUMERICAL_ERROR, SUCCESSFUL, UNSUCCESSFUL,
                           VERY_SUCCESSFUL, SolverConfig, check_stationarity,
-                          classify_iteration, solve, update_sigma)
+                          classify_iteration, in_correction_region, solve,
+                          update_sigma)
 from cubeq.errors import ConfigError
 from cubeq.problems import Problem, builtin_problem
 from cubeq.trace_io import read_trace, write_trace
@@ -37,6 +39,10 @@ class TestConfig:
             dict(eps_g=0.0), dict(eps_c=-1.0), dict(eps_h=0.0),
             dict(eps_c=math.nan), dict(eps_h=math.nan),
             dict(max_iter=0), dict(rank_tol=0.0), dict(rank_tol=1.0),
+            dict(eps_g=math.inf), dict(sigma0=math.inf), dict(sigma0=math.inf, sigma_min=math.inf),
+            dict(nu=math.inf), dict(gamma2=math.inf), dict(r_lambda=math.inf),
+            dict(r_w=math.inf), dict(mu_init=math.inf), dict(max_iter=2.5),
+            dict(max_iter=True), dict(corrections_enabled="no"), dict(corrections_enabled=0),
         ]
         for overrides in bad:
             with pytest.raises(ConfigError):
@@ -59,6 +65,20 @@ class TestClassification:
     def test_sigma_floor(self):
         config = SolverConfig()
         assert update_sigma(1e-8, VERY_SUCCESSFUL, config) == 1e-8
+
+
+class TestRegion:
+    def test_feasible_always_qualifies(self):
+        assert in_correction_region(0.0, 1.0, zeta=0.25)
+        assert in_correction_region(0.0, 1e8, zeta=0.25)
+
+    def test_large_normal_step_disqualifies(self):
+        assert not in_correction_region(1.0, 1.0, zeta=0.25)
+
+    def test_threshold_scales_with_regularization(self):
+        assert in_correction_region(0.2, 1.0, zeta=0.25)
+        # same offset fails once sigma inflates the test
+        assert not in_correction_region(0.2, 4.0, zeta=0.25)
 
 
 class TestStationarity:
@@ -130,6 +150,17 @@ class TestConvergence:
             assert report.grad_lagrangian_norm <= config.eps_g
             assert report.c_l1 <= config.eps_c
             assert report.lambda_min_red >= -config.eps_h
+
+
+class TestCorrectionInSolver:
+    def test_steps_stay_second_order_small(self):
+        """Every correction is O(|d|^2) along the curved-valley run."""
+        problem = builtin_problem("maratos")
+        result = solve(problem, config=SolverConfig())
+        corrected = [r for r in result.history if r.correction_computed]
+        assert corrected
+        for rec in corrected:
+            assert np.linalg.norm(rec.w) <= 1.0 * np.linalg.norm(rec.v + rec.u)**2
 
 
 class TestRunMechanics:
@@ -228,6 +259,24 @@ def _nan_gradient_problem() -> Problem:
     )
 
 
+def _nan_gradient_region_problem() -> Problem:
+    # min (x0 - 2)^2 + x1^2  s.t.  x0 = x1; f and c are finite everywhere, but g
+    # and hess f are NaN for x0 > 0.5, where the first step from the origin lands.
+    def nan_beyond(value, x):
+        return np.full_like(value, np.nan) if x[0] > 0.5 else value
+
+    return Problem(
+        name="nan_gradient_region", n=2, m=1,
+        objective=lambda x: float((x[0] - 2.0) ** 2 + x[1] ** 2),
+        gradient=lambda x: nan_beyond(np.array([2.0 * (x[0] - 2.0), 2.0 * x[1]]), x),
+        objective_hessian=lambda x: nan_beyond(2.0 * np.eye(2), x),
+        constraints=lambda x: np.array([x[0] - x[1]]),
+        jacobian=lambda x: np.array([[1.0, -1.0]]),
+        constraint_hessians=lambda x: [np.zeros((2, 2))],
+        default_start=np.zeros(2),
+    )
+
+
 def _nan_constraint_hessian_problem() -> Problem:
     # min x.x/2 + x0  s.t.  |x|^2 = 1 and x0 + x1 + x2 = 0; the linear
     # constraint's Hessian callback returns a NaN.
@@ -258,6 +307,20 @@ class TestFailureModes:
         result = solve(_nan_gradient_problem())
         assert result.status == NUMERICAL_ERROR
         assert "NonFiniteValue" in result.message
+
+    def test_failed_completion_leaves_one_iterate(self):
+        """An accepted point whose gradient is NaN ends the run; x_final, lambda_final
+        and final_report still describe one iterate, the last one completed."""
+        problem = _nan_gradient_region_problem()
+        result = solve(problem)
+        assert result.status == NUMERICAL_ERROR and "NonFiniteValue" in result.message
+        assert result.iterations == 1 and result.history[0].accepted
+        x, lam = result.x_final, result.lambda_final
+        np.testing.assert_array_equal(x, result.history[0].x)
+        np.testing.assert_array_equal(lam, result.history[0].lam)
+        grad_l = problem.gradient(x) + problem.jacobian(x).T @ lam
+        assert result.final_report.grad_lagrangian_norm == np.linalg.norm(grad_l)
+        assert result.final_report.c_l1 == np.abs(problem.constraints(x)).sum()
 
     def test_non_finite_constraint_hessian_reported(self):
         result = solve(_nan_constraint_hessian_problem())

@@ -67,7 +67,7 @@ def test_every_top_level_definition_is_used_or_exported():
 CROSS_CUTTING = {"acceptance", "certificates", "corpus", "layering", "tooling",
                  "tangential_properties"}
 # suites of code that now lives in linalg and driver, not yet folded into theirs
-UNFOLDED = {"correction", "normal_step"}
+UNFOLDED = {"normal_step"}
 
 
 def test_every_test_module_names_a_module_or_a_listed_suite():

@@ -1,12 +1,12 @@
-"""Jacobian factorization, null-space maps, reduced eigenproblems and least-squares
-multiplier estimates."""
+"""Jacobian factorization, null-space maps, reduced eigenproblems, least-squares
+multiplier estimates and correction steps."""
 
 import numpy as np
 import pytest
 
 from cubeq.errors import RankDeficient
-from cubeq.linalg import (estimate_multipliers, factorize_jacobian, range_least_squares,
-                          reduce_matrix)
+from cubeq.linalg import (compute_correction, estimate_multipliers, factorize_jacobian,
+                          range_least_squares, reduce_matrix)
 from helpers import null_basis
 
 EPS = np.finfo(float).eps
@@ -77,6 +77,31 @@ class TestRangeLeastSquares:
                 np.testing.assert_allclose(A @ x + rhs, 0, atol=1e-12)
                 # x lies in range(A^T)
                 np.testing.assert_allclose(fact.to_null(x), 0, atol=1e-12)
+
+
+class TestComputeCorrection:
+    def test_zero_residual_gives_zero_step(self):
+        fact = factorize_jacobian(np.array([[1.0, 0.0]]))
+        w = compute_correction(fact, np.zeros(1), 0.0, 0.0)
+        np.testing.assert_array_equal(w, np.zeros(2))
+
+    def test_axis_example(self):
+        fact = factorize_jacobian(np.array([[1.0, 0.0]]))
+        w = compute_correction(fact, np.array([0.08]), 0.0, 0.0)
+        np.testing.assert_allclose(w, [-0.08, 0.0], atol=1e-15)
+
+    def test_matches_pseudoinverse(self):
+        rng = np.random.default_rng(31)
+        for _ in range(15):
+            A = rng.standard_normal((2, 4))
+            c_trial = rng.standard_normal(2)
+            fact = factorize_jacobian(A)
+            w = compute_correction(fact, c_trial, 0.0, 0.0)
+            np.testing.assert_allclose(w, -np.linalg.pinv(A) @ c_trial,
+                                       atol=1e-10)
+            # row-space membership and exact least-squares residual
+            np.testing.assert_allclose(null_basis(fact).T @ w, 0, atol=1e-10)
+            np.testing.assert_allclose(A @ w + c_trial, 0, atol=1e-10)
 
 
 class TestReducedEig:

@@ -91,7 +91,7 @@ print(json.dumps({"runs": runs,
 def test_small_reduced_problems_load_no_scipy_lapack():
     """With n - m <= 2, as in every catalog problem, the factorization, the
     solves and the reduced eigensolve are numpy's: loading `_flapack` would add
-    about 3.6 MB of resident memory to the smallest solves."""
+    about 2.6 MB of resident memory to the smallest solves."""
     result = json.loads(_python("-c", _SOLVE_CATALOG)[-1])
     assert result["runs"]
     for name, (k, status, codes) in result["runs"].items():
