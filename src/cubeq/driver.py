@@ -12,8 +12,10 @@ The composite d = v + u is accepted when the achieved l1-merit decrease
 covers at least eta1 of the predicted decrease.  One step test scores the
 trial point x + d and, if a finite trial point fails near the constraint
 surface, one corrected point x + d + w; each is evaluated for f and c only,
-with ratio -inf where either is not finite.  sigma falls after very
-successful iterations and rises after failures; mu only ratchets up.
+with ratio -inf where either is not finite, and where the predicted decrease
+is within the merit's rounding noise it passes iff the merit did not
+measurably rise.  sigma falls after very successful iterations and rises
+after failures; mu only ratchets up.
 
 Termination requires all three stationarity measures at once: the Lagrangian
 gradient norm, the l1 infeasibility, and the smallest reduced Hessian
@@ -24,9 +26,11 @@ numerical error.
 
 ``solve`` validates and runs the loop, which appends one record per iteration
 and leaves through one ``SolveResult``, whose counts are tallied from the
-history and whose x, lambda and report are those of the last completed
-iterate.  The solver never audits itself: ``diagnostics.audit_run`` checks a
-finished history beside it, so auditing cannot change a run's path or status.
+history.  An accepted point becomes the iterate in one place, where it is
+completed; x, lambda and the report move only once all of that work has
+succeeded, so they describe the last completed iterate.  The solver never
+audits itself: ``diagnostics.audit_run`` checks a finished history beside
+it, so auditing cannot change a run's path or status.
 """
 
 from __future__ import annotations
@@ -41,10 +45,9 @@ import numpy as np
 from . import merit
 from .errors import (ConfigError, NonFiniteValue, NonpositivePredictedReduction,
                      RankDeficient, ResidualConditionUnmet, SecularSolveFailed)
-from .linalg import (FactorizedJacobian, compute_correction, compute_vc,
-                     estimate_multipliers, factorize_jacobian, norm, reduce_matrix)
-from .problems import (EvalPoint, Problem, TrialPoint, complete_point,
-                       evaluate_trial, lagrangian_hessian)
+from .linalg import (compute_correction, compute_vc, estimate_multipliers,
+                     factorize_jacobian, norm, reduce_matrix)
+from .problems import Problem, TrialPoint, complete_point, evaluate_trial, lagrangian_hessian
 from .tangential import ReducedHessian, solve_cubic
 
 Array = np.ndarray
@@ -253,22 +256,10 @@ def _merit_noise(f: float, mu: float, c_l1: float) -> float:
     return _NOISE_ULPS * np.finfo(float).eps * scale
 
 
-@dataclass
-class _Iterate:
-    """The sigma-free work at one iterate, kept while x stays put."""
-
-    point: EvalPoint
-    fact: FactorizedJacobian
-    lam: Array
-    v_c: Array
-    norm_vc: float
-    H: Array
-    hessian: ReducedHessian  # Z^T H Z, shared by every cubic model at the iterate
-    report: StationarityReport
-
-
-def _at_iterate(problem: Problem, at: TrialPoint, config: SolverConfig) -> _Iterate:
-    """Derivatives, factorization, multipliers, v_c and the reduced Hessian at ``at``."""
+def _at_iterate(problem: Problem, at: TrialPoint, config: SolverConfig) -> tuple:
+    """The sigma-free work at the new iterate ``at``: the completed point, the
+    factorization, lam, v_c and |v_c|, H, the ReducedHessian of Z^T H Z, which
+    every cubic model at the iterate shares, and the stationarity report."""
     point = complete_point(problem, at)
     fact = factorize_jacobian(point.A, config.rank_tol)
     lam = estimate_multipliers(fact, point.g)
@@ -277,42 +268,43 @@ def _at_iterate(problem: Problem, at: TrialPoint, config: SolverConfig) -> _Iter
     grad_l_norm = norm(point.g + point.A.T @ lam)
     hessian = ReducedHessian(reduce_matrix(fact, H))
     report = check_stationarity(grad_l_norm, point.c_l1, hessian.lam_min, config)
-    return _Iterate(point, fact, lam, v_c, norm_vc, H, hessian, report)
+    return point, fact, lam, v_c, norm_vc, H, hessian, report
 
 
-def _score(problem: Problem, y: Array, phi_x: float, mu: float,
-           delta_q: float) -> tuple:
-    """f and c at a trial or corrected point ``y`` and its merit ratio;
-    (None, -inf) where f or c is not finite."""
+def _try_point(problem: Problem, y: Array, phi_x: float, mu: float, delta_q: float,
+               noise: float, config: SolverConfig) -> tuple:
+    """The step test at a trial or corrected point ``y``: (its f and c, the merit
+    ratio, the classification); (None, -inf, unsuccessful) where f or c is not
+    finite.  Where delta_q is within the merit noise, both sides of the ratio
+    are below measurement precision: ``y`` passes iff the merit did not
+    measurably rise."""
     try:
         trial = evaluate_trial(problem, y)
     except NonFiniteValue:
-        return None, -math.inf
-    return trial, merit.ratio(phi_x, merit.merit_value(trial.f, trial.c_l1, mu), delta_q)
+        return None, -math.inf, UNSUCCESSFUL
+    phi_y = merit.merit_value(trial.f, trial.c_l1, mu)
+    rho = merit.ratio(phi_x, phi_y, delta_q)
+    if delta_q <= noise:
+        return trial, rho, UNSUCCESSFUL if phi_y > phi_x + noise else VERY_SUCCESSFUL
+    return trial, rho, classify_iteration(rho, config.eta1, config.eta2)
 
 
 def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> SolveResult:
-    """Run the solver from ``x0`` (default: the problem's default start)."""
+    """Run the solver from ``x0`` (default: the problem's default start): one
+    record per iteration, then the status and message."""
     config = (config or SolverConfig()).validate()
     x = np.array(problem.default_start if x0 is None else x0, dtype=float).reshape(-1)
-    return _run(problem, x, config)
-
-
-def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
-    """The iteration loop: one record per iteration, then the status and message."""
-    sigma = config.sigma0
-    mu = config.mu_init
+    sigma, mu = config.sigma0, config.mu_init
     history: list = []
-    lam = None
-    report = None
+    lam = report = None
     message = ""
     try:
-        at = evaluate_trial(problem, x)
-        it = None  # work at x; None until computed, and again after x moves
+        at = evaluate_trial(problem, x)  # the point x moves to once completed; None while x stays
         for k in range(config.max_iter + 1):
-            if it is None:
-                it = _at_iterate(problem, at, config)
-                x, lam, report = at.x, it.lam, it.report
+            if at is not None:  # x, lam and report move once the whole completion succeeds
+                (point, fact, lam, v_c, norm_vc, H, hessian,
+                 report) = _at_iterate(problem, at, config)
+                x, at = at.x, None
             if report.sosp:
                 status = CONVERGED_SOSP
                 break
@@ -321,11 +313,10 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
                 status = CONVERGED_FOSP if report.fosp else MAX_ITERATIONS
                 message = f"stopped after {config.max_iter} iterations"
                 break
-            point, fact, H, v_c, norm_vc = it.point, it.fact, it.H, it.v_c, it.norm_vc
 
             beta = select_beta(norm_vc, sigma)
             v = beta * v_c
-            tang = solve_cubic(it.hessian, fact.to_null(point.g + H @ v), sigma, config.delta)
+            tang = solve_cubic(hessian, fact.to_null(point.g + H @ v), sigma, config.delta)
             u = fact.from_null(tang.p)
             d = v + u
             norm_d = norm(d)
@@ -345,22 +336,15 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
                 )
 
             phi_x = merit.merit_value(point.f, point.c_l1, mu)
-            # taken: the point x moves to if the step is accepted
-            taken, rho = _score(problem, x + d, phi_x, mu, delta_q)
+            trial, rho, classification = _try_point(problem, x + d, phi_x, mu, delta_q,
+                                                     noise, config)
             w = rho_corr = None  # set when a correction is computed
-            if taken is not None and delta_q <= noise:
-                # Both sides of the ratio are below measurement precision;
-                # accept iff the merit did not measurably increase.
-                rose = merit.merit_value(taken.f, taken.c_l1, mu) > phi_x + noise
-                classification = UNSUCCESSFUL if rose else VERY_SUCCESSFUL
-            else:
-                classification = classify_iteration(rho, config.eta1, config.eta2)
-                if (classification == UNSUCCESSFUL and taken is not None
-                        and config.corrections_enabled
-                        and in_correction_region(norm_vc, sigma, config.zeta)):
-                    w = compute_correction(fact, taken.c, config.r_w, norm_d)
-                    taken, rho_corr = _score(problem, x + d + w, phi_x, mu, delta_q)
-                    classification = classify_iteration(rho_corr, config.eta1, config.eta2)
+            if (classification == UNSUCCESSFUL and trial is not None and delta_q > noise
+                    and config.corrections_enabled
+                    and in_correction_region(norm_vc, sigma, config.zeta)):
+                w = compute_correction(fact, trial.c, config.r_w, norm_d)
+                trial, rho_corr, classification = _try_point(problem, x + d + w, phi_x, mu,
+                                                              delta_q, noise, config)
 
             sigma_next = update_sigma(sigma, classification, config)
             record = IterationRecord(
@@ -376,13 +360,14 @@ def _run(problem: Problem, x: Array, config: SolverConfig) -> SolveResult:
             )
             history.append(record)
             if record.accepted:
-                if np.max(np.abs(taken.x - x)) <= np.spacing(np.max(np.abs(x))):
+                if np.max(np.abs(trial.x - x)) <= np.spacing(np.max(np.abs(x))):
                     # d rounded to one ulp against x: accepting it again and again is no progress
                     status = NUMERICAL_ERROR
                     message = (f"accepted step at iteration {k} left x unchanged to one ulp "
                                f"(|d| = {norm_d:.3e})")
                     break
-                at, it, point = taken, None, None  # frees x's Hessians; x moves once completed
+                # frees x's Hessians and Z^T H Z before the new point is completed
+                at, point, hessian = trial, None, None
             sigma = sigma_next
     except RankDeficient as exc:
         status, message = LICQ_FAILURE, str(exc)

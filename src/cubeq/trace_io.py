@@ -2,10 +2,10 @@
 
 A trace file holds one JSON object per line: a header (problem name, start
 point, full configuration), one record per iteration with every field of
-:class:`IterationRecord` as a named key, any audit violations, and a footer
-with the final status.  Records written by earlier versions also carry the
-step norms and the ``correction_computed`` and ``accepted`` flags, which the
-other fields determine; they are dropped on reading.  ``json.dumps`` writes
+:class:`IterationRecord` as a named key, any audit violations, and, last, a
+footer with the final status.  Records written by earlier versions also carry
+the step norms and the ``correction_computed`` and ``accepted`` flags, which
+the other fields determine; they are dropped on reading.  ``json.dumps`` writes
 every float in its shortest round-tripping form, so a replayed audit sees
 bit-identical values; files written with 17 significant digits by earlier
 versions read back the same.
@@ -177,6 +177,8 @@ def read_trace(path) -> TraceData:
             line = line.strip()
             if not line:
                 continue
+            if footer is not None:
+                raise TraceError(f"line {lineno}: a line after the footer")
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:

@@ -1,6 +1,7 @@
 """Shared test utilities: literal models, the Cauchy point, a brute-force
-subproblem oracle, the global-optimality check, record surgery and the
-factorization's null-space basis."""
+subproblem oracle, the global-optimality check, record surgery, the step
+rule every record obeys, the factorization's null-space basis and random
+full-rank systems."""
 
 import dataclasses
 import math
@@ -9,7 +10,8 @@ from unittest import mock
 import numpy as np
 from scipy import optimize
 
-from cubeq import tangential
+from cubeq import driver, tangential
+from cubeq.driver import UNSUCCESSFUL, VERY_SUCCESSFUL, classify_iteration
 
 
 def model_value(g, H, sigma, p):
@@ -132,7 +134,32 @@ def perturb(record, **replacements):
     return dataclasses.replace(record, **replacements)
 
 
+def assert_step_rule(record, config):
+    """The record's classification follows from its own numbers: where delta_q
+    is within the merit noise, the merit-noise rule decides and no correction
+    is tried; otherwise the eta bands on rho, or on rho_corr after a correction."""
+    if record.delta_q <= driver._merit_noise(record.f, record.mu, record.c_l1):
+        assert record.w is None, record.k
+        assert record.classification in (VERY_SUCCESSFUL, UNSUCCESSFUL), record.k
+    else:
+        rho = record.rho_corr if record.w is not None else record.rho
+        assert record.classification == classify_iteration(rho, config.eta1, config.eta2), record.k
+
+
 def null_basis(fact):
     """The columns Z e_i of the factorization's implicit null-space basis, as a matrix."""
     k = fact.A.shape[1] - fact.A.shape[0]
     return np.column_stack([fact.from_null(e) for e in np.eye(k)])
+
+
+def random_full_rank(rng, m, n):
+    """A random (m, n) matrix; rejection keeps its smallest singular value above 0.1."""
+    while True:
+        A = rng.standard_normal((m, n))
+        if np.linalg.svd(A, compute_uv=False)[-1] > 0.1:
+            return A
+
+
+def random_system(rng, m, n):
+    """A random full-rank (m, n) Jacobian and a right-hand side."""
+    return random_full_rank(rng, m, n), rng.standard_normal(m)

@@ -207,6 +207,22 @@ class TestTraceWorkflow:
         assert result.output.startswith(f"error: line {index + 1}: ")
         assert f" {key} must be " in result.output
 
+    @pytest.mark.parametrize("appended", [
+        lambda lines: lines[2],
+        lambda lines: json.dumps({**json.loads(lines[-1]), "status": "max_iterations"}),
+    ], ids=["repeated_record", "second_footer"])
+    def test_audit_line_after_footer(self, tmp_path, appended):
+        """Nothing may follow the footer: a copy of a record or a second footer
+        there is a malformed trace, named by its line."""
+        trace = tmp_path / "run.trace"
+        _run("solve", "--problem", "maratos", "--trace", str(trace))
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines + [appended(lines)]) + "\n")
+        result = _run("audit", str(trace))
+        assert result.exit_code == EXIT_BAD_TRACE
+        assert isinstance(result.exception, SystemExit)  # no other exception escaped
+        assert result.output.startswith(f"error: line {len(lines) + 1}: ")
+
     def test_audit_unknown_problem(self, tmp_path):
         trace = _edited_trace(tmp_path, 0, lambda header: header.update(problem="no_such_model"))
         result = _run("audit", str(trace))

@@ -19,6 +19,7 @@ from cubeq.diagnostics import audit_run
 from cubeq.driver import (CONVERGED_SOSP, LICQ_FAILURE, MAX_ITERATIONS,
                           SolverConfig, solve)
 from cubeq.problems import Problem
+from helpers import assert_step_rule
 
 SEEDS = range(200)
 MIN_CONVERGED = 190  # 192 of the 200 reach a second-order point
@@ -63,6 +64,8 @@ def test_corpus_outcomes():
     for seed in SEEDS:
         problem, (Q, q, a, P, B, constraints) = _corpus_problem(seed)
         result = solve(problem, config=config)
+        for rec in result.history:
+            assert_step_rule(rec, config)
         x = result.x_final
         c_l1 = float(np.sum(np.abs(constraints(x))))
         if result.status == CONVERGED_SOSP:

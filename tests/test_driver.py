@@ -1,5 +1,5 @@
-"""End-to-end solver behaviour: classification, updates, the correction region,
-and convergence."""
+"""End-to-end solver behaviour: classification, updates, the normal step's
+scaling, the correction region, and convergence."""
 
 import dataclasses
 import math
@@ -12,11 +12,13 @@ from cubeq.diagnostics import audit_run
 from cubeq.driver import (CONVERGED_SOSP, LICQ_FAILURE, MAX_ITERATIONS,
                           NUMERICAL_ERROR, SUCCESSFUL, UNSUCCESSFUL,
                           VERY_SUCCESSFUL, SolverConfig, check_stationarity,
-                          classify_iteration, in_correction_region, solve,
-                          update_sigma)
+                          classify_iteration, in_correction_region, select_beta,
+                          solve, update_sigma)
 from cubeq.errors import ConfigError
+from cubeq.linalg import compute_vc, factorize_jacobian
 from cubeq.problems import Problem, builtin_problem
 from cubeq.trace_io import read_trace, write_trace
+from helpers import assert_step_rule, null_basis, random_system
 
 
 def _merit(record):
@@ -79,6 +81,63 @@ class TestRegion:
         assert in_correction_region(0.2, 1.0, zeta=0.25)
         # same offset fails once sigma inflates the test
         assert not in_correction_region(0.2, 4.0, zeta=0.25)
+
+
+class TestSelectBeta:
+    def test_unit_when_vc_zero(self):
+        assert select_beta(0.0, 4.0) == 1.0
+
+    def test_unit_inside_radius(self):
+        # |v_c| sqrt(sigma) = 0.5 <= 1 keeps the full step
+        assert select_beta(0.25, 4.0) == 1.0
+
+    def test_scales_outside_radius(self):
+        # |v_c| sqrt(sigma) = 4 -> beta = 1/4
+        assert select_beta(2.0, 4.0) == pytest.approx(0.25, abs=0)
+
+    def test_scaled_step_within_radius(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            norm_vc = float(rng.uniform(0, 10))
+            sigma = float(rng.uniform(1e-4, 1e4))
+            beta = select_beta(norm_vc, sigma)
+            assert 0.0 < beta <= 1.0
+            assert beta * norm_vc <= 1.0 / math.sqrt(sigma) + 1e-12
+
+
+def _normal_step(fact, c, sigma):
+    """(v_c, beta, v = beta v_c) as the driver forms them."""
+    v_c, norm_vc = compute_vc(fact, c, 0.0)
+    beta = select_beta(norm_vc, sigma)
+    return v_c, beta, beta * v_c
+
+
+class TestAssembleNormal:
+    def test_linearized_contraction(self):
+        """|c + A v|_1 <= (1 - beta (1 - r_v)) |c|_1 for v = beta v_c."""
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            A, c = random_system(rng, 2, 4)
+            sigma = float(rng.uniform(0.1, 100.0))
+            fact = factorize_jacobian(A)
+            _, beta, v = _normal_step(fact, c, sigma)
+            c_l1 = np.sum(np.abs(c))
+            lhs = np.sum(np.abs(c + A @ v))
+            assert lhs <= (1.0 - beta) * c_l1 + 1e-10 * max(1.0, c_l1)
+
+    def test_step_in_range_space(self):
+        rng = np.random.default_rng(53)
+        A, c = random_system(rng, 2, 5)
+        fact = factorize_jacobian(A)
+        _, _, v = _normal_step(fact, c, 1.0)
+        np.testing.assert_allclose(null_basis(fact).T @ v, 0, atol=1e-12)
+
+    def test_feasible_point_short_circuit(self):
+        A = np.array([[2.0, 1.0, 0.0]])
+        v_c, beta, v = _normal_step(factorize_jacobian(A), np.zeros(1), 3.0)
+        assert beta == 1.0
+        np.testing.assert_array_equal(v, np.zeros(3))
+        np.testing.assert_array_equal(v_c, np.zeros(3))
 
 
 class TestStationarity:
@@ -203,9 +262,11 @@ class TestRunMechanics:
         assert found_rejection
 
     def test_record_invariants(self):
-        for name in ("circle_quadratic", "maratos", "saddle_escape"):
+        for name in ("circle_quadratic", "linear_eq_quadratic", "maratos",
+                     "rosenbrock_sphere", "saddle_escape"):
             result = solve(builtin_problem(name))
             for rec in result.history:
+                assert_step_rule(rec, SolverConfig())
                 assert rec.accepted == (rec.classification != UNSUCCESSFUL)
                 assert (rec.rho_corr is not None) == rec.correction_computed
                 norm_d = np.linalg.norm(rec.v + rec.u)
@@ -573,6 +634,8 @@ class TestBeyondCatalog:
         assert result.status == CONVERGED_SOSP
         assert audit_run(problem, result.history, config) == []
         assert problem.objective(result.x_final) == pytest.approx(f_min, abs=1e-8)
+        for rec in result.history:
+            assert_step_rule(rec, config)
 
     def test_chained_rosenbrock_sphere_n300_audited(self):
         """n = 300, k = 299, the benchmark's `curved` size: an SOSP at x* = 1

@@ -1,6 +1,7 @@
 """The package's modules import each other along an acyclic graph, every
-top-level definition is used by the package or exported by it, and every test
-module is named after a package module or a listed cross-cutting suite."""
+top-level definition is used by the package or exported by it, every
+parameter of every function is read, and every test module is named after a
+package module or a listed cross-cutting suite."""
 
 import ast
 import graphlib
@@ -64,15 +65,34 @@ def test_every_top_level_definition_is_used_or_exported():
     assert unused == []
 
 
+def _parameters(function):
+    """The names of every parameter of ``function``, ``self`` and ``cls`` aside."""
+    args = function.args
+    every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return [arg.arg for arg in every if arg is not None and arg.arg not in ("self", "cls")]
+
+
+def test_every_parameter_is_read():
+    """No function takes a parameter and then ignores it: each one is read
+    somewhere in its function's body, nested functions included.  Lambdas, the
+    catalog's constant callbacks among them, answer to the callback signature."""
+    ignored = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                read = {name.id for statement in node.body for name in ast.walk(statement)
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+                ignored += [f"{path.stem}.{node.name}({arg})"
+                            for arg in _parameters(node) if arg not in read]
+    assert ignored == []
+
+
 CROSS_CUTTING = {"acceptance", "certificates", "corpus", "layering", "tooling",
                  "tangential_properties"}
-# suites of code that now lives in linalg and driver, not yet folded into theirs
-UNFOLDED = {"normal_step"}
 
 
 def test_every_test_module_names_a_module_or_a_listed_suite():
     modules = {path.stem for path in PACKAGE.glob("*.py")}
     suites = {path.stem.removeprefix("test_")
               for path in Path(__file__).parent.glob("test_*.py")}
-    assert suites - modules - CROSS_CUTTING - UNFOLDED == set()
-    assert UNFOLDED <= suites  # a folded suite leaves this list
+    assert suites - modules - CROSS_CUTTING == set()

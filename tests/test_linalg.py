@@ -1,23 +1,15 @@
 """Jacobian factorization, null-space maps, reduced eigenproblems, least-squares
-multiplier estimates and correction steps."""
+multiplier estimates, normal steps and correction steps."""
 
 import numpy as np
 import pytest
 
 from cubeq.errors import RankDeficient
-from cubeq.linalg import (compute_correction, estimate_multipliers, factorize_jacobian,
-                          range_least_squares, reduce_matrix)
-from helpers import null_basis
+from cubeq.linalg import (compute_correction, compute_vc, estimate_multipliers,
+                          factorize_jacobian, range_least_squares, reduce_matrix)
+from helpers import null_basis, random_full_rank, random_system
 
 EPS = np.finfo(float).eps
-
-
-def _random_full_rank(rng, m, n):
-    # rejection keeps the smallest singular value healthy
-    while True:
-        A = rng.standard_normal((m, n))
-        if np.linalg.svd(A, compute_uv=False)[-1] > 0.1:
-            return A
 
 
 class TestFactorization:
@@ -26,7 +18,7 @@ class TestFactorization:
         """A Z = 0 and Z^T Z = I for the returned basis."""
         rng = np.random.default_rng(11 + m)
         for _ in range(25):
-            A = _random_full_rank(rng, m, n)
+            A = random_full_rank(rng, m, n)
             Z = null_basis(factorize_jacobian(A))
             assert Z.shape == (n, n - m)
             np.testing.assert_allclose(A @ Z, 0, atol=1e-12)
@@ -35,7 +27,7 @@ class TestFactorization:
 
     def test_smallest_singular_value_matches_svd(self):
         rng = np.random.default_rng(5)
-        A = _random_full_rank(rng, 2, 5)
+        A = random_full_rank(rng, 2, 5)
         fact = factorize_jacobian(A)
         s = np.linalg.svd(A, compute_uv=False)
         assert fact.smallest_singular_value == pytest.approx(s[-1], rel=1e-14)
@@ -67,7 +59,7 @@ class TestRangeLeastSquares:
         rng = np.random.default_rng(17)
         for m, n in [(1, 2), (2, 4), (3, 6)]:
             for _ in range(20):
-                A = _random_full_rank(rng, m, n)
+                A = random_full_rank(rng, m, n)
                 rhs = rng.standard_normal(m)
                 fact = factorize_jacobian(A)
                 x = range_least_squares(fact, rhs)
@@ -104,10 +96,37 @@ class TestComputeCorrection:
             np.testing.assert_allclose(A @ w + c_trial, 0, atol=1e-10)
 
 
+class TestComputeVc:
+    def test_zero_constraints_give_zero_step(self):
+        A = np.array([[1.0, 0.0]])
+        v_c, norm_vc = compute_vc(factorize_jacobian(A), np.zeros(1), 0.0)
+        np.testing.assert_array_equal(v_c, np.zeros(2))
+        assert norm_vc == 0.0
+
+    def test_matches_pseudoinverse(self):
+        """v_c = -A^T (A A^T)^{-1} c, the minimum-norm linearized restorer."""
+        rng = np.random.default_rng(41)
+        for m, n in [(1, 2), (2, 5)]:
+            for _ in range(20):
+                A, c = random_system(rng, m, n)
+                fact = factorize_jacobian(A)
+                v_c, norm_vc = compute_vc(fact, c, 0.0)
+                expected = -A.T @ np.linalg.solve(A @ A.T, c)
+                np.testing.assert_allclose(v_c, expected, atol=1e-11)
+                assert norm_vc == np.linalg.norm(v_c)
+                residual = np.sum(np.abs(A @ v_c + c))
+                assert residual <= 1e-11 * max(1.0, np.sum(np.abs(c)))
+
+    def test_axis_aligned_example(self):
+        A = np.array([[1.0, 0.0]])
+        v_c, _ = compute_vc(factorize_jacobian(A), np.array([0.3]), 0.0)
+        np.testing.assert_allclose(v_c, [-0.3, 0.0], atol=1e-15)
+
+
 class TestReducedEig:
     def test_reduce_matrix_symmetric(self):
         rng = np.random.default_rng(23)
-        A = _random_full_rank(rng, 2, 5)
+        A = random_full_rank(rng, 2, 5)
         M = rng.standard_normal((5, 5))
         M = M + M.T
         fact = factorize_jacobian(A)
@@ -121,7 +140,7 @@ class TestReducedEig:
         rng = np.random.default_rng(31)
         m, n = 2, 6
         for _ in range(25):
-            A = _random_full_rank(rng, m, n)
+            A = random_full_rank(rng, m, n)
             M = rng.standard_normal((n, n))
             M = 0.5 * (M + M.T)
             fact = factorize_jacobian(A)
@@ -236,7 +255,7 @@ class TestMultipliers:
         rng = np.random.default_rng(61)
         for m, n in [(1, 3), (2, 4), (3, 7)]:
             for _ in range(20):
-                A = _random_full_rank(rng, m, n)
+                A = random_full_rank(rng, m, n)
                 g = rng.standard_normal(n)
                 fact = factorize_jacobian(A)
                 lam = estimate_multipliers(fact, g)
@@ -246,7 +265,7 @@ class TestMultipliers:
     def test_normal_equations_residual_vanishes(self):
         """A (g + A^T lam) = 0 characterizes the least-squares minimizer."""
         rng = np.random.default_rng(67)
-        A = _random_full_rank(rng, 2, 6)
+        A = random_full_rank(rng, 2, 6)
         g = rng.standard_normal(6)
         fact = factorize_jacobian(A)
         lam = estimate_multipliers(fact, g)
@@ -261,7 +280,7 @@ class TestMultipliers:
         """|g + A^T lam| = |Z^T g| at the least-squares multiplier."""
         rng = np.random.default_rng(71)
         for _ in range(25):
-            A = _random_full_rank(rng, 2, 5)
+            A = random_full_rank(rng, 2, 5)
             g = rng.standard_normal(5)
             fact = factorize_jacobian(A)
             lam = estimate_multipliers(fact, g)
