@@ -66,7 +66,7 @@ def _build_config(overrides, eps=None) -> SolverConfig:
             values[key] = _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
         except (KeyError, ValueError):
             raise ConfigError(f"cannot parse {raw!r} for config key {key!r}") from None
-    return SolverConfig(**values).validate()
+    return SolverConfig(**values)
 
 
 def _floats(flag: str, text: str) -> list:
@@ -90,7 +90,7 @@ def _setup_errors():
 
 def _setup(problem_name, x0, overrides, eps=None, sweep=None) -> tuple:
     """The problem, the start and every configuration the command runs (one per
-    ``sweep`` tolerance), all validated before the first solve."""
+    ``sweep`` tolerance), all made, and so checked, before the first solve."""
     with _setup_errors():
         problem = builtin_problem(problem_name)
         config = _build_config(overrides, eps)
@@ -106,7 +106,7 @@ def _setup(problem_name, x0, overrides, eps=None, sweep=None) -> tuple:
         values = _floats("--sweep", sweep)
         if not values:
             raise ConfigError("--sweep needs at least one tolerance value")
-        return problem, start, [dataclasses.replace(config, eps_g=v, eps_c=v, eps_h=v).validate()
+        return problem, start, [dataclasses.replace(config, eps_g=v, eps_c=v, eps_h=v)
                                 for v in values]
 
 
@@ -218,15 +218,14 @@ def cmd_sweep(problem_name, sweep_values, x0, audit_flag, overrides):
 @click.argument("trace_path", type=click.Path(dir_okay=False))
 def cmd_audit(trace_path):
     """Replay the invariant audit over a previously written trace file."""
-    try:
-        data = trace_io.read_trace(trace_path)
-    except (OSError, TraceError) as exc:
-        _fail(str(exc), EXIT_BAD_TRACE)
-    with _setup_errors():
+    with _setup_errors():  # an out-of-range header config is a ConfigError
+        try:
+            data = trace_io.read_trace(trace_path)
+        except (OSError, TraceError) as exc:
+            _fail(str(exc), EXIT_BAD_TRACE)
         problem = builtin_problem(data.problem_name)
-        config = data.config.validate()
 
-    violations = diagnostics.audit_run(problem, data.records, config)
+    violations = diagnostics.audit_run(problem, data.records, data.config)
     _echo_violations(violations)
     click.echo(f"audited {len(data.records)} iterations: "
                f"{len(violations)} violations")

@@ -122,7 +122,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     residual = float(np.sum(np.abs(A @ v_c + c)))
     allowed = config.r_v * min(c_l1, norm_vc**3)
     # the rounding floor compute_vc certifies against
-    normal_floor = rounding_bound_l1(fact, norm_vc, float(np.linalg.norm(c)))
+    normal_floor = rounding_bound_l1(fact, norm_vc, norm(c))
     if residual > allowed + slack(c_l1) + normal_floor:
         flag("normal_residual", residual, allowed,
              "normal-step residual certificate violated")
@@ -137,7 +137,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
             flag("beta_interval", beta, hi,
                  f"beta outside admissible interval [{lo:.6g}, {hi:.6g}]")
 
-    null_part = float(np.linalg.norm(fact.to_null(v_c)))  # |Z Z^T v_c|
+    null_part = norm(fact.to_null(v_c))  # |Z Z^T v_c|
     if null_part > slack(norm_vc):
         flag("normal_range", null_part, 0.0, "v_c has a null-space component")
 
@@ -153,11 +153,11 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
              "scaled normal step fails the linearized contraction")
 
     # --- multipliers -------------------------------------------------------
-    norm_g = float(np.linalg.norm(g))
-    mult_residual = float(np.linalg.norm(A @ (g + A.T @ lam)))
-    mult_allowed = config.r_lambda * float(np.linalg.norm(v))
+    norm_g = norm(g)
+    mult_residual = norm(A @ (g + A.T @ lam))
+    mult_allowed = config.r_lambda * norm(v)
     # A applied to the rounding floor of g + A^T lam, which grows with |A| |lam|
-    mult_floor = norm_A * rounding_bound(fact, float(np.linalg.norm(lam)), norm_g)
+    mult_floor = norm_A * rounding_bound(fact, norm(lam), norm_g)
     if mult_residual > mult_allowed + slack(norm_A * norm_g) + mult_floor:
         flag("multiplier_residual", mult_residual, mult_allowed,
              "multiplier estimate fails its residual condition")
@@ -165,7 +165,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     # --- tangential step ---------------------------------------------------
     g_shift = g + H @ v  # ambient gradient of the reduced model at u = 0
     g_red = fact.to_null(g_shift)
-    gn_red = float(np.linalg.norm(g_red))
+    gn_red = norm(g_red)
     p = fact.to_null(u)
     delta_m = -(float(g_shift @ u) + 0.5 * float(u @ H @ u)
                 + sigma / 3.0 * norm_u**3)
@@ -182,7 +182,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
              "tangential step decreases the model less than the Cauchy point")
 
     grad_red = fact.to_null(g_shift + H @ u) + sigma * norm_u * p
-    grad_norm = float(np.linalg.norm(grad_red))
+    grad_norm = norm(grad_red)
     grad_budget = config.delta * sigma * norm_u**2
     if grad_norm > grad_budget + slack(grad_budget):
         flag("or2_model_gradient", grad_norm, grad_budget,
@@ -194,7 +194,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
         if min(lam_min, 0.0) < curv_floor - slack(curv_floor, lam_min):
             flag("or3_curvature", lam_min, curv_floor, "reduced curvature below -sigma |u|")
 
-    tangency = float(np.linalg.norm(A @ u))
+    tangency = norm(A @ u)
     if tangency > slack(norm_A * norm_u):
         flag("tangential_nullspace", tangency, 0.0,
              "tangential step leaves the constraint null space")
@@ -233,13 +233,13 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
     # --- correction --------------------------------------------------------
     if record.correction_computed:
         w = record.w
-        norm_w = float(np.linalg.norm(w))
-        w_null = float(np.linalg.norm(fact.to_null(w)))
+        norm_w = norm(w)
+        w_null = norm(fact.to_null(w))
         if w_null > slack(norm_w):
             flag("correction_range", w_null, 0.0,
                  "correction has a null-space component")
-        norm_c_trial = float(np.linalg.norm(c_trial))
-        corr_residual = float(np.linalg.norm(A @ w + c_trial))
+        norm_c_trial = norm(c_trial)
+        corr_residual = norm(A @ w + c_trial)
         corr_allowed = config.r_w * norm_d**3
         # the rounding floor compute_correction certifies against
         corr_floor = rounding_bound(fact, norm_w, norm_c_trial)
@@ -367,17 +367,8 @@ class RateReport:
 
 def accepted_path(result) -> list:
     """Sequence of distinct iterates visited by accepted steps, ends at x_final."""
-    history = result.history
-    if not history:
-        return [np.asarray(result.x_final, dtype=float)]
-    points = [history[0].x]
-    for i, record in enumerate(history):
-        if record.accepted:
-            if i + 1 < len(history):
-                points.append(history[i + 1].x)
-            else:
-                points.append(np.asarray(result.x_final, dtype=float))
-    return points
+    xs = [r.x for r in result.history] + [np.asarray(result.x_final, dtype=float)]
+    return xs[:1] + [xs[i + 1] for i, r in enumerate(result.history) if r.accepted]
 
 
 def convergence_rate(result, x_star) -> RateReport:
@@ -392,7 +383,7 @@ def convergence_rate(result, x_star) -> RateReport:
         raise InsufficientHistory(
             f"need at least 4 accepted iterates, have {len(points)}"
         )
-    errors = [float(np.linalg.norm(p - x_star)) for p in points]
+    errors = [norm(p - x_star) for p in points]
     tail = errors[-4:]
     # a zero in the last slot is a legitimate exact hit; earlier zeros leave
     # the following ratio undefined

@@ -24,21 +24,22 @@ two satisfied reports the first-order status as a courtesy; an accepted
 step that leaves x unchanged to one ulp of |x|_inf ends the run as a
 numerical error.
 
-``solve`` validates and runs the loop, which appends one record per iteration
-and leaves through one ``SolveResult``, whose counts are tallied from the
-history.  An accepted point becomes the iterate in one place, where it is
-completed; x, lambda and the report move only once all of that work has
-succeeded, so they describe the last completed iterate.  The solver never
-audits itself: ``diagnostics.audit_run`` checks a finished history beside
-it, so auditing cannot change a run's path or status.
+A ``SolverConfig`` checks itself when it is made, so ``solve`` only runs the
+loop, which appends one record per iteration and leaves through one
+``SolveResult``, whose counts are tallied from the history.  An accepted
+point becomes the iterate in one place, where it is completed; x, lambda and
+the report move only once all of that work has succeeded, so they describe the
+last completed iterate.  The solver never audits itself:
+``diagnostics.audit_run`` checks a finished history beside it, so auditing
+cannot change a run's path or status.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -69,8 +70,41 @@ NUMERICAL_ERROR = "numerical_error"
 _NOISE_ULPS = 256.0
 
 
-@dataclass
+_NUMBERS = (int, float, np.integer, np.floating)
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _number(value) -> bool:
+    """Whether ``value`` is a Python or numpy int or float (NaN and infinities
+    included) that a float can hold; a bool never is.  Floats, by far the most
+    common, are answered first."""
+    return type(value) is float or (isinstance(value, _NUMBERS) and not isinstance(value, bool)
+                                    and not (isinstance(value, int) and abs(value) > _FLOAT_MAX))
+
+
+FIELD_RULES = {  # annotation -> (what a value of a field so annotated must be, the test)
+    float: ("a number", _number),
+    int: ("an integer",
+          lambda value: isinstance(value, (int, np.integer)) and not isinstance(value, bool)),
+    bool: ("a boolean", lambda value: isinstance(value, bool)),
+    Optional[float]: ("a number or null", lambda value: value is None or _number(value)),
+}
+
+
+def field_rules(cls) -> dict:
+    """The rules of the fields of the dataclass ``cls`` by name, for each
+    annotation ``FIELD_RULES`` has."""
+    return {name: FIELD_RULES[hint] for name, hint in get_type_hints(cls).items()
+            if hint in FIELD_RULES}
+
+
+@dataclass(frozen=True)
 class SolverConfig:
+    """The method's parameters.  A config is checked when it is made, field
+    types first, then the paper's orderings, then finiteness; a ConfigError
+    names the first rule broken.  It cannot be changed afterwards, so
+    ``dataclasses.replace`` checks its copy again."""
+
     eta1: float = 0.1
     eta2: float = 0.9
     nu: float = 2.0
@@ -94,9 +128,11 @@ class SolverConfig:
     rank_tol: float = 1e-10
     corrections_enabled: bool = True
 
-    def validate(self) -> "SolverConfig":
-        infinite = [f.name for f in fields(self)
-                    if type(f.default) is float and math.isinf(getattr(self, f.name))]
+    def __post_init__(self) -> None:
+        for name, (what, test) in CONFIG_RULES.items():
+            if not test(getattr(self, name)):
+                raise ConfigError(f"need {what} {name}")
+        infinite = [name for name, value in vars(self).items() if abs(value) == math.inf]
         checks = [
             (0.0 < self.eta1 < self.eta2 < 1.0, "need 0 < eta1 < eta2 < 1"),
             (self.nu > 1.0, "need nu > 1"),
@@ -117,14 +153,13 @@ class SolverConfig:
             (0.0 < self.rank_tol < 1.0, "need rank_tol in (0, 1)"),
             # after the ranges, which reject NaN with their own messages
             (not infinite, f"need finite {', '.join(infinite)}"),
-            (isinstance(self.max_iter, (int, np.integer)) and not isinstance(self.max_iter, bool),
-             "need an integer max_iter"),
-            (isinstance(self.corrections_enabled, bool), "need a boolean corrections_enabled"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        return self
+
+
+CONFIG_RULES = field_rules(SolverConfig)
 
 
 @dataclass
@@ -292,7 +327,7 @@ def _try_point(problem: Problem, y: Array, phi_x: float, mu: float, delta_q: flo
 def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> SolveResult:
     """Run the solver from ``x0`` (default: the problem's default start): one
     record per iteration, then the status and message."""
-    config = (config or SolverConfig()).validate()
+    config = config or SolverConfig()
     x = np.array(problem.default_start if x0 is None else x0, dtype=float).reshape(-1)
     sigma, mu = config.sigma0, config.mu_init
     history: list = []

@@ -60,14 +60,10 @@ class TrialPoint:
 
 
 @dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(TrialPoint):
     """Everything the solver needs at an iterate; the Hessians are checked when combined."""
 
-    x: Array
-    f: float
     g: Array
-    c: Array
-    c_l1: float
     A: Array
     f_hess: Array
     c_hess: tuple  # tuple of m (n, n) arrays

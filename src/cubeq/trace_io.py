@@ -17,52 +17,30 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import (SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL, IterationRecord,
-                     SolverConfig)
+from .driver import (CONFIG_RULES, SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL,
+                     IterationRecord, SolverConfig, field_rules)
 from .errors import TraceError
 
 FORMAT_NAME = "cubeq-trace"
 FORMAT_VERSION = 1
 # Record keys of earlier versions that other fields of the record determine.
 _DERIVED_KEYS = ("norm_v", "norm_u", "norm_d", "norm_w", "correction_computed", "accepted")
-
-
-def _number(value) -> bool:
-    """Whether ``value`` is a JSON number (``Infinity`` and ``NaN`` included)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-_CHECKS = {  # annotation -> (what a value read for it must be, the test)
-    float: ("a number", _number),
-    int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
-    bool: ("a boolean", lambda value: isinstance(value, bool)),
-    typing.Optional[float]: ("a number or null", lambda value: value is None or _number(value)),
-}
-
-
-def _field_checks(cls) -> dict:
-    """The checks of the scalar fields of the dataclass ``cls``, by field name."""
-    return {name: _CHECKS[hint] for name, hint in typing.get_type_hints(cls).items()
-            if hint in _CHECKS}
-
-
-_CONFIG_CHECKS = _field_checks(SolverConfig)
 _CLASSIFICATIONS = (VERY_SUCCESSFUL, SUCCESSFUL, UNSUCCESSFUL)
-_RECORD_CHECKS = {**_field_checks(IterationRecord), "classification": (
+_RECORD_RULES = {**field_rules(IterationRecord), "classification": (
     f"one of {', '.join(_CLASSIFICATIONS)}", _CLASSIFICATIONS.__contains__)}
+_VECTORS = ("x", "lam", "v_c", "v", "u", "w")  # record fields read as float arrays; w may be null
 
 
-def _check_fields(data: dict, checks: dict, lineno: int, what: str) -> None:
+def _check_fields(data: dict, rules: dict, lineno: int, what: str) -> None:
     """A TraceError, naming the line and the key, for a value of the wrong type."""
     for key, value in data.items():
-        check = checks.get(key)
-        if check is not None and not check[1](value):
-            raise TraceError(f"line {lineno}: {what} {key} must be {check[0]}, got {value!r}")
+        rule = rules.get(key)
+        if rule is not None and not rule[1](value):
+            raise TraceError(f"line {lineno}: {what} {key} must be {rule[0]}, got {value!r}")
 
 
 def _plain(value):
@@ -77,10 +55,7 @@ def dump_line(obj: dict) -> str:
 
 
 def record_to_dict(record: IterationRecord) -> dict:
-    out = {"kind": "iteration"}
-    for f in dataclasses.fields(IterationRecord):
-        out[f.name] = getattr(record, f.name)
-    return out
+    return {"kind": "iteration", **vars(record)}
 
 
 def _vector(key: str, value) -> np.ndarray:
@@ -94,12 +69,11 @@ def _vector(key: str, value) -> np.ndarray:
 def record_from_dict(data: dict, lineno: int) -> IterationRecord:
     """The record on trace line ``lineno``; a malformed one is a TraceError."""
     data = {k: v for k, v in data.items() if k != "kind" and k not in _DERIVED_KEYS}
-    _check_fields(data, _RECORD_CHECKS, lineno, "iteration record field")
+    _check_fields(data, _RECORD_RULES, lineno, "iteration record field")
     try:
-        for key in ("x", "lam", "v_c", "v", "u"):
-            data[key] = _vector(key, data[key])
-        if data.get("w") is not None:
-            data["w"] = _vector("w", data["w"])
+        for key in _VECTORS:
+            if key != "w" or data[key] is not None:
+                data[key] = _vector(key, data[key])
         return IterationRecord(**data)
     except KeyError as exc:
         raise TraceError(f"line {lineno}: iteration record has no {exc} field") from None
@@ -119,11 +93,7 @@ def write_trace(path, problem_name: str, x0, config: SolverConfig, result,
         "config": dataclasses.asdict(config),
     })]
     lines.extend(dump_line(record_to_dict(r)) for r in result.history)
-    lines.extend(dump_line({
-        "kind": "violation",
-        "code": v.code, "message": v.message,
-        "value": v.value, "bound": v.bound, "k": v.k,
-    }) for v in violations)
+    lines.extend(dump_line({"kind": "violation", **dataclasses.asdict(v)}) for v in violations)
     report = result.final_report
     lines.append(dump_line({
         "kind": "footer",
@@ -153,7 +123,8 @@ class TraceData:
 
 
 def _header_config(header: dict, lineno: int) -> SolverConfig:
-    """The run's configuration, from the checked header on line ``lineno``."""
+    """The run's configuration, from the checked header on line ``lineno``: a
+    wrongly typed field is a TraceError, an out-of-range one a ConfigError."""
     if header.get("format") != FORMAT_NAME:
         raise TraceError(f"line {lineno}: not a {FORMAT_NAME} file")
     if not isinstance(header.get("problem"), str):
@@ -161,7 +132,7 @@ def _header_config(header: dict, lineno: int) -> SolverConfig:
     try:
         settings = dict(header["config"])
         settings.pop("audit", None)  # a config field in traces of earlier versions
-        _check_fields(settings, _CONFIG_CHECKS, lineno, "header config")
+        _check_fields(settings, CONFIG_RULES, lineno, "header config")
         return SolverConfig(**settings)
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"line {lineno}: header config invalid: {exc}") from None

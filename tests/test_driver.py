@@ -27,7 +27,7 @@ def _merit(record):
 
 class TestConfig:
     def test_defaults_are_valid(self):
-        SolverConfig().validate()
+        SolverConfig()
 
     def test_invalid_fields_rejected(self):
         bad = [
@@ -45,10 +45,21 @@ class TestConfig:
             dict(nu=math.inf), dict(gamma2=math.inf), dict(r_lambda=math.inf),
             dict(r_w=math.inf), dict(mu_init=math.inf), dict(max_iter=2.5),
             dict(max_iter=True), dict(corrections_enabled="no"), dict(corrections_enabled=0),
+            dict(r_w=True), dict(gamma3=True), dict(eta1="0.1"), dict(max_iter="5"),
+            dict(eps_g=None), dict(tau=10**400), dict(sigma0=10**400), dict(r_w=10**400),
         ]
         for overrides in bad:
             with pytest.raises(ConfigError):
-                SolverConfig(**overrides).validate()
+                SolverConfig(**overrides)
+
+    def test_fields_cannot_be_assigned(self):
+        """A config is checked once, when it is made, so it cannot change afterwards."""
+        config = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.eta1 = 5.0
+        assert dataclasses.replace(config, eta1=0.2).eta1 == 0.2
+        with pytest.raises(ConfigError, match="need 0 < eta1 < eta2 < 1"):
+            dataclasses.replace(config, eta1=5.0)
 
 
 class TestClassification:

@@ -1,13 +1,16 @@
 """The package's modules import each other along an acyclic graph, every
 top-level definition is used by the package or exported by it, every
-parameter of every function is read, and every test module is named after a
-package module or a listed cross-cutting suite."""
+parameter of every function is read, every test module is named after a
+package module or a listed cross-cutting suite, and every field of a config
+or a trace record has a type rule."""
 
 import ast
+import dataclasses
 import graphlib
 from pathlib import Path
 
 import cubeq
+from cubeq import driver, trace_io
 
 PACKAGE = Path(cubeq.__file__).parent
 
@@ -96,3 +99,12 @@ def test_every_test_module_names_a_module_or_a_listed_suite():
     suites = {path.stem.removeprefix("test_")
               for path in Path(__file__).parent.glob("test_*.py")}
     assert suites - modules - CROSS_CUTTING == set()
+
+
+def test_every_config_and_record_field_has_a_rule():
+    """A field whose annotation has no rule in ``driver.FIELD_RULES`` would go
+    unchecked by both the constructor and ``read_trace``."""
+    config_fields = {f.name for f in dataclasses.fields(driver.SolverConfig)}
+    assert set(driver.CONFIG_RULES) == config_fields
+    record_fields = {f.name for f in dataclasses.fields(driver.IterationRecord)}
+    assert record_fields - set(trace_io._RECORD_RULES) - set(trace_io._VECTORS) == set()

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeq.diagnostics import Violation, audit_run
-from cubeq.driver import SolverConfig, solve
-from cubeq.errors import TraceError
+from cubeq.driver import MAX_ITERATIONS, SolverConfig, SolveResult, solve
+from cubeq.errors import ConfigError, TraceError
 from cubeq.problems import builtin_problem
 from cubeq.trace_io import dump_line, read_trace, record_to_dict, write_trace
 
@@ -19,6 +21,20 @@ _ARRAY_FIELDS = ("x", "lam", "v_c", "v", "u", "w")
 _DERIVED_KEYS = ("norm_v", "norm_u", "norm_d", "norm_w", "accepted", "correction_computed")
 # A maratos run written by the earlier emitter, every float with %.17g.
 _V1_17G_TRACE = Path(__file__).parent / "data" / "maratos_v1.trace"
+
+
+def _kinds(default):
+    """Right- and wrong-kind values around a config field's default: Python and
+    numpy ints and floats, bools, strings and None."""
+    if isinstance(default, bool):
+        return [default, not default, np.bool_(default), int(default), "yes", None]
+    return [default, int(default), np.int64(default), np.float64(default),
+            np.float32(default), float(default), 10**400, True, False, str(default), None]
+
+
+_CONFIG_OVERRIDES = st.lists(st.one_of([
+    st.tuples(st.just(f.name), st.sampled_from(_kinds(f.default)))
+    for f in dataclasses.fields(SolverConfig)]), max_size=3).map(dict)
 
 
 def _write_run(tmp_path, name="circle_quadratic", config=None):
@@ -48,6 +64,20 @@ class TestRoundTrip:
                         assert np.array_equal(a, b), field.name
                 else:
                     assert a == b, field.name
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(_CONFIG_OVERRIDES)
+    def test_a_config_is_refused_or_read_back_equal(self, tmp_path_factory, overrides):
+        """Any field values either make no config at all or one that a trace
+        carries through unchanged."""
+        try:
+            config = SolverConfig(**overrides)
+        except ConfigError:
+            return
+        path = tmp_path_factory.getbasetemp() / "config.trace"
+        write_trace(path, "circle_quadratic", np.zeros(2), config,
+                    SolveResult(MAX_ITERATIONS, np.zeros(2), None, [], None))
+        assert read_trace(path).config == config
 
     def test_footer_reflects_result(self, tmp_path):
         path, result, _ = _write_run(tmp_path, name="maratos")
