@@ -19,8 +19,8 @@ from .errors import (ConfigError, CubeqError, InsufficientHistory,
                      NonFiniteValue, NonpositivePredictedReduction,
                      RankDeficient, ResidualConditionUnmet, SecularSolveFailed,
                      TraceError, UnknownProblem)
-from .problems import (EvalPoint, Problem, builtin_problem, evaluate,
-                       lagrangian_hessian, problem_names)
+from .problems import (EvalPoint, Problem, builtin_problem, lagrangian_hessian,
+                       problem_names)
 from .trace_io import TraceData, read_trace, write_trace
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "RateReport", "ResidualConditionUnmet", "SecularSolveFailed",
     "SolveResult", "SolverConfig", "StationarityReport", "TraceData",
     "TraceError", "UnknownProblem", "Violation", "audit_iteration",
-    "audit_run", "builtin_problem", "convergence_rate", "evaluate",
+    "audit_run", "builtin_problem", "convergence_rate",
     "finite_difference_check", "lagrangian_hessian", "problem_names",
     "read_trace", "rebuild_context", "solve", "write_trace",
 ]

@@ -8,7 +8,7 @@ Exit codes are stable so scripts can dispatch on them:
     12  constraint Jacobian lost rank
     13  numerical failure inside the solver
     14  unknown catalog problem
-    15  bad configuration or arguments
+    15  bad configuration, start point or trace path
     16  audit reported violations
     17  trace file unreadable or malformed
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import os
 import sys
 
 import click
@@ -88,15 +89,20 @@ def _setup_errors():
         _fail(str(exc), EXIT_CONFIG)
 
 
-def _setup(problem_name, x0, overrides, eps=None, sweep=None) -> tuple:
+def _setup(problem_name, x0, overrides, eps=None, sweep=None, trace=None) -> tuple:
     """The problem, the start and every configuration the command runs (one per
-    ``sweep`` tolerance), all made, and so checked, before the first solve."""
+    ``sweep`` tolerance), all made, and so checked, before the first solve; so
+    is the directory of the ``trace`` path, which must be writable."""
     with _setup_errors():
         problem = builtin_problem(problem_name)
         config = _build_config(overrides, eps)
         start = None if x0 is None else np.array(_floats("--x0", x0))
         if start is not None and len(start) != problem.n:
             raise ConfigError(f"--x0 has {len(start)} entries, {problem.name} needs {problem.n}")
+        if start is not None and not np.isfinite(start).all():
+            raise ConfigError(f"--x0 must be finite, got {x0!r}")
+        if trace is not None and not os.access(os.path.dirname(os.path.abspath(trace)), os.W_OK):
+            raise ConfigError(f"cannot write --trace {trace}: no writable directory")
         if sweep is None:
             return problem, start, [config]
         for item in overrides:
@@ -153,12 +159,15 @@ def main():
               help="Write a line-delimited JSON trace of the run.")
 def cmd_solve(problem_name, x0, eps, audit_flag, overrides, trace_path):
     """Run the solver on one catalog problem."""
-    problem, start, (config,) = _setup(problem_name, x0, overrides, eps=eps)
+    problem, start, (config,) = _setup(problem_name, x0, overrides, eps=eps, trace=trace_path)
     result = solve(problem, start, config)
     violations = diagnostics.audit_run(problem, result.history, config) if audit_flag else []
     if trace_path is not None:
         x_start = problem.default_start if start is None else start
-        trace_io.write_trace(trace_path, problem.name, x_start, config, result, violations)
+        try:
+            trace_io.write_trace(trace_path, problem.name, x_start, config, result, violations)
+        except OSError as exc:
+            _fail(f"cannot write --trace {trace_path}: {exc.strerror or exc}", EXIT_CONFIG)
     click.echo(_summary_line(problem.name, result))
     _echo_violations(violations)
     if result.message:

@@ -8,12 +8,13 @@ memberships, and the legality of the sigma update — and reports violations
 as data, each with a stable code and all with one relative tolerance (1e-9)
 on top of those floors; it only reads its context.  The checks on |H|_2 and
 lambda_min(Z^T H Z) first try max |H_ii| and a Cholesky, algorithms the
-solver does not use; ``eigvalsh`` runs only where those do not pass.
-``audit_run``, beside ``solve``, is the one loop over a run's records: it
-rebuilds one context per group of consecutive records at the same x and
-multipliers (bit for bit) from the callbacks, evaluates c(x + d) for each
-record with a correction, and reports an exception while one record is
-audited as an ``audit_error`` violation there.
+solver does not use; ``eigvalsh`` runs, for the record at hand, only where
+those do not pass.  ``audit_run``, beside ``solve``, is the one loop over a
+run's records: it rebuilds one context per group of consecutive records at
+the same x and multipliers (bit for bit) from the callbacks, through the two
+evaluations the solver makes, evaluates c(x + d) for each record with a
+correction, and reports an exception while one record is audited as an
+``audit_error`` violation there.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,7 @@ from .driver import SUCCESSFUL, VERY_SUCCESSFUL, IterationRecord, SolverConfig
 from .errors import InsufficientHistory
 from .linalg import (FactorizedJacobian, factorize_jacobian, norm, reduce_matrix,
                      rounding_bound, rounding_bound_l1, rounding_bound_l1_change)
-from .problems import EvalPoint, Problem, evaluate, evaluate_trial, lagrangian_hessian
+from .problems import EvalPoint, Problem, complete_point, evaluate_trial, lagrangian_hessian
 
 Array = np.ndarray
 
@@ -50,20 +50,12 @@ class Violation:
 
 @dataclass
 class AuditContext:
-    """What the checks run against at one iterate; |H|_2 and lambda_min(Z^T H Z) on first need."""
+    """What the checks run against at one iterate."""
 
     point: EvalPoint
     fact: FactorizedJacobian
     H: Array
     H_red: Array  # Z^T H Z
-
-    @cached_property
-    def norm_H(self) -> float:  # |H|_2
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.H))))
-
-    @cached_property
-    def lam_min_red(self) -> float:  # smallest eigenvalue of Z^T H Z
-        return float(np.linalg.eigvalsh(self.H_red)[0])
 
 
 def clears_floor(M: Array, floor: float) -> bool:
@@ -89,7 +81,7 @@ def rebuild_context(problem: Problem, record: IterationRecord,
     They depend on x and the multipliers only, so one context serves every
     record at the same iterate.
     """
-    point = evaluate(problem, record.x)
+    point = complete_point(problem, evaluate_trial(problem, record.x))
     fact = factorize_jacobian(point.A, rank_tol)
     H = lagrangian_hessian(point, record.lam)
     return AuditContext(point=point, fact=fact, H=H, H_red=reduce_matrix(fact, H))
@@ -190,7 +182,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
 
     curv_floor = -sigma * norm_u
     if not clears_floor(context.H_red, curv_floor - slack(curv_floor)):
-        lam_min = context.lam_min_red
+        lam_min = float(np.linalg.eigvalsh(context.H_red)[0])
         if min(lam_min, 0.0) < curv_floor - slack(curv_floor, lam_min):
             flag("or3_curvature", lam_min, curv_floor, "reduced curvature below -sigma |u|")
 
@@ -208,7 +200,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
         gradient_trips = delta_m < gradient_floor - slack(gradient_floor, delta_m)
         if exact or not (size_trips or gradient_trips):
             break
-        norm_H = context.norm_H
+        norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))  # |H|_2
     if size_trips:
         flag("tangential_size", norm_u, size_bound,
              "|u| exceeds 3 max(|H|/sigma, sqrt(|g_red|/sigma))")

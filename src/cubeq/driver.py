@@ -87,6 +87,7 @@ FIELD_RULES = {  # annotation -> (what a value of a field so annotated must be, 
     int: ("an integer",
           lambda value: isinstance(value, (int, np.integer)) and not isinstance(value, bool)),
     bool: ("a boolean", lambda value: isinstance(value, bool)),
+    str: ("a string", lambda value: isinstance(value, str)),
     Optional[float]: ("a number or null", lambda value: value is None or _number(value)),
 }
 

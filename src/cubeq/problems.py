@@ -6,10 +6,10 @@ solver touches problems through two evaluations.  At a trial or corrected
 point it needs only f and c for the merit test, so :func:`evaluate_trial`
 calls just those two callbacks.  When such a point becomes the iterate,
 :func:`complete_point` adds the gradient, the Jacobian and the Hessians
-without calling f and c again.  :func:`evaluate` does both at once, for the
-auditor and for callers that want everything at a point; either way the
-result is an immutable :class:`EvalPoint`.  :func:`lagrangian_hessian`
-combines the Hessians in one pass and checks the sum, not each, for finiteness.
+without calling f and c again, as an immutable :class:`EvalPoint`; the
+auditor rebuilds an iterate through the same two calls.
+:func:`lagrangian_hessian` combines the Hessians in one pass and checks the
+sum, not each, for finiteness.
 
 ``builtin_problem`` serves a small catalog of analytic test problems used by
 the CLI and the test-suite.  Each entry carries a default start and, where a
@@ -97,7 +97,8 @@ def evaluate_trial(problem: Problem, x) -> TrialPoint:
 def complete_point(problem: Problem, trial: TrialPoint) -> EvalPoint:
     """Add the first and second derivatives at ``trial.x``; f and c are reused.
 
-    Raises like :func:`evaluate`; the Hessians' finiteness is checked when they are combined.
+    Raises :class:`NonFiniteValue` if g or A holds NaN or Inf (the Hessians are
+    checked by :func:`lagrangian_hessian`), and ``ValueError`` on bad shapes.
     """
     x, n, m = trial.x, problem.n, problem.m
     g = np.asarray(problem.gradient(x), dtype=float).reshape(-1)
@@ -117,15 +118,6 @@ def complete_point(problem: Problem, trial: TrialPoint) -> EvalPoint:
 
     return EvalPoint(x=x, f=trial.f, g=g, c=trial.c, c_l1=trial.c_l1,
                      A=A, f_hess=f_hess, c_hess=c_hess)
-
-
-def evaluate(problem: Problem, x) -> EvalPoint:
-    """Evaluate all problem quantities at ``x``.
-
-    Raises :class:`NonFiniteValue` if f, c, g or A holds NaN or Inf (the Hessians
-    are checked by :func:`lagrangian_hessian`), and ``ValueError`` on bad shapes.
-    """
-    return complete_point(problem, evaluate_trial(problem, x))
 
 
 def lagrangian_hessian(point: EvalPoint, lam) -> Array:

@@ -160,13 +160,8 @@ def model_decrease(H_red, g_red, sigma, p) -> float:
 
 def _moments(d, e, q):
     """t -> (y, |y|^2, y . M^-1 y) with M y = q, M = T + t I for the symmetric
-    tridiagonal T = (d, e), by LDL^T; diagonal when ``e`` is None.
-    The last value is kept: the root is mostly the last shift tried."""
-    last = {}
-
+    tridiagonal T = (d, e), by LDL^T; diagonal when ``e`` is None."""
     def moments(t):
-        if t in last:
-            return last[t]
         if e is None:
             den = d + t
             y = q / den
@@ -178,9 +173,7 @@ def _moments(d, e, q):
                 raise np.linalg.LinAlgError(f"LDL^T of T + t I failed (info={info})")
             y = lapack.dpttrs(dd, ee, q)[0]
             z = lapack.dpttrs(dd, ee, y)[0]
-        last.clear()
-        last[t] = y, float(np.dot(y, y)), float(np.dot(y, z))
-        return last[t]
+        return y, float(np.dot(y, y)), float(np.dot(y, z))
     return moments
 
 

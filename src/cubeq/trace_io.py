@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import Violation
 from .driver import (CONFIG_RULES, SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL,
                      IterationRecord, SolverConfig, field_rules)
 from .errors import TraceError
@@ -33,6 +34,7 @@ _CLASSIFICATIONS = (VERY_SUCCESSFUL, SUCCESSFUL, UNSUCCESSFUL)
 _RECORD_RULES = {**field_rules(IterationRecord), "classification": (
     f"one of {', '.join(_CLASSIFICATIONS)}", _CLASSIFICATIONS.__contains__)}
 _VECTORS = ("x", "lam", "v_c", "v", "u", "w")  # record fields read as float arrays; w may be null
+_VIOLATION_RULES = field_rules(Violation)
 
 
 def _check_fields(data: dict, rules: dict, lineno: int, what: str) -> None:
@@ -167,6 +169,12 @@ def read_trace(path) -> TraceData:
                     raise TraceError(f"line {lineno}: iteration before header")
                 records.append(record_from_dict(obj, lineno))
             elif kind == "violation":
+                fields = {k: v for k, v in obj.items() if k != "kind"}
+                _check_fields(fields, _VIOLATION_RULES, lineno, "violation field")
+                odd = sorted(fields.keys() ^ _VIOLATION_RULES.keys())  # missing or unknown
+                if odd:
+                    has = "an unknown" if odd[0] in fields else "no"
+                    raise TraceError(f"line {lineno}: violation has {has} {odd[0]!r} field")
                 violations.append(obj)
             elif kind == "footer":
                 footer = obj

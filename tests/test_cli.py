@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from cubeq import diagnostics
+from cubeq import cli, diagnostics
 from cubeq.cli import (EXIT_BAD_TRACE, EXIT_CONFIG, EXIT_UNKNOWN_PROBLEM,
                        EXIT_VIOLATIONS, main)
 from cubeq.diagnostics import Violation
@@ -25,6 +25,11 @@ def _edited_trace(tmp_path, index, change):
     lines[index] = json.dumps(obj)
     trace.write_text("\n".join(lines) + "\n")
     return trace
+
+
+def _replace(obj, new):
+    obj.clear()
+    obj.update(new)
 
 
 class TestSolve:
@@ -73,6 +78,34 @@ class TestSolve:
         result = _run("solve", "--problem", "circle_quadratic", "--x0", "1,a")
         assert result.exit_code == EXIT_CONFIG
         assert "comma-separated float list" in result.output
+
+    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--sweep", "1e-3"]])
+    @pytest.mark.parametrize("x0", ["nan,0", "inf,0", "0,-inf"])
+    def test_non_finite_start_exits_before_the_solve(self, command, x0):
+        result = _run(*command, "--problem", "circle_quadratic", "--x0", x0)
+        assert result.exit_code == EXIT_CONFIG
+        assert isinstance(result.exception, SystemExit)  # no other exception escaped
+        assert result.output.splitlines() == [f"error: --x0 must be finite, got {x0!r}"]
+
+    def test_unwritable_trace_exits_before_the_solve(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("the solve ran"))
+        path = tmp_path / "missing" / "run.trace"
+        result = _run("solve", "--problem", "maratos", "--trace", str(path))
+        assert result.exit_code == EXIT_CONFIG
+        assert isinstance(result.exception, SystemExit)  # no other exception escaped
+        assert result.output.splitlines() == [
+            f"error: cannot write --trace {path}: no writable directory"]
+
+    def test_failed_trace_write_after_the_solve(self, tmp_path, monkeypatch):
+        def refuse(path, *args):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(cli.trace_io, "write_trace", refuse)
+        path = tmp_path / "run.trace"
+        result = _run("solve", "--problem", "maratos", "--trace", str(path))
+        assert result.exit_code == EXIT_CONFIG
+        assert isinstance(result.exception, SystemExit)  # no other exception escaped
+        assert result.output.splitlines() == [
+            f"error: cannot write --trace {path}: Permission denied"]
 
     def test_budget_exhaustion_exit_code(self):
         result = _run("solve", "--problem", "rosenbrock_sphere",
@@ -182,7 +215,10 @@ class TestTraceWorkflow:
         (2, lambda rec: rec.pop("u")),
         (2, lambda rec: rec.update(x="abc")),
         (0, lambda header: header.pop("problem")),
-    ], ids=["record_without_u", "non_numeric_x", "header_without_problem"])
+        (2, lambda rec: _replace(rec, {"kind": "violation"})),
+        (2, lambda rec: _replace(rec, {"kind": "violation", "code": 5, "k": "x"})),
+    ], ids=["record_without_u", "non_numeric_x", "header_without_problem",
+            "violation_without_fields", "violation_of_wrong_types"])
     def test_audit_malformed_trace(self, tmp_path, index, change):
         result = _run("audit", str(_edited_trace(tmp_path, index, change)))
         assert result.exit_code == EXIT_BAD_TRACE

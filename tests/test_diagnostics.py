@@ -13,7 +13,8 @@ from cubeq.diagnostics import (TOLERANCE, audit_iteration, audit_run, clears_flo
 from cubeq.driver import SUCCESSFUL, IterationRecord, SolverConfig, solve
 from cubeq.errors import InsufficientHistory
 from cubeq.linalg import factorize_jacobian, reduce_matrix
-from cubeq.problems import Problem, builtin_problem, evaluate, lagrangian_hessian
+from cubeq.problems import (Problem, builtin_problem, complete_point, evaluate_trial,
+                            lagrangian_hessian)
 from cubeq.trace_io import read_trace, write_trace
 from helpers import null_basis, perturb
 
@@ -68,7 +69,7 @@ SPECTRAL_CODES = ("or3_curvature", "tangential_size", "decrease_vs_gradient")
 def _spectral_magnitudes(problem, record, rank_tol):
     """(value, bound) of each check in SPECTRAL_CODES, with |H|_2 and
     lambda_min(Z^T H Z) from eigvalsh."""
-    point = evaluate(problem, record.x)
+    point = complete_point(problem, evaluate_trial(problem, record.x))
     fact = factorize_jacobian(point.A, rank_tol)
     H = lagrangian_hessian(point, record.lam)
     norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))
@@ -199,7 +200,7 @@ class TestSpectralFallbacks:
         problem, config, records = self._run()
         context = rebuild_context(problem, records[0], config.rank_tol)
         assert np.all(np.diagonal(context.H) == 0.0)
-        assert context.norm_H == pytest.approx(1.0)
+        assert np.max(np.abs(np.linalg.eigvalsh(context.H))) == pytest.approx(1.0)
         # with |H| = 0 the size bound is 3 sqrt(|g_red| / sigma), which |u| exceeds
         gn_red = float(np.linalg.norm(null_basis(context.fact).T @ context.point.g))
         assert np.linalg.norm(records[0].u) > 6.0 * math.sqrt(gn_red / records[0].sigma)
@@ -414,6 +415,14 @@ class TestConvergenceRate:
         x_star = builtin_problem("saddle_escape").known_solution[0]
         with pytest.raises(InsufficientHistory):
             convergence_rate(result, x_star)
+
+    def test_iterate_at_x_star_before_the_final_step(self):
+        """A zero error before the last one leaves the next ratio undefined."""
+        config = SolverConfig(eps_g=1e-12, eps_c=1e-12, eps_h=1e-12)
+        result = solve(builtin_problem("circle_quadratic"), config=config)
+        hit = diagnostics.accepted_path(result)[-2]
+        with pytest.raises(InsufficientHistory, match="before the final step"):
+            convergence_rate(result, hit)
 
     def test_rate_on_circle(self):
         problem = builtin_problem("circle_quadratic")

@@ -7,8 +7,7 @@ import pytest
 
 from cubeq.errors import NonFiniteValue, UnknownProblem
 from cubeq.problems import (EvalPoint, Problem, builtin_problem, complete_point,
-                            evaluate, evaluate_trial, lagrangian_hessian,
-                            problem_names)
+                            evaluate_trial, lagrangian_hessian, problem_names)
 
 ALL_NAMES = ["circle_quadratic", "linear_eq_quadratic", "maratos",
              "rosenbrock_sphere", "saddle_escape"]
@@ -26,7 +25,7 @@ class TestCatalog:
     def test_shapes_at_default_start(self, name):
         p = builtin_problem(name)
         assert 1 <= p.m < p.n
-        point = evaluate(p, p.default_start)
+        point = complete_point(p, evaluate_trial(p, p.default_start))
         assert point.x.shape == (p.n,)
         assert point.g.shape == (p.n,)
         assert point.c.shape == (p.m,)
@@ -40,7 +39,7 @@ class TestCatalog:
         """g + A^T lam = 0, c = 0, and nonnegative reduced curvature at x*."""
         p = builtin_problem(name)
         x_star, lam_star = p.known_solution
-        point = evaluate(p, x_star)
+        point = complete_point(p, evaluate_trial(p, x_star))
         assert np.linalg.norm(point.g + point.A.T @ lam_star) <= 1e-8
         assert point.c_l1 <= 1e-12
         H = lagrangian_hessian(point, lam_star)
@@ -54,7 +53,7 @@ class TestEvaluate:
     def test_wrong_x_length(self):
         p = builtin_problem("circle_quadratic")
         with pytest.raises(ValueError, match="shape"):
-            evaluate(p, np.zeros(3))
+            complete_point(p, evaluate_trial(p, np.zeros(3)))
 
     def test_non_finite_objective(self):
         p = builtin_problem("circle_quadratic")
@@ -67,7 +66,7 @@ class TestEvaluate:
             default_start=p.default_start,
         )
         with pytest.raises(NonFiniteValue):
-            evaluate(bad, bad.default_start)
+            complete_point(bad, evaluate_trial(bad, bad.default_start))
 
     def test_wrong_jacobian_shape(self):
         p = builtin_problem("circle_quadratic")
@@ -81,7 +80,7 @@ class TestEvaluate:
             default_start=p.default_start,
         )
         with pytest.raises(ValueError, match="jacobian"):
-            evaluate(bad, bad.default_start)
+            complete_point(bad, evaluate_trial(bad, bad.default_start))
 
     @pytest.mark.parametrize("kind, value, message", [
         ("gradient", np.zeros(3), "gradient"),
@@ -92,7 +91,7 @@ class TestEvaluate:
         bad = dataclasses.replace(builtin_problem("circle_quadratic"),
                                   **{kind: lambda x: value})
         with pytest.raises(ValueError, match=message):
-            evaluate(bad, bad.default_start)
+            complete_point(bad, evaluate_trial(bad, bad.default_start))
 
     def test_m_must_be_below_n(self):
         p = builtin_problem("circle_quadratic")
@@ -109,7 +108,7 @@ class TestEvaluate:
     def test_eval_point_snapshot_is_independent(self):
         p = builtin_problem("circle_quadratic")
         x = np.array([0.3, 0.4])
-        point = evaluate(p, x)
+        point = complete_point(p, evaluate_trial(p, x))
         x[0] = 99.0
         assert point.x[0] == 0.3
 
@@ -143,7 +142,7 @@ class TestTrialPoint:
         point = complete_point(p, trial)
         assert sorted(calls) == ["constraint_hessians", "gradient", "jacobian",
                                  "objective_hessian"]
-        full = evaluate(base, x)
+        full = complete_point(base, evaluate_trial(base, x))
         assert point.f == full.f and point.c_l1 == full.c_l1
         for name in ("x", "g", "c", "A", "f_hess"):
             np.testing.assert_array_equal(getattr(point, name), getattr(full, name))
@@ -176,7 +175,7 @@ class TestLagrangianHessian:
         for _ in range(20):
             x = rng.standard_normal(p.n)
             lam = rng.standard_normal(p.m)
-            point = evaluate(p, x)
+            point = complete_point(p, evaluate_trial(p, x))
             H = lagrangian_hessian(point, lam)
             expected = point.f_hess + lam[0] * point.c_hess[0]
             np.testing.assert_allclose(H, 0.5 * (expected + expected.T),
@@ -185,7 +184,7 @@ class TestLagrangianHessian:
 
     def test_wrong_lambda_length(self):
         p = builtin_problem("circle_quadratic")
-        point = evaluate(p, p.default_start)
+        point = complete_point(p, evaluate_trial(p, p.default_start))
         with pytest.raises(ValueError, match="lambda"):
             lagrangian_hessian(point, np.zeros(2))
 

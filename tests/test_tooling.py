@@ -1,17 +1,27 @@
-"""The benchmark runs against this tree, and a solve and its audit load no scipy.linalg,
-nor scipy's LAPACK module where the reduced Hessian is at most 2 x 2.
+"""The benchmark runs against this tree, a solve and its audit load no scipy.linalg,
+nor scipy's LAPACK module where the reduced Hessian is at most 2 x 2, and the
+outputs README quotes are the ones the code prints.
 
-Both run in a fresh interpreter: the benchmark is a script, and the test
-helpers import ``scipy.optimize``, which loads ``scipy.linalg`` itself.
+The first two run in a fresh interpreter: the benchmark is a script, and the
+test helpers import ``scipy.optimize``, which loads ``scipy.linalg`` itself.
+README's examples run the catalog, which loads no LAPACK module, so what they
+print does not depend on the LAPACK build.
 """
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
+from cubeq.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def _python(*args):
@@ -97,3 +107,38 @@ def test_small_reduced_problems_load_no_scipy_lapack():
     for name, (k, status, codes) in result["runs"].items():
         assert k <= 2 and status == "converged_sosp" and codes == [], name
     assert result["modules"] == []
+
+
+def _quoted_output(command):
+    """The output README quotes under its line ``command``: the comment lines
+    after it, a trailing backslash continuing one onto the next."""
+    lines = README.splitlines()
+    quoted, i = "\\", lines.index(command)
+    while quoted.endswith("\\"):
+        i += 1
+        assert lines[i].startswith("# ")
+        quoted = quoted[:-1] + lines[i][2:].strip()
+    return quoted
+
+
+@pytest.mark.parametrize("commands", [
+    ["cubeq solve --problem rosenbrock_sphere"],
+    ["cubeq solve --problem maratos --trace run.trace", "cubeq audit run.trace"],
+], ids=["solve_summary", "trace_round_trip"])
+def test_readme_command_line_quotations(tmp_path, commands):
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        results = [runner.invoke(main, shlex.split(command)[1:]) for command in commands]
+    assert [result.exit_code for result in results] == [0] * len(commands)
+    assert _quoted_output(commands[-1]) in results[-1].output.splitlines()
+
+
+def test_readme_quickstart_quotations():
+    """Each print of the quickstart prints what its comment quotes first."""
+    section = README.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    quotes = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    printed = _python("-c", block)
+    assert len(printed) == len(quotes) == 4
+    for line, quote in zip(printed, quotes):
+        assert quote == line or quote.startswith(line + " "), (line, quote)

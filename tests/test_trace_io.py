@@ -111,6 +111,33 @@ class TestRoundTrip:
         assert v["code"] == "beta_interval"
         assert v["value"] == 0.5 and v["bound"] == 1.0 and v["k"] == 3
 
+    def test_audit_error_violations_read_back(self, tmp_path):
+        """An ``audit_error`` is written with NaN magnitudes, which read back as NaN."""
+        problem = builtin_problem("maratos")
+        result = solve(problem)
+        violation = Violation("audit_error", "ValueError: synthetic", math.nan, math.nan, 1)
+        path = tmp_path / "errored.trace"
+        write_trace(path, "maratos", problem.default_start, SolverConfig(), result, [violation])
+        (back,) = read_trace(path).violations
+        assert back["code"] == "audit_error" and back["k"] == 1
+        assert math.isnan(back["value"]) and math.isnan(back["bound"])
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path, result, _ = _write_run(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n\n".join(lines) + "\n\n  \n")  # between records, after the footer
+        data = read_trace(path)
+        assert len(data.records) == len(result.history)
+        assert data.footer["status"] == result.status
+
+    def test_unserializable_value_is_a_type_error(self, tmp_path):
+        problem = builtin_problem("circle_quadratic")
+        path = tmp_path / "never.trace"
+        with pytest.raises(TypeError, match=r"cannot serialize \w*Path into a trace"):
+            write_trace(path, Path("circle_quadratic"), problem.default_start, SolverConfig(),
+                        solve(problem))
+        assert not path.exists()
+
     def test_nonconverged_runs_are_writable(self, tmp_path):
         config = SolverConfig(max_iter=2)
         path, result, _ = _write_run(tmp_path, name="rosenbrock_sphere",
@@ -284,6 +311,22 @@ class TestStrictParsing:
         path, _, _ = _write_run(tmp_path)
         self._edit_line(path, 1, lambda rec: rec.update(v=None))
         with pytest.raises(TraceError, match="line 2: iteration record has wrong fields"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda v: v.pop("k"), "line 2: violation has no 'k' field"),
+        (lambda v: v.update(step=1), "line 2: violation has an unknown 'step' field"),
+        (lambda v: v.update(value="0.5"), "line 2: violation field value must be a number"),
+        (lambda v: v.update(message=None), "line 2: violation field message must be a string"),
+    ], ids=["missing_k", "unknown_key", "string_value", "null_message"])
+    def test_violation_with_wrong_fields(self, tmp_path, change, message):
+        path, _, _ = _write_run(tmp_path)
+        lines = self._lines(path)
+        violation = {"kind": "violation", **dataclasses.asdict(
+            Violation("beta_interval", "synthetic", 0.5, 1.0, 0))}
+        change(violation)
+        path.write_text("\n".join([lines[0], json.dumps(violation), *lines[1:]]) + "\n")
+        with pytest.raises(TraceError, match=message):
             read_trace(path)
 
     def test_header_without_problem(self, tmp_path):
