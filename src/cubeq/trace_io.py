@@ -3,12 +3,14 @@
 A trace file holds one JSON object per line: a header (problem name, start
 point, full configuration), one record per iteration with every field of
 :class:`IterationRecord` as a named key, any audit violations, and, last, a
-footer with the final status.  Records written by earlier versions also carry
-the step norms and the ``correction_computed`` and ``accepted`` flags, which
-the other fields determine; they are dropped on reading.  ``json.dumps`` writes
-every float in its shortest round-tripping form, so a replayed audit sees
-bit-identical values; files written with 17 significant digits by earlier
-versions read back the same.
+footer with the final status.  The header, its config, each record and each
+violation are read by one function against one table of field rules.  Records
+written by earlier versions also carry the step norms and the
+``correction_computed`` and ``accepted`` flags, which the other fields
+determine, and their header config an ``audit`` key; these are dropped on
+reading.  ``json.dumps`` writes every float in its shortest round-tripping
+form, so a replayed audit sees bit-identical values; files written with 17
+significant digits by earlier versions read back the same.
 Non-finite floats use the Python dialect tokens (``Infinity``, ``NaN``)
 that ``json.loads`` accepts back.
 """
@@ -18,31 +20,64 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .diagnostics import Violation
-from .driver import (CONFIG_RULES, SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL,
-                     IterationRecord, SolverConfig, field_rules)
+from .driver import (FIELD_RULES, SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL,
+                     IterationRecord, SolverConfig)
 from .errors import TraceError
 
 FORMAT_NAME = "cubeq-trace"
 FORMAT_VERSION = 1
+_ARRAY = "a list of numbers"
+# Annotation -> (what a value of a field so annotated must be, the test); a test
+# of None marks a float array, read from a list of numbers, and null if Optional.
+_RULES = FIELD_RULES | {np.ndarray: (_ARRAY, None),
+                        Optional[np.ndarray]: (f"{_ARRAY} or null", None)}
 # Record keys of earlier versions that other fields of the record determine.
 _DERIVED_KEYS = ("norm_v", "norm_u", "norm_d", "norm_w", "correction_computed", "accepted")
 _CLASSIFICATIONS = (VERY_SUCCESSFUL, SUCCESSFUL, UNSUCCESSFUL)
-_RECORD_RULES = {**field_rules(IterationRecord), "classification": (
-    f"one of {', '.join(_CLASSIFICATIONS)}", _CLASSIFICATIONS.__contains__)}
-_VECTORS = ("x", "lam", "v_c", "v", "u", "w")  # record fields read as float arrays; w may be null
-_VIOLATION_RULES = field_rules(Violation)
+_FIELDS = {  # what _read reads -> (the rule of each key, the keys it drops unread)
+    cls: ({name: _RULES[hint] for name, hint in get_type_hints(cls).items()}, dropped)
+    for cls, dropped in ((SolverConfig, {"audit"}),  # a config key of earlier versions
+                         (IterationRecord, {"kind", *_DERIVED_KEYS}), (Violation, {"kind"}))}
+_FIELDS[IterationRecord][0]["classification"] = (
+    f"one of {', '.join(_CLASSIFICATIONS)}", _CLASSIFICATIONS.__contains__)
+_FIELDS[dict] = ({  # the header, read as a plain dict
+    "kind": _RULES[str], "format": _RULES[str], "problem": _RULES[str], "x0": _RULES[np.ndarray],
+    "version": (f"the integer {FORMAT_VERSION}",
+                lambda value: type(value) is int and value == FORMAT_VERSION),
+    "config": ("an object", lambda value: isinstance(value, dict))}, set())
 
 
-def _check_fields(data: dict, rules: dict, lineno: int, what: str) -> None:
-    """A TraceError, naming the line and the key, for a value of the wrong type."""
-    for key, value in data.items():
-        rule = rules.get(key)
-        if rule is not None and not rule[1](value):
-            raise TraceError(f"line {lineno}: {what} {key} must be {rule[0]}, got {value!r}")
+def _read(cls, data: dict, lineno: int, what: str):
+    """The ``cls`` from ``data``, the ``what`` on trace line ``lineno``: exactly
+    its keys, apart from those dropped, each passing its rule, or a TraceError
+    naming the line and the key."""
+    rules, dropped = _FIELDS[cls]
+    keys = data.keys() - dropped
+    if keys != rules.keys():
+        key = min(keys ^ rules.keys())
+        has = "an unknown" if key in keys else "no"
+        raise TraceError(f"line {lineno}: {what} has {has} {key!r} field")
+    values = {}
+    for key, (rule, test) in rules.items():
+        value = data[key]
+        try:
+            if test is None and (value is not None or rule == _ARRAY):
+                value = np.array(value)  # a ragged list raises ValueError
+                if value.ndim != 1 or value.dtype.kind not in "iuf":
+                    raise ValueError
+                value = value.astype(float, copy=False)
+            elif test is not None and not test(value):
+                raise ValueError
+        except ValueError:
+            raise TraceError(f"line {lineno}: {what} field {key} must be {rule}, "
+                             f"got {data[key]!r}") from None
+        values[key] = value
+    return cls(**values)
 
 
 def _plain(value):
@@ -58,29 +93,6 @@ def dump_line(obj: dict) -> str:
 
 def record_to_dict(record: IterationRecord) -> dict:
     return {"kind": "iteration", **vars(record)}
-
-
-def _vector(key: str, value) -> np.ndarray:
-    """The list of JSON numbers ``value`` as a float array; nothing else converts."""
-    out = np.array(value)
-    if out.ndim != 1 or out.dtype.kind not in "iuf":
-        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
-    return out.astype(float, copy=False)
-
-
-def record_from_dict(data: dict, lineno: int) -> IterationRecord:
-    """The record on trace line ``lineno``; a malformed one is a TraceError."""
-    data = {k: v for k, v in data.items() if k != "kind" and k not in _DERIVED_KEYS}
-    _check_fields(data, _RECORD_RULES, lineno, "iteration record field")
-    try:
-        for key in _VECTORS:
-            if key != "w" or data[key] is not None:
-                data[key] = _vector(key, data[key])
-        return IterationRecord(**data)
-    except KeyError as exc:
-        raise TraceError(f"line {lineno}: iteration record has no {exc} field") from None
-    except (TypeError, ValueError) as exc:
-        raise TraceError(f"line {lineno}: iteration record has wrong fields: {exc}") from None
 
 
 def write_trace(path, problem_name: str, x0, config: SolverConfig, result,
@@ -113,10 +125,10 @@ def write_trace(path, problem_name: str, x0, config: SolverConfig, result,
 
 @dataclass
 class TraceData:
-    header: dict
+    header: dict  # as written, with x0 read as a float array
     config: SolverConfig
     records: list
-    violations: list  # violation dicts as written
+    violations: list  # the Violations as written
     footer: dict
 
     @property
@@ -124,30 +136,17 @@ class TraceData:
         return self.header["problem"]
 
 
-def _header_config(header: dict, lineno: int) -> SolverConfig:
-    """The run's configuration, from the checked header on line ``lineno``: a
-    wrongly typed field is a TraceError, an out-of-range one a ConfigError."""
-    if header.get("format") != FORMAT_NAME:
-        raise TraceError(f"line {lineno}: not a {FORMAT_NAME} file")
-    if not isinstance(header.get("problem"), str):
-        raise TraceError(f"line {lineno}: header has no problem name")
-    try:
-        settings = dict(header["config"])
-        settings.pop("audit", None)  # a config field in traces of earlier versions
-        _check_fields(settings, CONFIG_RULES, lineno, "header config")
-        return SolverConfig(**settings)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"line {lineno}: header config invalid: {exc}") from None
-
-
 def read_trace(path) -> TraceData:
     header = None
     footer = None
     records: list = []
     violations: list = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            try:
+                line = line.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise TraceError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
             if not line:
                 continue
             if footer is not None:
@@ -159,23 +158,21 @@ def read_trace(path) -> TraceData:
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise TraceError(f"line {lineno}: expected an object with a 'kind'")
             kind = obj["kind"]
+            if header is None and kind != "header":
+                raise TraceError(f"line {lineno}: no header before this {kind!r} line")
             if kind == "header":
                 if header is not None:
                     raise TraceError(f"line {lineno}: duplicate header")
-                header = obj
-                config = _header_config(obj, lineno)
+                if obj.get("format") != FORMAT_NAME:
+                    raise TraceError(f"line {lineno}: not a {FORMAT_NAME} file")
+                if not isinstance(obj.get("problem"), str):
+                    raise TraceError(f"line {lineno}: header has no problem name")
+                header = _read(dict, obj, lineno, "header")
+                config = _read(SolverConfig, header["config"], lineno, "header config")
             elif kind == "iteration":
-                if header is None:
-                    raise TraceError(f"line {lineno}: iteration before header")
-                records.append(record_from_dict(obj, lineno))
+                records.append(_read(IterationRecord, obj, lineno, "iteration record"))
             elif kind == "violation":
-                fields = {k: v for k, v in obj.items() if k != "kind"}
-                _check_fields(fields, _VIOLATION_RULES, lineno, "violation field")
-                odd = sorted(fields.keys() ^ _VIOLATION_RULES.keys())  # missing or unknown
-                if odd:
-                    has = "an unknown" if odd[0] in fields else "no"
-                    raise TraceError(f"line {lineno}: violation has {has} {odd[0]!r} field")
-                violations.append(obj)
+                violations.append(_read(Violation, obj, lineno, "violation"))
             elif kind == "footer":
                 footer = obj
             else:

@@ -217,13 +217,47 @@ class TestTraceWorkflow:
         (0, lambda header: header.pop("problem")),
         (2, lambda rec: _replace(rec, {"kind": "violation"})),
         (2, lambda rec: _replace(rec, {"kind": "violation", "code": 5, "k": "x"})),
+        (0, lambda header: header.update(version=99)),
+        (0, lambda header: header.update(version="1")),
+        (0, lambda header: header.pop("version")),
+        (0, lambda header: header.update(x0="abc")),
+        (0, lambda header: header["config"].pop("gamma3")),
+        (0, lambda header: _replace(header, {"kind": "violation", "code": "beta_interval",
+                                             "message": "m", "value": 0.5, "bound": 1.0,
+                                             "k": 0})),
     ], ids=["record_without_u", "non_numeric_x", "header_without_problem",
-            "violation_without_fields", "violation_of_wrong_types"])
+            "violation_without_fields", "violation_of_wrong_types", "version_99",
+            "version_string", "header_without_version", "non_numeric_x0",
+            "config_without_gamma3", "violation_before_header"])
     def test_audit_malformed_trace(self, tmp_path, index, change):
         result = _run("audit", str(_edited_trace(tmp_path, index, change)))
         assert result.exit_code == EXIT_BAD_TRACE
         assert isinstance(result.exception, SystemExit)  # no other exception escaped
         assert result.output.startswith(f"error: line {index + 1}: ")
+
+    def test_audit_header_missing_a_set_config_key(self, tmp_path):
+        """A header config that lost a key is malformed, not read with the key's
+        default: a run with gamma3 = 0.25 would otherwise audit against 0.5."""
+        trace = tmp_path / "run.trace"
+        solved = _run("solve", "--problem", "rosenbrock_sphere", "--set", "gamma3=0.25",
+                      "--trace", str(trace))
+        assert solved.exit_code == 0
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["config"]["gamma3"]
+        trace.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        result = _run("audit", str(trace))
+        assert result.exit_code == EXIT_BAD_TRACE
+        assert result.output == "error: line 1: header config has no 'gamma3' field\n"
+
+    def test_audit_trace_that_is_not_utf8(self, tmp_path):
+        trace = tmp_path / "run.trace"
+        _run("solve", "--problem", "maratos", "--trace", str(trace))
+        trace.write_bytes(b"\xff\xfe" + trace.read_bytes())
+        result = _run("audit", str(trace))
+        assert result.exit_code == EXIT_BAD_TRACE
+        assert isinstance(result.exception, SystemExit)  # no other exception escaped
+        assert result.output == "error: line 1: not UTF-8 text (invalid start byte)\n"
 
     @pytest.mark.parametrize("index, key, value", [
         (0, "eta1", "abc"), (0, "rank_tol", None), (0, "max_iter", "3"),

@@ -1,4 +1,5 @@
-"""A corpus of 200 seeded random problems beyond the 2-D and 4-D catalog.
+"""Problems beyond the 2-D and 4-D catalog: a corpus of 200 seeded random
+problems, and electrons on the sphere.
 
 Problem ``seed`` has n in 3..8 variables and m in 1..n-1 constraints,
 
@@ -11,9 +12,16 @@ only: at a second-order point, re-verified here with numpy alone; with a LICQ
 failure; or out of iterations at an infeasible point, where the Jacobian's
 condition number has grown past what the method's LICQ assumption covers.
 Never with a numerical error.
+
+Electrons on the sphere is problem 2 of COPS 3.0 (Dolan, More & Munson 2004):
+N unit charges, n = 3N and m = N, with closed-form minimal energies at
+N = 4, 6 and 12, and a KKT saddle at the regular N-gon on the equator.
 """
 
+import math
+
 import numpy as np
+import pytest
 
 from cubeq.diagnostics import audit_run
 from cubeq.driver import (CONVERGED_SOSP, LICQ_FAILURE, MAX_ITERATIONS,
@@ -99,3 +107,54 @@ def test_stalled_runs_audit_clean():
         result = solve(problem, config=config)
         assert result.status == MAX_ITERATIONS
         assert audit_run(problem, result.history, config) == [], seed
+
+
+# Minimal energies: the tetrahedron, the octahedron and the icosahedron.
+ELEC_ENERGY = {4: 3.674234614, 6: 9.985281374, 12: 49.165253058}
+ELEC_RANDOM_STARTS = 4
+
+
+def _elec_problem(N):
+    """N electrons at x = (x_1..x_N, y_1..y_N, z_1..z_N), each |(x_i, y_i, z_i)| = 1;
+    constraint i has the Hessian 2I on the three coordinates of electron i.  The
+    callbacks are those of scipy's own COPS problem 2, shipped with its tests."""
+    scipy_tests = pytest.importorskip("scipy.optimize.tests.test_minimize_constrained")
+    elec = scipy_tests.Elec(n_electrons=N)
+    constraint = elec.constr
+
+    def constraint_hessians(x):
+        hessians = [np.zeros((3 * N, 3 * N)) for _ in range(N)]
+        for i, H in enumerate(hessians):
+            H[i::N, i::N] = 2.0 * np.eye(3)
+        return hessians
+
+    return Problem(name=f"elec_{N}", n=3 * N, m=N, objective=elec.fun, gradient=elec.grad,
+                   objective_hessian=elec.hess, constraints=constraint.fun,
+                   jacobian=lambda x: constraint.jac(x).toarray(),
+                   constraint_hessians=constraint_hessians, default_start=elec.x0)
+
+
+def _elec_starts(N):
+    """The regular N-gon on the equator, then points drawn uniformly on the sphere."""
+    angles = 2.0 * math.pi * np.arange(N) / N
+    rng = np.random.default_rng(N)
+    starts = [np.concatenate([np.cos(angles), np.sin(angles), np.zeros(N)])]
+    for _ in range(ELEC_RANDOM_STARTS):
+        points = rng.standard_normal((N, 3))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        starts.append(points.T.ravel())
+    return starts
+
+
+@pytest.mark.parametrize("N", sorted(ELEC_ENERGY))
+def test_elec_leaves_the_equator_for_the_minimal_energy(N):
+    """From the equatorial N-gon, a KKT point with negative reduced curvature,
+    and from random starts, every run ends at the minimal energy, audit-clean."""
+    problem, config = _elec_problem(N), SolverConfig()
+    for start, x0 in enumerate(_elec_starts(N)):
+        result = solve(problem, x0, config)
+        if start == 0:
+            assert result.history[0].lambda_min_red < -config.eps_h
+        assert result.status == CONVERGED_SOSP, (start, result.message)
+        assert abs(problem.objective(result.x_final) - ELEC_ENERGY[N]) <= 1e-8, start
+        assert audit_run(problem, result.history, config) == [], start

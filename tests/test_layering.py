@@ -10,7 +10,7 @@ import graphlib
 from pathlib import Path
 
 import cubeq
-from cubeq import driver, trace_io
+from cubeq import diagnostics, driver, trace_io
 
 PACKAGE = Path(cubeq.__file__).parent
 
@@ -103,8 +103,10 @@ def test_every_test_module_names_a_module_or_a_listed_suite():
 
 def test_every_config_and_record_field_has_a_rule():
     """A field whose annotation has no rule in ``driver.FIELD_RULES`` would go
-    unchecked by both the constructor and ``read_trace``."""
+    unchecked by the constructor, and ``read_trace`` reads each dataclass
+    against a rule for every one of its fields and no other key."""
     config_fields = {f.name for f in dataclasses.fields(driver.SolverConfig)}
     assert set(driver.CONFIG_RULES) == config_fields
-    record_fields = {f.name for f in dataclasses.fields(driver.IterationRecord)}
-    assert record_fields - set(trace_io._RECORD_RULES) - set(trace_io._VECTORS) == set()
+    for cls in (driver.SolverConfig, driver.IterationRecord, diagnostics.Violation):
+        rules, _ = trace_io._FIELDS[cls]
+        assert set(rules) == {f.name for f in dataclasses.fields(cls)}, cls.__name__

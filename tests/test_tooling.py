@@ -1,11 +1,11 @@
-"""The benchmark runs against this tree, a solve and its audit load no scipy.linalg,
-nor scipy's LAPACK module where the reduced Hessian is at most 2 x 2, and the
-outputs README quotes are the ones the code prints.
+"""The benchmark and the parity check run against this tree, a solve and its audit
+load no scipy.linalg, nor scipy's LAPACK module where the reduced Hessian is at
+most 2 x 2, and the outputs README quotes are the ones the code prints.
 
-The first two run in a fresh interpreter: the benchmark is a script, and the
-test helpers import ``scipy.optimize``, which loads ``scipy.linalg`` itself.
-README's examples run the catalog, which loads no LAPACK module, so what they
-print does not depend on the LAPACK build.
+The first four run in a fresh interpreter: the benchmark and the parity check
+are scripts, and the test helpers import ``scipy.optimize``, which loads
+``scipy.linalg`` itself. README's examples run the catalog, which loads no
+LAPACK module, so what they print does not depend on the LAPACK build.
 """
 
 import json
@@ -24,13 +24,13 @@ ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
 
 
-def _python(*args):
+def _python(*args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300, check=False)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc.stdout.strip().splitlines()
 
 
@@ -41,6 +41,21 @@ def test_benchmark_round_is_correct():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_parity_check_of_the_catalog(tmp_path):
+    """The parity check finds the catalog's runs equal to themselves, and names
+    a run whose saved trace hash differs, with the first differing line."""
+    saved = tmp_path / "saved"
+    parity = ("tools/parity.py", "--group", "catalog")
+    _python(*parity, "--save", str(saved))
+    assert _python(*parity, "--against", str(saved)) == ["0 of 5 runs differ"]
+    hashes = json.loads((saved / "parity.json").read_text())
+    hashes["catalog/maratos"]["trace"] = "0" * 64
+    hashes["catalog/maratos"]["lines"][2] = "0" * 16
+    (saved / "parity.json").write_text(json.dumps(hashes))
+    assert _python(*parity, "--against", str(saved), returncode=1) == [
+        "catalog/maratos: trace differs from line 3", "1 of 5 runs differ"]
 
 
 _SOLVE_N5 = """

@@ -105,11 +105,10 @@ class TestRoundTrip:
         path = tmp_path / "tampered.trace"
         write_trace(path, "circle_quadratic", problem.default_start, config,
                     result, violations)
-        data = read_trace(path)
-        assert len(data.violations) == 1
-        v = data.violations[0]
-        assert v["code"] == "beta_interval"
-        assert v["value"] == 0.5 and v["bound"] == 1.0 and v["k"] == 3
+        (v,) = read_trace(path).violations
+        assert v == violations[0]
+        assert v.code == "beta_interval"
+        assert v.value == 0.5 and v.bound == 1.0 and v.k == 3
 
     def test_audit_error_violations_read_back(self, tmp_path):
         """An ``audit_error`` is written with NaN magnitudes, which read back as NaN."""
@@ -119,8 +118,9 @@ class TestRoundTrip:
         path = tmp_path / "errored.trace"
         write_trace(path, "maratos", problem.default_start, SolverConfig(), result, [violation])
         (back,) = read_trace(path).violations
-        assert back["code"] == "audit_error" and back["k"] == 1
-        assert math.isnan(back["value"]) and math.isnan(back["bound"])
+        assert isinstance(back, Violation)
+        assert back.code == "audit_error" and back.k == 1
+        assert math.isnan(back.value) and math.isnan(back.bound)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path, result, _ = _write_run(tmp_path)
@@ -275,7 +275,8 @@ class TestStrictParsing:
         header["config"]["not_a_field"] = 1
         lines[0] = json.dumps(header)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceError, match="header config invalid"):
+        with pytest.raises(TraceError,
+                           match="line 1: header config has an unknown 'not_a_field' field"):
             read_trace(path)
 
     def test_iteration_with_missing_fields(self, tmp_path):
@@ -304,13 +305,15 @@ class TestStrictParsing:
     def test_iteration_with_a_non_numeric_array_field(self, tmp_path):
         path, _, _ = _write_run(tmp_path)
         self._edit_line(path, 2, lambda rec: rec.update(x="abc"))
-        with pytest.raises(TraceError, match="line 3: iteration record has wrong fields"):
+        with pytest.raises(TraceError, match="line 3: iteration record field x must be "
+                                             "a list of numbers, got 'abc'"):
             read_trace(path)
 
     def test_iteration_with_a_null_array_field(self, tmp_path):
         path, _, _ = _write_run(tmp_path)
         self._edit_line(path, 1, lambda rec: rec.update(v=None))
-        with pytest.raises(TraceError, match="line 2: iteration record has wrong fields"):
+        with pytest.raises(TraceError, match="line 2: iteration record field v must be "
+                                             "a list of numbers, got None"):
             read_trace(path)
 
     @pytest.mark.parametrize("change, message", [
@@ -327,6 +330,55 @@ class TestStrictParsing:
         change(violation)
         path.write_text("\n".join([lines[0], json.dumps(violation), *lines[1:]]) + "\n")
         with pytest.raises(TraceError, match=message):
+            read_trace(path)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda h: h.update(version=99), "line 1: header field version must be the integer 1, "
+                                         "got 99"),
+        (lambda h: h.update(version="1"), "line 1: header field version must be the integer 1, "
+                                          "got '1'"),
+        (lambda h: h.update(version=True), "line 1: header field version must be the integer 1"),
+        (lambda h: h.pop("version"), "line 1: header has no 'version' field"),
+        (lambda h: h.update(x0="abc"), "line 1: header field x0 must be a list of numbers, "
+                                       "got 'abc'"),
+        (lambda h: h.update(x0=[[0.0], [0.0, 1.0]]), "line 1: header field x0 must be a list"),
+        (lambda h: h.update(step=1), "line 1: header has an unknown 'step' field"),
+        (lambda h: h.update(config=[]), "line 1: header field config must be an object"),
+        (lambda h: h["config"].pop("gamma3"), "line 1: header config has no 'gamma3' field"),
+        (lambda h: h["config"].update(eta1="abc"), "line 1: header config field eta1 must be "
+                                                   "a number, got 'abc'"),
+    ], ids=["version_99", "version_string", "version_true", "no_version", "string_x0",
+            "ragged_x0", "unknown_key", "config_not_an_object", "config_without_gamma3",
+            "string_config_value"])
+    def test_header_with_wrong_fields(self, tmp_path, change, message):
+        path, _, _ = _write_run(tmp_path)
+        self._edit_line(path, 0, change)
+        with pytest.raises(TraceError, match=message):
+            read_trace(path)
+
+    def test_header_reads_exactly_its_keys(self, tmp_path):
+        path, _, config = _write_run(tmp_path)
+        header = read_trace(path).header
+        assert header.keys() == {"kind", "format", "version", "problem", "x0", "config"}
+        assert header["x0"].dtype == float and header["config"] == dataclasses.asdict(config)
+
+    @pytest.mark.parametrize("kind", ["iteration", "violation", "footer"])
+    def test_line_before_the_header(self, tmp_path, kind):
+        """One check refuses a line of any kind ahead of the header."""
+        path, result, config = _write_run(tmp_path)
+        write_trace(path, "circle_quadratic", np.zeros(2), config, result,
+                    [Violation("beta_interval", "synthetic", 0.5, 1.0, 0)])
+        lines = self._lines(path)
+        first = next(line for line in lines if json.loads(line)["kind"] == kind)
+        path.write_text("\n".join([first, *lines]) + "\n")
+        with pytest.raises(TraceError, match=f"line 1: no header before this '{kind}' line"):
+            read_trace(path)
+
+    def test_text_that_is_not_utf8(self, tmp_path):
+        path, _, _ = _write_run(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join([*lines[:2], b"\xff" + lines[2], *lines[3:]]))
+        with pytest.raises(TraceError, match=r"line 3: not UTF-8 text \(invalid start byte\)"):
             read_trace(path)
 
     def test_header_without_problem(self, tmp_path):
