@@ -3,20 +3,20 @@
 A trace file holds one JSON object per line: a header (problem name, start
 point, full configuration), one record per iteration with every field of
 :class:`IterationRecord` as a named key, any audit violations, and, last, a
-footer with the final status.  The header, its config, each record and each
-violation are read by one function against one table of field rules.  Records
-written by earlier versions also carry the step norms and the
-``correction_computed`` and ``accepted`` flags, which the other fields
-determine, and their header config an ``audit`` key; these are dropped on
-reading.  ``json.dumps`` writes every float in its shortest round-tripping
-form, so a replayed audit sees bit-identical values; files written with 17
-significant digits by earlier versions read back the same.
-Non-finite floats use the Python dialect tokens (``Infinity``, ``NaN``)
-that ``json.loads`` accepts back.
+footer with the final state.  Each line is read by one function against one
+table of field rules.  Scalars are JSON, non-finite floats the tokens
+``Infinity`` and ``NaN`` that ``json.loads`` accepts back.  In format version 2
+each float array is one string, the base64 of its little-endian float64 bytes,
+so it reads back bit for bit, NaN payloads included.  Version 1 wrote lists of
+numbers, shortest round-tripping or with 17 digits, and is still read: the
+header's version decides how.  Records of earlier writers also carry the step
+norms and the ``correction_computed`` and ``accepted`` flags, which the other
+fields determine, and their header config an ``audit`` key; these are dropped.
 """
 
 from __future__ import annotations
 
+import binascii
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -25,37 +25,56 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .diagnostics import Violation
-from .driver import (FIELD_RULES, SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL,
-                     IterationRecord, SolverConfig)
+from .driver import (CONVERGED_FOSP, CONVERGED_SOSP, FIELD_RULES, LICQ_FAILURE,
+                     MAX_ITERATIONS, NUMERICAL_ERROR, SUCCESSFUL, UNSUCCESSFUL,
+                     VERY_SUCCESSFUL, IterationRecord, SolverConfig)
 from .errors import TraceError
 
 FORMAT_NAME = "cubeq-trace"
-FORMAT_VERSION = 1
-_ARRAY = "a list of numbers"
+FORMAT_VERSION = 2
+
+
+def _from_list(value) -> np.ndarray:
+    if type(value) is not list or not all(map(FIELD_RULES[float][1], value)):
+        raise ValueError  # numpy would read a boolean as a number
+    return np.array(value, dtype=float)
+
+
+# Format version -> (what a float array must be, how it is read).  Only a string
+# is base64 (TypeError), and frombuffer takes whole float64s only (ValueError).
+_VECTORS = {1: ("a list of numbers", _from_list),
+            2: ("a base64 string of float64 bytes", lambda value: np.frombuffer(
+                binascii.a2b_base64(value, strict_mode=True), "<f8").astype(float))}
 # Annotation -> (what a value of a field so annotated must be, the test); a test
-# of None marks a float array, read from a list of numbers, and null if Optional.
-_RULES = FIELD_RULES | {np.ndarray: (_ARRAY, None),
-                        Optional[np.ndarray]: (f"{_ARRAY} or null", None)}
+# of None marks a float array, read by the trace's version, and null if Optional.
+_RULES = FIELD_RULES | {np.ndarray: ("{}", None), Optional[np.ndarray]: ("{} or null", None)}
 # Record keys of earlier versions that other fields of the record determine.
 _DERIVED_KEYS = ("norm_v", "norm_u", "norm_d", "norm_w", "correction_computed", "accepted")
 _CLASSIFICATIONS = (VERY_SUCCESSFUL, SUCCESSFUL, UNSUCCESSFUL)
+_STATUSES = (CONVERGED_SOSP, CONVERGED_FOSP, MAX_ITERATIONS, LICQ_FAILURE, NUMERICAL_ERROR)
+_OBJECT = ("an object", lambda value: isinstance(value, dict))
 _FIELDS = {  # what _read reads -> (the rule of each key, the keys it drops unread)
     cls: ({name: _RULES[hint] for name, hint in get_type_hints(cls).items()}, dropped)
     for cls, dropped in ((SolverConfig, {"audit"}),  # a config key of earlier versions
                          (IterationRecord, {"kind", *_DERIVED_KEYS}), (Violation, {"kind"}))}
 _FIELDS[IterationRecord][0]["classification"] = (
     f"one of {', '.join(_CLASSIFICATIONS)}", _CLASSIFICATIONS.__contains__)
-_FIELDS[dict] = ({  # the header, read as a plain dict
-    "kind": _RULES[str], "format": _RULES[str], "problem": _RULES[str], "x0": _RULES[np.ndarray],
-    "version": (f"the integer {FORMAT_VERSION}",
-                lambda value: type(value) is int and value == FORMAT_VERSION),
-    "config": ("an object", lambda value: isinstance(value, dict))}, set())
+_FIELDS["header"] = ({  # the version first: it decides how x0 is read
+    "kind": _RULES[str], "format": _RULES[str],
+    "version": (f"the integer {' or '.join(map(str, _VECTORS))}",
+                lambda value: type(value) is int and value in _VECTORS),
+    "problem": _RULES[str], "x0": _RULES[np.ndarray], "config": _OBJECT}, set())
+_FIELDS["footer"] = ({
+    "kind": _RULES[str], "status": (f"one of {', '.join(_STATUSES)}", _STATUSES.__contains__),
+    "message": _RULES[str], "iterations": _RULES[int], "x_final": _RULES[np.ndarray],
+    "lambda_final": _RULES[Optional[np.ndarray]], "counts": _OBJECT, "final_report": (
+        "an object or null", lambda value: value is None or isinstance(value, dict))}, set())
 
 
-def _read(cls, data: dict, lineno: int, what: str):
-    """The ``cls`` from ``data``, the ``what`` on trace line ``lineno``: exactly
-    its keys, apart from those dropped, each passing its rule, or a TraceError
-    naming the line and the key."""
+def _read(cls, data: dict, lineno: int, what: str, version: int = FORMAT_VERSION):
+    """The ``cls`` (a dict for a header or footer) from ``data``, the ``what`` on
+    line ``lineno`` of a trace of format ``version``: exactly its keys, apart from
+    those dropped, each passing its rule, or a TraceError naming the line and key."""
     rules, dropped = _FIELDS[cls]
     keys = data.keys() - dropped
     if keys != rules.keys():
@@ -66,29 +85,33 @@ def _read(cls, data: dict, lineno: int, what: str):
     for key, (rule, test) in rules.items():
         value = data[key]
         try:
-            if test is None and (value is not None or rule == _ARRAY):
-                value = np.array(value)  # a ragged list raises ValueError
-                if value.ndim != 1 or value.dtype.kind not in "iuf":
-                    raise ValueError
-                value = value.astype(float, copy=False)
-            elif test is not None and not test(value):
+            if test is None:
+                array, decode = _VECTORS[version]
+                rule = rule.format(array)
+                if value is not None or rule == array:
+                    value = decode(value)
+            elif not test(value):
                 raise ValueError
-        except ValueError:
+        except (TypeError, ValueError):
             raise TraceError(f"line {lineno}: {what} field {key} must be {rule}, "
                              f"got {data[key]!r}") from None
         values[key] = value
-    return cls(**values)
+    return cls(**values) if isinstance(cls, type) else values
 
 
-def _plain(value):
-    """numpy values as the Python lists and scalars ``json`` writes."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
+def _encode(value):
+    """A numpy array as the base64 of its little-endian float64 bytes, and a
+    numpy scalar as the Python scalar ``json`` writes."""
+    if isinstance(value, np.ndarray):
+        return binascii.b2a_base64(value.astype("<f8", copy=False).tobytes(),
+                                   newline=False).decode()
+    if isinstance(value, np.generic):
+        return value.item()
     raise TypeError(f"cannot serialize {type(value).__name__} into a trace")
 
 
 def dump_line(obj: dict) -> str:
-    return json.dumps(obj, default=_plain)
+    return json.dumps(obj, default=_encode)
 
 
 def record_to_dict(record: IterationRecord) -> dict:
@@ -97,30 +120,23 @@ def record_to_dict(record: IterationRecord) -> dict:
 
 def write_trace(path, problem_name: str, x0, config: SolverConfig, result,
                 violations=()) -> None:
-    """Write a finished run (any status) and its audit's violations as a trace file."""
-    lines = [dump_line({
-        "kind": "header",
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "problem": problem_name,
-        "x0": np.asarray(x0, dtype=float),
-        "config": dataclasses.asdict(config),
-    })]
-    lines.extend(dump_line(record_to_dict(r)) for r in result.history)
-    lines.extend(dump_line({"kind": "violation", **dataclasses.asdict(v)}) for v in violations)
+    """Write a finished run (any status) and its audit's violations as a trace
+    file, the header first, then one line at a time."""
     report = result.final_report
-    lines.append(dump_line({
-        "kind": "footer",
-        "status": result.status,
-        "message": result.message,
-        "iterations": result.iterations,
-        "x_final": result.x_final,
-        "lambda_final": result.lambda_final,
-        "counts": dataclasses.asdict(result.counts),
-        "final_report": None if report is None else dataclasses.asdict(report),
-    }))
+    body = [*map(record_to_dict, result.history),
+            *({"kind": "violation", **dataclasses.asdict(v)} for v in violations),
+            {"kind": "footer", "status": result.status, "message": result.message,
+             "iterations": result.iterations, "x_final": result.x_final,
+             "lambda_final": result.lambda_final, "counts": dataclasses.asdict(result.counts),
+             "final_report": None if report is None else dataclasses.asdict(report)}]
+    header = dump_line({  # before the file is opened: a header it cannot write leaves none
+        "kind": "header", "format": FORMAT_NAME, "version": FORMAT_VERSION,
+        "problem": problem_name, "x0": np.asarray(x0, dtype=float),
+        "config": dataclasses.asdict(config)})
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for obj in body:
+            fh.write(dump_line(obj) + "\n")
 
 
 @dataclass
@@ -129,7 +145,7 @@ class TraceData:
     config: SolverConfig
     records: list
     violations: list  # the Violations as written
-    footer: dict
+    footer: dict  # as written, with x_final and lambda_final read as float arrays
 
     @property
     def problem_name(self) -> str:
@@ -167,14 +183,14 @@ def read_trace(path) -> TraceData:
                     raise TraceError(f"line {lineno}: not a {FORMAT_NAME} file")
                 if not isinstance(obj.get("problem"), str):
                     raise TraceError(f"line {lineno}: header has no problem name")
-                header = _read(dict, obj, lineno, "header")
+                header = _read("header", obj, lineno, "header", version := obj.get("version"))
                 config = _read(SolverConfig, header["config"], lineno, "header config")
             elif kind == "iteration":
-                records.append(_read(IterationRecord, obj, lineno, "iteration record"))
+                records.append(_read(IterationRecord, obj, lineno, "iteration record", version))
             elif kind == "violation":
                 violations.append(_read(Violation, obj, lineno, "violation"))
             elif kind == "footer":
-                footer = obj
+                footer = _read("footer", obj, lineno, "footer", version)
             else:
                 raise TraceError(f"line {lineno}: unknown record kind {kind!r}")
     if header is None:

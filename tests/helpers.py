@@ -1,8 +1,9 @@
 """Shared test utilities: literal models, the Cauchy point, a brute-force
 subproblem oracle, the global-optimality check, record surgery, the step
-rule every record obeys, the factorization's null-space basis and random
-full-rank systems."""
+rule every record obeys, the factorization's null-space basis, random
+full-rank systems, and the version 2 trace encoding of a vector."""
 
+import base64
 import dataclasses
 import math
 from unittest import mock
@@ -132,6 +133,17 @@ def assert_global_minimizer(g, H, sigma, sol, r, label=""):
 def perturb(record, **replacements):
     """Copy an iteration record with chosen fields replaced."""
     return dataclasses.replace(record, **replacements)
+
+
+def decode_vector(text):
+    """The float array a version 2 trace writes as ``text``: base64 of its
+    little-endian float64 bytes."""
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8").astype(float)
+
+
+def encode_vector(values):
+    """``values`` as a version 2 trace writes a float array."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def assert_step_rule(record, config):

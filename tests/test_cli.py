@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output format, trace workflow."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -9,16 +11,25 @@ from cubeq import cli, diagnostics
 from cubeq.cli import (EXIT_BAD_TRACE, EXIT_CONFIG, EXIT_UNKNOWN_PROBLEM,
                        EXIT_VIOLATIONS, main)
 from cubeq.diagnostics import Violation
+from helpers import decode_vector, encode_vector
+
+# A maratos run in format version 1, its vectors written as lists of numbers.
+_V1_TRACE = Path(__file__).parent / "data" / "maratos_v1.trace"
+_VECTORS = ("x", "lam", "v_c", "v", "u", "w")
 
 
 def _run(*args):
     return CliRunner().invoke(main, list(args))
 
 
-def _edited_trace(tmp_path, index, change):
-    """A maratos trace whose line ``index`` (a JSON object) went through ``change``."""
+def _edited_trace(tmp_path, index, change, version=2):
+    """A maratos trace whose line ``index`` (a JSON object) went through
+    ``change``: a fresh run's, or in version 1 the one in tests/data."""
     trace = tmp_path / "run.trace"
-    _run("solve", "--problem", "maratos", "--trace", str(trace))
+    if version == 1:
+        trace.write_text(_V1_TRACE.read_text())
+    else:
+        _run("solve", "--problem", "maratos", "--trace", str(trace))
     lines = trace.read_text().splitlines()
     obj = json.loads(lines[index])
     change(obj)
@@ -204,33 +215,34 @@ class TestTraceWorkflow:
         # scale the stored tangential step on the second iteration
         rec = json.loads(lines[2])
         assert rec["kind"] == "iteration" and rec["k"] == 1
-        rec["u"] = [1.1 * value for value in rec["u"]]
+        rec["u"] = encode_vector([1.1 * value for value in decode_vector(rec["u"])])
         lines[2] = json.dumps(rec)
         trace.write_text("\n".join(lines) + "\n")
         result = _run("audit", str(trace))
         assert result.exit_code == EXIT_VIOLATIONS
         assert "or2_model_gradient" in result.output
 
-    @pytest.mark.parametrize("index, change", [
-        (2, lambda rec: rec.pop("u")),
-        (2, lambda rec: rec.update(x="abc")),
-        (0, lambda header: header.pop("problem")),
-        (2, lambda rec: _replace(rec, {"kind": "violation"})),
-        (2, lambda rec: _replace(rec, {"kind": "violation", "code": 5, "k": "x"})),
-        (0, lambda header: header.update(version=99)),
-        (0, lambda header: header.update(version="1")),
-        (0, lambda header: header.pop("version")),
-        (0, lambda header: header.update(x0="abc")),
-        (0, lambda header: header["config"].pop("gamma3")),
+    @pytest.mark.parametrize("index, change, version", [
+        (2, lambda rec: rec.pop("u"), 2),
+        (2, lambda rec: rec.update(x="abc"), 1),
+        (0, lambda header: header.pop("problem"), 2),
+        (2, lambda rec: _replace(rec, {"kind": "violation"}), 2),
+        (2, lambda rec: _replace(rec, {"kind": "violation", "code": 5, "k": "x"}), 2),
+        (0, lambda header: header.update(version=99), 2),
+        (0, lambda header: header.update(version="1"), 2),
+        (0, lambda header: header.pop("version"), 2),
+        (0, lambda header: header.update(x0="abc"), 1),
+        (0, lambda header: header["config"].pop("gamma3"), 2),
         (0, lambda header: _replace(header, {"kind": "violation", "code": "beta_interval",
                                              "message": "m", "value": 0.5, "bound": 1.0,
-                                             "k": 0})),
+                                             "k": 0}), 2),
+        (5, lambda footer: footer.update(status="bogus"), 2),
     ], ids=["record_without_u", "non_numeric_x", "header_without_problem",
             "violation_without_fields", "violation_of_wrong_types", "version_99",
             "version_string", "header_without_version", "non_numeric_x0",
-            "config_without_gamma3", "violation_before_header"])
-    def test_audit_malformed_trace(self, tmp_path, index, change):
-        result = _run("audit", str(_edited_trace(tmp_path, index, change)))
+            "config_without_gamma3", "violation_before_header", "footer_status_bogus"])
+    def test_audit_malformed_trace(self, tmp_path, index, change, version):
+        result = _run("audit", str(_edited_trace(tmp_path, index, change, version)))
         assert result.exit_code == EXIT_BAD_TRACE
         assert isinstance(result.exception, SystemExit)  # no other exception escaped
         assert result.output.startswith(f"error: line {index + 1}: ")
@@ -264,18 +276,33 @@ class TestTraceWorkflow:
         (0, "corrections_enabled", "no"), (2, "sigma", "abc"), (2, "beta", None),
         (2, "classification", "bogus"), (2, "k", "x"), (2, "rho_corr", "x"),
         (2, "x", ["0.5", "0.5"]), (2, "lam", ["1.0"]), (2, "w", ["0", "0"]),
-        (2, "u", [True, False]), (2, "x", [1.0, None]),
+        (2, "u", [True, False]), (2, "x", [1.0, None]), (2, "x", [True, 0.3]),
     ])
     def test_audit_wrongly_typed_field(self, tmp_path, index, key, value):
         """A header config or record value of the wrong JSON type is a malformed
-        trace, named by its line and key."""
+        trace, named by its line and key; a vector, as a list, in version 1."""
         def change(obj):
             (obj["config"] if index == 0 else obj)[key] = value
-        result = _run("audit", str(_edited_trace(tmp_path, index, change)))
+        version = 1 if key in _VECTORS else 2
+        result = _run("audit", str(_edited_trace(tmp_path, index, change, version)))
         assert result.exit_code == EXIT_BAD_TRACE
         assert isinstance(result.exception, SystemExit)  # no other exception escaped
         assert result.output.startswith(f"error: line {index + 1}: ")
         assert f" {key} must be " in result.output
+
+    @pytest.mark.parametrize("key, value", [
+        ("x", [0.5, 0.5]), ("lam", 1.0), ("u", "not base64!"), ("v_c", "QUJD"),
+        ("v", encode_vector([1.0, 2.0])[:-4]), ("x", None),
+    ], ids=["list", "number", "not_base64", "length_3", "length_12", "null"])
+    def test_audit_malformed_vector(self, tmp_path, key, value):
+        """In version 2 a vector is a base64 string of whole float64s; anything
+        else is one error line naming the record's line and the key."""
+        trace = _edited_trace(tmp_path, 2, lambda rec: rec.update({key: value}))
+        result = _run("audit", str(trace))
+        assert result.exit_code == EXIT_BAD_TRACE
+        assert isinstance(result.exception, SystemExit)  # no other exception escaped
+        assert result.output == (f"error: line 3: iteration record field {key} must be "
+                                 f"a base64 string of float64 bytes, got {value!r}\n")
 
     @pytest.mark.parametrize("appended", [
         lambda lines: lines[2],
@@ -311,8 +338,9 @@ class TestTraceWorkflow:
         _run("solve", "--problem", "maratos", "--trace", str(trace))
         lines = trace.read_text().splitlines()
         rec = json.loads(lines[2])
-        assert rec["kind"] == "iteration" and rec["k"] == 1 and len(rec["lam"]) == 1
-        rec["lam"] = rec["lam"] * 2
+        lam = decode_vector(rec["lam"])
+        assert rec["kind"] == "iteration" and rec["k"] == 1 and len(lam) == 1
+        rec["lam"] = encode_vector(np.tile(lam, 2))
         lines[2] = json.dumps(rec)
         trace.write_text("\n".join(lines) + "\n")
         result = _run("audit", str(trace))

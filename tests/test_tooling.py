@@ -45,17 +45,21 @@ def test_benchmark_round_is_correct():
 
 def test_parity_check_of_the_catalog(tmp_path):
     """The parity check finds the catalog's runs equal to themselves, and names
-    a run whose saved trace hash differs, with the first differing line."""
+    a run whose saved record hash differs, with that record and its first
+    differing field, and a run whose saved footer hash differs, with its value."""
     saved = tmp_path / "saved"
     parity = ("tools/parity.py", "--group", "catalog")
     _python(*parity, "--save", str(saved))
     assert _python(*parity, "--against", str(saved)) == ["0 of 5 runs differ"]
     hashes = json.loads((saved / "parity.json").read_text())
-    hashes["catalog/maratos"]["trace"] = "0" * 64
-    hashes["catalog/maratos"]["lines"][2] = "0" * 16
+    record = hashes["catalog/maratos"]["records"][2]
+    hashes["catalog/maratos"]["records"][2] = record[:16] + "0" * (len(record) - 16)
+    footer = hashes["catalog/circle_quadratic"]["footer"]
+    hashes["catalog/circle_quadratic"]["footer"] = footer[:16] + "0" * 8 + footer[24:]
     (saved / "parity.json").write_text(json.dumps(hashes))
     assert _python(*parity, "--against", str(saved), returncode=1) == [
-        "catalog/maratos: trace differs from line 3", "1 of 5 runs differ"]
+        "catalog/circle_quadratic: footer differs, first in x_final",
+        "catalog/maratos: record 2 differs, first in f", "2 of 5 runs differ"]
 
 
 _SOLVE_N5 = """

@@ -14,7 +14,8 @@ from cubeq.diagnostics import Violation, audit_run
 from cubeq.driver import MAX_ITERATIONS, SolverConfig, SolveResult, solve
 from cubeq.errors import ConfigError, TraceError
 from cubeq.problems import builtin_problem
-from cubeq.trace_io import dump_line, read_trace, record_to_dict, write_trace
+from cubeq.trace_io import FORMAT_VERSION, dump_line, read_trace, record_to_dict, write_trace
+from helpers import decode_vector, encode_vector
 
 _ARRAY_FIELDS = ("x", "lam", "v_c", "v", "u", "w")
 # Record keys of earlier traces that the other fields of the record determine.
@@ -35,6 +36,15 @@ def _kinds(default):
 _CONFIG_OVERRIDES = st.lists(st.one_of([
     st.tuples(st.just(f.name), st.sampled_from(_kinds(f.default)))
     for f in dataclasses.fields(SolverConfig)]), max_size=3).map(dict)
+
+
+# Bit patterns of float64s a decimal writer loses or mangles: -0.0, the least
+# subnormal and the greatest, the infinities, and NaNs with payloads and signs.
+_SPECIAL_BITS = (0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
+                 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF0000000000001,
+                 0x7FF8000000000000, 0xFFF800000000BEEF, 0x7FFFFFFFFFFFFFFF)
+_VECTOR = st.lists(st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+                   max_size=5).map(lambda bits: np.array(bits, dtype=np.uint64).view(float))
 
 
 def _write_run(tmp_path, name="circle_quadratic", config=None):
@@ -78,6 +88,25 @@ class TestRoundTrip:
         write_trace(path, "circle_quadratic", np.zeros(2), config,
                     SolveResult(MAX_ITERATIONS, np.zeros(2), None, [], None))
         assert read_trace(path).config == config
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(st.lists(_VECTOR, min_size=8, max_size=8))
+    def test_vectors_read_back_bit_for_bit(self, tmp_path_factory, vectors):
+        """Every float array of a trace reads back with its bits, as a writable
+        float array: -0.0, subnormals, infinities and NaN payloads included."""
+        x, lam, v_c, v, u, w, x_final, lambda_final = vectors
+        record = dataclasses.replace(read_trace(_V1_17G_TRACE).records[0],
+                                     x=x, lam=lam, v_c=v_c, v=v, u=u, w=w)
+        path = tmp_path_factory.getbasetemp() / "bits.trace"
+        write_trace(path, "maratos", x_final, SolverConfig(),
+                    SolveResult(MAX_ITERATIONS, x_final, lambda_final, [record], None))
+        data = read_trace(path)
+        (back,) = data.records
+        read = [back.x, back.lam, back.v_c, back.v, back.u, back.w, data.header["x0"],
+                data.footer["x_final"], data.footer["lambda_final"]]
+        for loaded, original in zip(read, [*vectors[:6], x_final, *vectors[6:]], strict=True):
+            assert loaded.dtype == float and loaded.flags.writeable
+            assert loaded.tobytes() == original.tobytes()
 
     def test_footer_reflects_result(self, tmp_path):
         path, result, _ = _write_run(tmp_path, name="maratos")
@@ -150,7 +179,8 @@ class TestRoundTrip:
         line = dump_line({"kind": "x", "v": values, "a": np.array(values),
                           "nan": np.nan, "flag": np.bool_(True), "k": np.int64(7)})
         back = json.loads(line)
-        assert back["v"] == back["a"] == [float(v) for v in values]
+        assert back["v"] == decode_vector(back["a"]).tolist() == [float(v) for v in values]
+        assert decode_vector(back["a"]).tobytes() == np.array(values).tobytes()
         assert math.isnan(back["nan"])
         assert back["flag"] is True and back["k"] == 7
 
@@ -163,12 +193,16 @@ class TestRoundTrip:
         assert data.records[0].x.tolist() == [0.9, 0.3]
         assert audit_run(builtin_problem("maratos"), data.records, data.config) == []
         # rewritten with the current writer, every record reads back unchanged
-        lines = [dump_line(data.header)]
+        lines = [dump_line({**data.header, "version": FORMAT_VERSION})]
         lines += [dump_line(record_to_dict(r)) for r in data.records]
         lines.append(dump_line(data.footer))
         path = tmp_path / "rewritten.trace"
         path.write_text("\n".join(lines) + "\n")
-        for again, first in zip(read_trace(path).records, data.records):
+        rewritten = read_trace(path)
+        for name in ("x_final", "lambda_final"):  # read as float arrays in either version
+            assert data.footer[name].dtype == float
+            assert rewritten.footer[name].tobytes() == data.footer[name].tobytes()
+        for again, first in zip(rewritten.records, data.records, strict=True):
             for field in dataclasses.fields(first):
                 a, b = getattr(again, field.name), getattr(first, field.name)
                 if field.name in _ARRAY_FIELDS and b is not None:
@@ -206,6 +240,12 @@ class TestRoundTrip:
 class TestStrictParsing:
     def _lines(self, path):
         return path.read_text().splitlines()
+
+    def _v1_trace(self, tmp_path):
+        """A copy of the version 1 maratos trace, whose vectors are lists."""
+        path = tmp_path / "v1.trace"
+        path.write_text(_V1_17G_TRACE.read_text())
+        return path
 
     def test_missing_footer(self, tmp_path):
         path, _, _ = _write_run(tmp_path)
@@ -303,17 +343,67 @@ class TestStrictParsing:
             read_trace(path)
 
     def test_iteration_with_a_non_numeric_array_field(self, tmp_path):
-        path, _, _ = _write_run(tmp_path)
+        path = self._v1_trace(tmp_path)
         self._edit_line(path, 2, lambda rec: rec.update(x="abc"))
         with pytest.raises(TraceError, match="line 3: iteration record field x must be "
                                              "a list of numbers, got 'abc'"):
             read_trace(path)
 
     def test_iteration_with_a_null_array_field(self, tmp_path):
-        path, _, _ = _write_run(tmp_path)
+        path = self._v1_trace(tmp_path)
         self._edit_line(path, 1, lambda rec: rec.update(v=None))
         with pytest.raises(TraceError, match="line 2: iteration record field v must be "
                                              "a list of numbers, got None"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("version, key, value, rule", [
+        (1, "u", [True, 0.3], "a list of numbers"),
+        (1, "w", [[0.0], [1.0]], "a list of numbers or null"),
+        (1, "lam", "AAAAAAAA8D8=", "a list of numbers"),
+        (2, "x", [0.5, 0.5], "a base64 string of float64 bytes"),
+        (2, "lam", 1.0, "a base64 string of float64 bytes"),
+        (2, "u", "not base64!", "a base64 string of float64 bytes"),
+        (2, "v_c", "AAAAAAAA8D8", "a base64 string of float64 bytes"),
+        (2, "v", encode_vector([1.0, 2.0])[:-4], "a base64 string of float64 bytes"),
+        (2, "w", "AAAAAAAA8D8=AAAAAAAA8D8=", "a base64 string of float64 bytes or null"),
+        (2, "x", "AAAAAAAA8D8=\n", "a base64 string of float64 bytes"),
+    ], ids=["v1_boolean_in_a_list", "v1_nested_list", "v1_base64", "v2_list", "v2_number",
+            "v2_not_base64", "v2_unpadded", "v2_length_12", "v2_data_after_padding",
+            "v2_newline"])
+    def test_iteration_with_a_malformed_vector(self, tmp_path, version, key, value, rule):
+        """A vector is read by the rule of the header's version: a list of
+        numbers in version 1, base64 of whole float64s in version 2."""
+        path = self._v1_trace(tmp_path) if version == 1 else _write_run(tmp_path)[0]
+        self._edit_line(path, 2, lambda rec: rec.update({key: value}))
+        with pytest.raises(TraceError) as caught:
+            read_trace(path)
+        assert str(caught.value) == f"line 3: iteration record field {key} must be {rule}, " \
+                                    f"got {value!r}"
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda f: f.update(status="bogus"), "line 6: footer field status must be one of "
+                                             "converged_sosp, converged_fosp, max_iterations, "
+                                             "licq_failure, numerical_error, got 'bogus'"),
+        (lambda f: f.update(iterations="4"), "line 6: footer field iterations must be an integer"),
+        (lambda f: f.update(message=None), "line 6: footer field message must be a string"),
+        (lambda f: f.update(x_final=[1.0, 1.0]), "line 6: footer field x_final must be a base64 "
+                                                 "string of float64 bytes, got \\[1.0, 1.0\\]"),
+        (lambda f: f.update(x_final=None), "line 6: footer field x_final must be a base64 "),
+        (lambda f: f.update(lambda_final="abc"), "line 6: footer field lambda_final must be a "
+                                                 "base64 string of float64 bytes or null"),
+        (lambda f: f.update(counts=[]), "line 6: footer field counts must be an object, got"),
+        (lambda f: f.update(final_report=5), "line 6: footer field final_report must be an "
+                                             "object or null, got 5"),
+        (lambda f: f.pop("counts"), "line 6: footer has no 'counts' field"),
+        (lambda f: f.update(step=1), "line 6: footer has an unknown 'step' field"),
+    ], ids=["status_bogus", "string_iterations", "null_message", "list_x_final", "null_x_final",
+            "lambda_final_not_base64", "counts_not_an_object", "final_report_number",
+            "no_counts", "unknown_key"])
+    def test_footer_with_wrong_fields(self, tmp_path, change, message):
+        path, _, _ = _write_run(tmp_path, name="maratos")
+        assert len(self._lines(path)) == 6
+        self._edit_line(path, 5, change)
+        with pytest.raises(TraceError, match=message):
             read_trace(path)
 
     @pytest.mark.parametrize("change, message", [
@@ -332,26 +422,36 @@ class TestStrictParsing:
         with pytest.raises(TraceError, match=message):
             read_trace(path)
 
-    @pytest.mark.parametrize("change, message", [
-        (lambda h: h.update(version=99), "line 1: header field version must be the integer 1, "
-                                         "got 99"),
-        (lambda h: h.update(version="1"), "line 1: header field version must be the integer 1, "
-                                          "got '1'"),
-        (lambda h: h.update(version=True), "line 1: header field version must be the integer 1"),
-        (lambda h: h.pop("version"), "line 1: header has no 'version' field"),
-        (lambda h: h.update(x0="abc"), "line 1: header field x0 must be a list of numbers, "
-                                       "got 'abc'"),
-        (lambda h: h.update(x0=[[0.0], [0.0, 1.0]]), "line 1: header field x0 must be a list"),
-        (lambda h: h.update(step=1), "line 1: header has an unknown 'step' field"),
-        (lambda h: h.update(config=[]), "line 1: header field config must be an object"),
-        (lambda h: h["config"].pop("gamma3"), "line 1: header config has no 'gamma3' field"),
-        (lambda h: h["config"].update(eta1="abc"), "line 1: header config field eta1 must be "
-                                                   "a number, got 'abc'"),
+    @pytest.mark.parametrize("version, change, message", [
+        (2, lambda h: h.update(version=99), "line 1: header field version must be the integer "
+                                            "1 or 2, got 99"),
+        (2, lambda h: h.update(version="1"), "line 1: header field version must be the integer "
+                                             "1 or 2, got '1'"),
+        (2, lambda h: h.update(version=True), "line 1: header field version must be the "
+                                              "integer 1"),
+        (2, lambda h: h.pop("version"), "line 1: header has no 'version' field"),
+        (1, lambda h: h.update(x0="abc"), "line 1: header field x0 must be a list of numbers, "
+                                          "got 'abc'"),
+        (1, lambda h: h.update(x0=[[0.0], [0.0, 1.0]]), "line 1: header field x0 must be a list"),
+        (2, lambda h: h.update(step=1), "line 1: header has an unknown 'step' field"),
+        (2, lambda h: h.update(config=[]), "line 1: header field config must be an object"),
+        (2, lambda h: h["config"].pop("gamma3"), "line 1: header config has no 'gamma3' field"),
+        (2, lambda h: h["config"].update(eta1="abc"), "line 1: header config field eta1 must "
+                                                      "be a number, got 'abc'"),
+        (2, lambda h: h.update(x0=[0.0, 1.0]), "line 1: header field x0 must be a base64 string "
+                                               "of float64 bytes, got \\[0.0, 1.0\\]"),
+        (2, lambda h: h.update(x0=0.5), "line 1: header field x0 must be a base64 string"),
+        (2, lambda h: h.update(x0="x0!"), "line 1: header field x0 must be a base64 string"),
+        (2, lambda h: h.update(x0="QUJD"), "line 1: header field x0 must be a base64 string"),
+        (1, lambda h: h.update(version=2), "line 1: header field x0 must be a base64 string "
+                                           "of float64 bytes, got \\[0.9, 0.3\\]"),
+        (2, lambda h: h.update(version=1), "line 1: header field x0 must be a list of numbers"),
     ], ids=["version_99", "version_string", "version_true", "no_version", "string_x0",
             "ragged_x0", "unknown_key", "config_not_an_object", "config_without_gamma3",
-            "string_config_value"])
-    def test_header_with_wrong_fields(self, tmp_path, change, message):
-        path, _, _ = _write_run(tmp_path)
+            "string_config_value", "v2_list_x0", "v2_number_x0", "v2_non_base64_x0",
+            "v2_x0_of_3_bytes", "v1_read_as_v2", "v2_read_as_v1"])
+    def test_header_with_wrong_fields(self, tmp_path, version, change, message):
+        path = self._v1_trace(tmp_path) if version == 1 else _write_run(tmp_path)[0]
         self._edit_line(path, 0, change)
         with pytest.raises(TraceError, match=message):
             read_trace(path)

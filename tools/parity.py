@@ -1,4 +1,4 @@
-"""Same runs, same traces: the parity check for a change that must not move a run.
+"""Same runs, same values: the parity check for a change that must not move a run.
 
     python3 tools/parity.py --save DIR [--tree T] [--group G ...]
     python3 tools/parity.py --against DIR [--tree T] [--group G ...]
@@ -11,15 +11,19 @@ reads it back and audits what it read.  The groups of the set (all by default):
     corpus    the 200 seeded problems of tests/test_corpus.py, max_iter = 300
     small, curved, wide   every case of those benchmark workloads at seeds 0, 5, 7
 
-For each run it keeps the SHA-256 of the trace bytes, of each trace line, and
-of the violations found by auditing the trace read back.  ``--save`` writes
-them to ``DIR/parity.json``; ``--against`` lists each run whose hashes differ
-from the saved ones, with its first differing trace line.  Either way each
-run must also read back whole: every record field bit-equal to the solver's,
-the config equal to the written one, and the same violations as the audit of
-the records in memory.  The problems come from this script's own tree, so a
-parent checkout saved with ``--tree`` is compared on the same runs.  Exits 1
-when any run differs or fails to read back.
+It compares values, not trace bytes, so a change of the trace format moves
+no run.  For each run it keeps the SHA-256 of the bits of each field of each
+record, of each value of the footer read back (status, message, the bits of
+``x_final`` and ``lambda_final``, the final report and the counts), and of the
+violations found by auditing the trace read back.  ``--save`` writes them to
+``DIR/parity.json``; ``--against`` lists each run that differs from the saved
+one, naming its first differing record and field, or footer value.  Either
+way each run must also read back whole: every record field, ``x_final`` and
+``lambda_final`` bit-equal to the solver's, the config equal to the written
+one, and the same violations as the audit of the records in memory.  The
+problems come from this script's own tree, so a parent checkout saved with
+``--tree`` is compared on the same runs.  Exits 1 when any run differs or
+fails to read back.
 """
 
 import os
@@ -43,6 +47,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 GROUPS = ("catalog", "corpus", "small", "curved", "wide")
 SEEDS = (0, 5, 7)
+END = ("status", "message", "x_final", "lambda_final", "final_report", "counts")
 
 
 def import_cubeq(tree: Path):
@@ -93,15 +98,27 @@ def _violations(violations) -> bytes:
 
 
 def _bits(value) -> bytes:
-    """The bits of a record field, or its text when it is not numeric."""
+    """The bits of a value: a number or array of them as float64 bytes, an
+    object by its keys and values in order, anything else by its text."""
+    if isinstance(value, dict):
+        return b"".join(_digest(repr(key).encode() + _bits(item)).encode()
+                        for key, item in value.items())
     if value is None or isinstance(value, str):
         return repr(value).encode()
     return np.asarray(value, dtype=float).tobytes()
 
 
+def _fields(values) -> str:
+    """One short hash per value, in order: a record's fields, or a footer's
+    values of ``END``."""
+    return "".join(_digest(_bits(value))[:8] for value in values)
+
+
 def read_back_faults(result, config, data) -> list:
     """How the trace ``data`` read back differs from the run it was written from."""
     faults = [] if data.config == config else ["config"]
+    faults += [name for name in ("x_final", "lambda_final")
+               if _bits(getattr(result, name)) != _bits(data.footer[name])]
     if len(data.records) != len(result.history):
         return faults + ["record count"]
     for original, loaded in zip(result.history, data.records):
@@ -111,7 +128,7 @@ def read_back_faults(result, config, data) -> list:
 
 
 def measure(cubeq, groups) -> tuple:
-    """The hashes of each run, and the runs that do not read back whole."""
+    """The hashes of each run's values, and the runs that do not read back whole."""
     hashes, faults = {}, {}
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "run.trace"
@@ -119,12 +136,13 @@ def measure(cubeq, groups) -> tuple:
             result = cubeq.solve(problem, x0, config)
             in_memory = cubeq.audit_run(problem, result.history, config)
             cubeq.write_trace(path, problem.name, x0, config, result, in_memory)
-            trace = path.read_bytes()
             data = cubeq.read_trace(path)
             audited = _violations(cubeq.audit_run(problem, data.records, data.config))
-            hashes[label] = {"trace": _digest(trace),
-                             "lines": [_digest(line)[:16] for line in trace.splitlines()],
-                             "audit": _digest(audited)}
+            hashes[label] = {
+                "records": [_fields(getattr(record, field.name)
+                                    for field in dataclasses.fields(record))
+                            for record in result.history],
+                "footer": _fields(data.footer[name] for name in END), "audit": _digest(audited)}
             found = read_back_faults(result, config, data)
             if audited != _violations(in_memory):
                 found.append("audit of the records read back")
@@ -133,17 +151,31 @@ def measure(cubeq, groups) -> tuple:
     return hashes, faults
 
 
-def differences(saved: dict, hashes: dict) -> list:
-    """One line per run whose hashes differ from ``saved``."""
+def _first(old: str, new: str, names) -> str:
+    """The name of the first value whose short hash differs."""
+    return next((name for i, name in enumerate(names)
+                 if old[8 * i:8 * (i + 1)] != new[8 * i:8 * (i + 1)]), "its number of values")
+
+
+def differences(saved: dict, hashes: dict, record_fields) -> list:
+    """One line per run whose values differ from ``saved``, naming the first
+    differing record and field, or footer value."""
     out = []
     for label in sorted(saved.keys() | hashes.keys()):
         old, new = saved.get(label), hashes.get(label)
         if old is None or new is None:
             out.append(f"{label}: {'not saved' if old is None else 'not run'}")
-        elif old["trace"] != new["trace"]:
-            line = next((i for i, (a, b) in enumerate(zip(old["lines"], new["lines"])) if a != b),
-                        min(len(old["lines"]), len(new["lines"])))
-            out.append(f"{label}: trace differs from line {line + 1}")
+            continue
+        k = next((k for k, (a, b) in enumerate(zip(old["records"], new["records"])) if a != b),
+                 None)
+        if k is not None:
+            field = _first(old["records"][k], new["records"][k], record_fields)
+            out.append(f"{label}: record {k} differs, first in {field}")
+        elif len(old["records"]) != len(new["records"]):
+            out.append(f"{label}: {len(new['records'])} records, not {len(old['records'])}")
+        elif old["footer"] != new["footer"]:
+            name = _first(old["footer"], new["footer"], END)
+            out.append(f"{label}: footer differs, first in {name}")
         elif old["audit"] != new["audit"]:
             out.append(f"{label}: audit of the trace read back differs")
     return out
@@ -168,7 +200,8 @@ def main(argv=None) -> int:
         print(f"saved {len(hashes)} runs to {args.save / 'parity.json'}")
         return 1 if faults else 0
     saved = json.loads((args.against / "parity.json").read_text())
-    differ = differences(saved, hashes)
+    differ = differences(saved, hashes,
+                         [field.name for field in dataclasses.fields(cubeq.IterationRecord)])
     total = len(saved.keys() | hashes.keys())
     print("\n".join(differ + [f"{len(differ)} of {total} runs differ"]))
     return 1 if differ or faults else 0
