@@ -1,4 +1,4 @@
-"""Command-line front end: solve, sweep, audit.
+"""Command-line front end: solve, audit.
 
 Exit codes are stable so scripts can dispatch on them:
 
@@ -49,12 +49,11 @@ def _fail(message: str, code: int):
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
-_TOLERANCES = ("eps_g", "eps_c", "eps_h")  # what --eps and each --sweep value set
 
 
-def _build_config(overrides, eps=None) -> SolverConfig:
+def _build_config(overrides, eps) -> SolverConfig:
     """``--eps`` as all three tolerances, then the ``--set`` pairs; later pairs win."""
-    values = {} if eps is None else dict.fromkeys(_TOLERANCES, eps)
+    values = {} if eps is None else dict.fromkeys(("eps_g", "eps_c", "eps_h"), eps)
     kinds = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
     for item in overrides:
         key, sep, raw = item.partition("=")
@@ -70,14 +69,6 @@ def _build_config(overrides, eps=None) -> SolverConfig:
     return SolverConfig(**values)
 
 
-def _floats(flag: str, text: str) -> list:
-    """The comma-separated floats given to ``flag``."""
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"{flag} expects a comma-separated float list, got {text!r}") from None
-
-
 @contextlib.contextmanager
 def _setup_errors():
     """Exit 14 on an unknown problem and 15 on a bad configuration."""
@@ -89,40 +80,25 @@ def _setup_errors():
         _fail(str(exc), EXIT_CONFIG)
 
 
-def _setup(problem_name, x0, overrides, eps=None, sweep=None, trace=None) -> tuple:
-    """The problem, the start and every configuration the command runs (one per
-    ``sweep`` tolerance), all made, and so checked, before the first solve; so
-    is the directory of the ``trace`` path, which must be writable."""
+def _setup(problem_name, x0, overrides, eps, trace) -> tuple:
+    """The problem, the start and the configuration, all made, and so checked,
+    before the solve; so is the directory of the ``trace`` path, which must be
+    writable."""
     with _setup_errors():
         problem = builtin_problem(problem_name)
         config = _build_config(overrides, eps)
-        start = None if x0 is None else np.array(_floats("--x0", x0))
+        try:
+            start = None if x0 is None else np.array(
+                [float(tok) for tok in x0.split(",") if tok.strip()])
+        except ValueError:
+            raise ConfigError(f"--x0 expects a comma-separated float list, got {x0!r}") from None
         if start is not None and len(start) != problem.n:
             raise ConfigError(f"--x0 has {len(start)} entries, {problem.name} needs {problem.n}")
         if start is not None and not np.isfinite(start).all():
             raise ConfigError(f"--x0 must be finite, got {x0!r}")
         if trace is not None and not os.access(os.path.dirname(os.path.abspath(trace)), os.W_OK):
             raise ConfigError(f"cannot write --trace {trace}: no writable directory")
-        if sweep is None:
-            return problem, start, [config]
-        for item in overrides:
-            if item.partition("=")[0] in _TOLERANCES:
-                raise ConfigError(f"each --sweep value sets eps_g, eps_c and eps_h; "
-                                  f"drop --set {item}")
-        values = _floats("--sweep", sweep)
-        if not values:
-            raise ConfigError("--sweep needs at least one tolerance value")
-        return problem, start, [dataclasses.replace(config, eps_g=v, eps_c=v, eps_h=v)
-                                for v in values]
-
-
-_PROBLEM = click.option("--problem", "problem_name", required=True, help="Catalog problem name.")
-_X0 = click.option("--x0", default=None, metavar="V1,V2,...",
-                   help="Start point (default: the problem's).")
-_AUDIT = click.option("--audit", "audit_flag", is_flag=True,
-                      help="Check every iteration against the full invariant suite.")
-_SET = click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
-                    help="Set any SolverConfig field (repeatable; later pairs win).")
+        return problem, start, config
 
 
 def _echo_violations(violations):
@@ -148,18 +124,21 @@ def main():
 
 
 @main.command("solve")
-@_PROBLEM
-@_X0
+@click.option("--problem", "problem_name", required=True, help="Catalog problem name.")
+@click.option("--x0", default=None, metavar="V1,V2,...",
+              help="Start point (default: the problem's).")
 @click.option("--eps", type=float, default=None,
               help="Set eps_g, eps_c and eps_h at once (a later --set of one wins).")
-@_AUDIT
-@_SET
+@click.option("--audit", "audit_flag", is_flag=True,
+              help="Check every iteration against the full invariant suite.")
+@click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
+              help="Set any SolverConfig field (repeatable; later pairs win).")
 @click.option("--trace", "trace_path", default=None,
               type=click.Path(dir_okay=False),
               help="Write a line-delimited JSON trace of the run.")
 def cmd_solve(problem_name, x0, eps, audit_flag, overrides, trace_path):
     """Run the solver on one catalog problem."""
-    problem, start, (config,) = _setup(problem_name, x0, overrides, eps=eps, trace=trace_path)
+    problem, start, config = _setup(problem_name, x0, overrides, eps, trace_path)
     result = solve(problem, start, config)
     violations = diagnostics.audit_run(problem, result.history, config) if audit_flag else []
     if trace_path is not None:
@@ -176,51 +155,6 @@ def cmd_solve(problem_name, x0, eps, audit_flag, overrides, trace_path):
     if violations:
         code = EXIT_VIOLATIONS
     sys.exit(code)
-
-
-@main.command("sweep")
-@_PROBLEM
-@click.option("--sweep", "sweep_values", required=True, metavar="V1,V2,...",
-              help="Tolerance values; each run sets eps_g = eps_c = eps_h to one "
-                   "(so --set of these is an error).")
-@_X0
-@_AUDIT
-@_SET
-def cmd_sweep(problem_name, sweep_values, x0, audit_flag, overrides):
-    """Solve one problem at several tolerances; print a CSV table and the
-    fitted log-log slope of accepted-iteration count against 1/eps."""
-    problem, start, configs = _setup(problem_name, x0, overrides, sweep=sweep_values)
-    worst = 0
-    rows = []
-    all_violations = []
-    for config in configs:
-        result = solve(problem, start, config)
-        max_sigma = max((r.sigma for r in result.history), default=config.sigma0)
-        final_mu = result.history[-1].mu if result.history else config.mu_init
-        rows.append((config.eps_g, result.counts.accepted, result.iterations,
-                     max_sigma, final_mu, result.status))
-        if audit_flag:
-            all_violations += diagnostics.audit_run(problem, result.history, config)
-        worst = max(worst, EXIT_BY_STATUS[result.status])
-
-    click.echo("eps,successful,total,max_sigma,final_mu,status")
-    for eps_value, succ, total, max_sigma, final_mu, status in rows:
-        click.echo("%.17g,%d,%d,%.17g,%.17g,%s"
-                   % (eps_value, succ, total, max_sigma, final_mu, status))
-
-    fit = [(e, k) for e, k, *_ in rows if k >= 1]
-    if len({e for e, _ in fit}) >= 2:
-        log_inv_eps = np.log([1.0 / e for e, _ in fit])
-        log_k = np.log([float(k) for _, k in fit])
-        slope = float(np.polyfit(log_inv_eps, log_k, 1)[0])
-        click.echo(f"slope={slope:.6g}")
-    else:
-        click.echo("slope=undefined")
-
-    _echo_violations(all_violations)
-    if all_violations:
-        worst = max(worst, EXIT_VIOLATIONS)
-    sys.exit(worst)
 
 
 @main.command("audit")

@@ -221,6 +221,14 @@ class Counts:
         return self.successful + self.very_successful
 
 
+def tally(records) -> Counts:
+    """The classifications and corrections of ``records``."""
+    classes = Counter(r.classification for r in records)
+    return Counts(successful=classes[SUCCESSFUL], very_successful=classes[VERY_SUCCESSFUL],
+                  unsuccessful=classes[UNSUCCESSFUL],
+                  corrections=sum(r.correction_computed for r in records))
+
+
 @dataclass
 class SolveResult:
     status: str
@@ -236,11 +244,7 @@ class SolveResult:
 
     @property
     def counts(self) -> Counts:
-        """Classifications and corrections, tallied from the history."""
-        tally = Counter(r.classification for r in self.history)
-        return Counts(successful=tally[SUCCESSFUL], very_successful=tally[VERY_SUCCESSFUL],
-                      unsuccessful=tally[UNSUCCESSFUL],
-                      corrections=sum(r.correction_computed for r in self.history))
+        return tally(self.history)
 
 
 def classify_iteration(rho: float, eta1: float, eta2: float) -> str:

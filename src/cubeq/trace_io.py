@@ -11,7 +11,9 @@ so it reads back bit for bit, NaN payloads included.  Version 1 wrote lists of
 numbers, shortest round-tripping or with 17 digits, and is still read: the
 header's version decides how.  Records of earlier writers also carry the step
 norms and the ``correction_computed`` and ``accepted`` flags, which the other
-fields determine, and their header config an ``audit`` key; these are dropped.
+fields determine, and their header config an ``audit`` key; a version 1 trace
+drops these, and a version 2 trace refuses them.  The footer's ``iterations``
+and ``counts`` must match the records.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .diagnostics import Violation
 from .driver import (CONVERGED_FOSP, CONVERGED_SOSP, FIELD_RULES, LICQ_FAILURE,
                      MAX_ITERATIONS, NUMERICAL_ERROR, SUCCESSFUL, UNSUCCESSFUL,
-                     VERY_SUCCESSFUL, IterationRecord, SolverConfig)
+                     VERY_SUCCESSFUL, Counts, IterationRecord, SolverConfig, tally)
 from .errors import TraceError
 
 FORMAT_NAME = "cubeq-trace"
@@ -48,15 +50,17 @@ _VECTORS = {1: ("a list of numbers", _from_list),
 # Annotation -> (what a value of a field so annotated must be, the test); a test
 # of None marks a float array, read by the trace's version, and null if Optional.
 _RULES = FIELD_RULES | {np.ndarray: ("{}", None), Optional[np.ndarray]: ("{} or null", None)}
-# Record keys of earlier versions that other fields of the record determine.
-_DERIVED_KEYS = ("norm_v", "norm_u", "norm_d", "norm_w", "correction_computed", "accepted")
 _CLASSIFICATIONS = (VERY_SUCCESSFUL, SUCCESSFUL, UNSUCCESSFUL)
 _STATUSES = (CONVERGED_SOSP, CONVERGED_FOSP, MAX_ITERATIONS, LICQ_FAILURE, NUMERICAL_ERROR)
 _OBJECT = ("an object", lambda value: isinstance(value, dict))
 _FIELDS = {  # what _read reads -> (the rule of each key, the keys it drops unread)
     cls: ({name: _RULES[hint] for name, hint in get_type_hints(cls).items()}, dropped)
-    for cls, dropped in ((SolverConfig, {"audit"}),  # a config key of earlier versions
-                         (IterationRecord, {"kind", *_DERIVED_KEYS}), (Violation, {"kind"}))}
+    for cls, dropped in ((SolverConfig, set()), (IterationRecord, {"kind"}),
+                         (Violation, {"kind"}), (Counts, set()))}
+# The keys version 1 writers added that _read drops from a version 1 trace alone: a
+# config's audit flag, and a record's step norms and flags, which its fields determine.
+_V1_KEYS = {SolverConfig: {"audit"}, IterationRecord: {
+    "norm_v", "norm_u", "norm_d", "norm_w", "correction_computed", "accepted"}}
 _FIELDS[IterationRecord][0]["classification"] = (
     f"one of {', '.join(_CLASSIFICATIONS)}", _CLASSIFICATIONS.__contains__)
 _FIELDS["header"] = ({  # the version first: it decides how x0 is read
@@ -76,7 +80,7 @@ def _read(cls, data: dict, lineno: int, what: str, version: int = FORMAT_VERSION
     line ``lineno`` of a trace of format ``version``: exactly its keys, apart from
     those dropped, each passing its rule, or a TraceError naming the line and key."""
     rules, dropped = _FIELDS[cls]
-    keys = data.keys() - dropped
+    keys = data.keys() - dropped - (_V1_KEYS.get(cls, set()) if version == 1 else set())
     if keys != rules.keys():
         key = min(keys ^ rules.keys())
         has = "an unknown" if key in keys else "no"
@@ -184,13 +188,19 @@ def read_trace(path) -> TraceData:
                 if not isinstance(obj.get("problem"), str):
                     raise TraceError(f"line {lineno}: header has no problem name")
                 header = _read("header", obj, lineno, "header", version := obj.get("version"))
-                config = _read(SolverConfig, header["config"], lineno, "header config")
+                config = _read(SolverConfig, header["config"], lineno, "header config", version)
             elif kind == "iteration":
                 records.append(_read(IterationRecord, obj, lineno, "iteration record", version))
             elif kind == "violation":
                 violations.append(_read(Violation, obj, lineno, "violation"))
             elif kind == "footer":
                 footer = _read("footer", obj, lineno, "footer", version)
+                _read(Counts, footer["counts"], lineno, "footer counts")
+                for key, want in (("iterations", len(records)),
+                                  ("counts", dataclasses.asdict(tally(records)))):
+                    if footer[key] != want:
+                        raise TraceError(f"line {lineno}: footer field {key} must be {want} "
+                                         f"to match the records, got {footer[key]!r}")
             else:
                 raise TraceError(f"line {lineno}: unknown record kind {kind!r}")
     if header is None:

@@ -90,7 +90,7 @@ class TestSolve:
         assert result.exit_code == EXIT_CONFIG
         assert "comma-separated float list" in result.output
 
-    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--sweep", "1e-3"]])
+    @pytest.mark.parametrize("command", [["solve"]])
     @pytest.mark.parametrize("x0", ["nan,0", "inf,0", "0,-inf"])
     def test_non_finite_start_exits_before_the_solve(self, command, x0):
         result = _run(*command, "--problem", "circle_quadratic", "--x0", x0)
@@ -176,7 +176,6 @@ class TestConfigFlags:
 
 @pytest.mark.parametrize("command, options", [
     ("solve", ["--problem", "--x0", "--eps", "--audit", "--set", "--trace"]),
-    ("sweep", ["--problem", "--sweep", "--x0", "--audit", "--set"]),
 ])
 def test_options_are_one_way_in(command, options):
     """Every SolverConfig field is reached through --set; --eps is solve's one shorthand."""
@@ -184,6 +183,12 @@ def test_options_are_one_way_in(command, options):
     listed = [line.split()[0] for line in result.output.splitlines()
               if line.startswith("  --")]
     assert listed == options + ["--help"]
+
+
+def test_commands_are_solve_and_audit():
+    output = _run("--help").output.splitlines()
+    listed = output[output.index("Commands:") + 1:]
+    assert [line.split()[0] for line in listed] == ["audit", "solve"]
 
 
 class TestTraceWorkflow:
@@ -237,15 +242,29 @@ class TestTraceWorkflow:
                                              "message": "m", "value": 0.5, "bound": 1.0,
                                              "k": 0}), 2),
         (5, lambda footer: footer.update(status="bogus"), 2),
+        (2, lambda rec: rec.update(norm_v="anything", accepted=[1, 2]), 2),
+        (0, lambda header: header["config"].update(audit=False), 2),
+        (5, lambda footer: footer.update(iterations=99), 2),
+        (5, lambda footer: footer.update(counts={"bogus": "x"}), 2),
+        (5, lambda footer: footer["counts"].update(corrections=0), 2),
     ], ids=["record_without_u", "non_numeric_x", "header_without_problem",
             "violation_without_fields", "violation_of_wrong_types", "version_99",
             "version_string", "header_without_version", "non_numeric_x0",
-            "config_without_gamma3", "violation_before_header", "footer_status_bogus"])
+            "config_without_gamma3", "violation_before_header", "footer_status_bogus",
+            "v2_record_with_v1_keys", "v2_config_with_audit", "footer_iterations_99",
+            "footer_counts_bogus", "footer_counts_mistallied"])
     def test_audit_malformed_trace(self, tmp_path, index, change, version):
         result = _run("audit", str(_edited_trace(tmp_path, index, change, version)))
         assert result.exit_code == EXIT_BAD_TRACE
         assert isinstance(result.exception, SystemExit)  # no other exception escaped
         assert result.output.startswith(f"error: line {index + 1}: ")
+
+    def test_audit_version_1_trace(self):
+        """Version 1 records carry keys their other fields determine, and the
+        header config an audit flag: read_trace drops them there."""
+        result = _run("audit", str(_V1_TRACE))
+        assert result.exit_code == 0
+        assert result.output == "audited 4 iterations: 0 violations\n"
 
     def test_audit_header_missing_a_set_config_key(self, tmp_path):
         """A header config that lost a key is malformed, not read with the key's
@@ -350,69 +369,3 @@ class TestTraceWorkflow:
         assert len(flagged) == 1
         assert flagged[0].startswith("violation k=1 audit_error:")
         assert "audited 4 iterations: 1 violations" in result.output
-
-
-class TestSweep:
-    def test_csv_and_slope(self):
-        result = _run("sweep", "--problem", "rosenbrock_sphere",
-                      "--sweep", "1e-2,1e-4")
-        assert result.exit_code == 0
-        lines = result.output.splitlines()
-        assert lines[0] == "eps,successful,total,max_sigma,final_mu,status"
-        assert len([l for l in lines if l.startswith("0.01")]) == 1
-        assert lines[-1].startswith("slope=")
-        assert "undefined" not in lines[-1]
-
-    def test_single_value_has_no_slope(self):
-        result = _run("sweep", "--problem", "circle_quadratic",
-                      "--sweep", "1e-4")
-        assert result.exit_code == 0
-        assert result.output.splitlines()[-1] == "slope=undefined"
-
-    def test_unknown_problem(self):
-        result = _run("sweep", "--problem", "no_such_model",
-                      "--sweep", "1e-2")
-        assert result.exit_code == EXIT_UNKNOWN_PROBLEM
-
-    def test_clean_audit_changes_nothing(self):
-        args = ("sweep", "--problem", "maratos", "--sweep", "1e-2,1e-4")
-        plain, audited = _run(*args), _run(*args, "--audit")
-        assert audited.exit_code == plain.exit_code == 0
-        assert audited.output == plain.output
-
-    def test_audit_violation_exits_16(self, monkeypatch):
-        violation = Violation(code="sigma_update", message="synthetic", value=2.0,
-                              bound=1.0, k=0)
-        monkeypatch.setattr(diagnostics, "audit_run",
-                            lambda problem, records, config: [violation])
-        result = _run("sweep", "--problem", "circle_quadratic", "--sweep", "1e-4",
-                      "--audit")
-        assert result.exit_code == EXIT_VIOLATIONS
-        assert ("violation k=0 sigma_update: value=2 bound=1 (synthetic)"
-                in result.output.splitlines())
-
-    def test_unparsable_sweep_list(self):
-        result = _run("sweep", "--problem", "circle_quadratic",
-                      "--sweep", "1e-2,banana")
-        assert result.exit_code == EXIT_CONFIG
-
-    @pytest.mark.parametrize("values", ["0,1e-3", "nan", "1e-3,-1"])
-    def test_bad_tolerance_exits_before_any_solve(self, values):
-        result = _run("sweep", "--problem", "maratos", "--sweep", values)
-        assert result.exit_code == EXIT_CONFIG
-        assert isinstance(result.exception, SystemExit)  # no other exception escaped
-        assert result.output == "error: tolerances must be positive\n"
-
-    @pytest.mark.parametrize("key", ["eps_g", "eps_c", "eps_h"])
-    def test_tolerance_override_exits_before_any_solve(self, key):
-        """Each --sweep value sets all three tolerances, so a --set of one would be ignored."""
-        result = _run("sweep", "--problem", "maratos", "--sweep", "1e-3", "--set", f"{key}=0.5")
-        assert result.exit_code == EXIT_CONFIG
-        assert isinstance(result.exception, SystemExit)  # no other exception escaped
-        assert result.output.splitlines() == [
-            f"error: each --sweep value sets eps_g, eps_c and eps_h; drop --set {key}=0.5"]
-
-    def test_empty_sweep_list(self):
-        result = _run("sweep", "--problem", "circle_quadratic", "--sweep", ",")
-        assert result.exit_code == EXIT_CONFIG
-        assert "at least one tolerance" in result.output

@@ -158,3 +158,24 @@ def test_elec_leaves_the_equator_for_the_minimal_energy(N):
         assert result.status == CONVERGED_SOSP, (start, result.message)
         assert abs(problem.objective(result.x_final) - ELEC_ENERGY[N]) <= 1e-8, start
         assert audit_run(problem, result.history, config) == [], start
+
+
+def test_elec_converges_quadratically():
+    """Near the minimizer, which SO(3) rotations make non-isolated, the error
+    e = |grad L| + |c|_1 of the records falls quadratically, with criterion 4's
+    constant: e_{k+1} <= 1e3 e_k^2 on each accepted step from e_k in
+    [1e-6, 1e-3], above the rounding floor.  The largest ratio is about 301
+    (N = 12, fourth start)."""
+    config = SolverConfig(eps_g=1e-12, eps_c=1e-12, eps_h=1e-12)
+    steps = 0
+    for N in sorted(ELEC_ENERGY):
+        problem = _elec_problem(N)
+        for start, x0 in enumerate(_elec_starts(N)):
+            result = solve(problem, x0, config)
+            assert result.status == CONVERGED_SOSP, (N, start)
+            e = [r.grad_lagrangian_norm + r.c_l1 for r in [*result.history, result.final_report]]
+            for k, record in enumerate(result.history):
+                if record.accepted and 1e-6 <= e[k] <= 1e-3:
+                    assert e[k + 1] <= 1e3 * e[k] ** 2, (N, start, k)
+                    steps += 1
+    assert steps >= 20

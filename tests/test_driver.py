@@ -19,6 +19,7 @@ from cubeq.linalg import compute_vc, factorize_jacobian
 from cubeq.problems import Problem, builtin_problem
 from cubeq.trace_io import read_trace, write_trace
 from helpers import assert_step_rule, null_basis, random_system
+from test_corpus import _corpus_problem, _elec_problem, _elec_starts
 
 
 def _merit(record):
@@ -720,3 +721,44 @@ class TestEvaluationEconomy:
             assert calls[kind] == iterates, kind
         assert len(reductions) == len(vc_calls) == iterates
         assert eigh_calls == []  # the eigenbasis fallback never ran
+
+
+def _bits(value) -> bytes:
+    if value is None or isinstance(value, str):
+        return repr(value).encode()
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _tolerance_runs():
+    """(label, problem, x0, max_iter) of the catalog, corpus seeds 0-19 and
+    elec N = 4 from its five starts."""
+    for name in ("circle_quadratic", "linear_eq_quadratic", "maratos",
+                 "rosenbrock_sphere", "saddle_escape"):
+        problem = builtin_problem(name)
+        yield name, problem, problem.default_start, SolverConfig().max_iter
+    for seed in range(20):
+        problem, _ = _corpus_problem(seed)
+        yield f"corpus_{seed}", problem, problem.default_start, 300
+    problem = _elec_problem(4)
+    for start, x0 in enumerate(_elec_starts(4)):
+        yield f"elec_4/{start}", problem, x0, SolverConfig().max_iter
+
+
+def test_a_looser_tolerance_stops_the_same_run_sooner():
+    """The tolerances enter only the stop test: a solve at eps makes, bit for
+    bit, the first records of the solve at the default 1e-8, and as many as the
+    first k whose iterate meets eps in all three measures (the final report
+    is the iterate a run stops at), or all of them if none does."""
+    for label, problem, x0, max_iter in _tolerance_runs():
+        tight = solve(problem, x0, SolverConfig(max_iter=max_iter))
+        reports = [*tight.history, *filter(None, [tight.final_report])]
+        for eps in (1e-2, 1e-4, 1e-6):
+            config = SolverConfig(max_iter=max_iter, eps_g=eps, eps_c=eps, eps_h=eps)
+            loose = solve(problem, x0, config)
+            stop = next((k for k, r in enumerate(reports) if r.grad_lagrangian_norm <= eps
+                         and r.c_l1 <= eps and r.lambda_min_red >= -eps), tight.iterations)
+            assert loose.iterations == stop, (label, eps)
+            for a, b in zip(loose.history, tight.history):
+                for field in dataclasses.fields(a):
+                    assert _bits(getattr(a, field.name)) == _bits(getattr(b, field.name)), (
+                        label, eps, a.k, field.name)

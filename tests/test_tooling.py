@@ -1,16 +1,18 @@
-"""The benchmark and the parity check run against this tree, a solve and its audit
-load no scipy.linalg, nor scipy's LAPACK module where the reduced Hessian is at
-most 2 x 2, and the outputs README quotes are the ones the code prints.
+"""The benchmark, the parity check and the rates readout run against this tree,
+a solve and its audit load no scipy.linalg, nor scipy's LAPACK module where the
+reduced Hessian is at most 2 x 2, and the outputs README quotes are the ones the
+code prints.
 
-The first four run in a fresh interpreter: the benchmark and the parity check
-are scripts, and the test helpers import ``scipy.optimize``, which loads
-``scipy.linalg`` itself. README's examples run the catalog, which loads no
-LAPACK module, so what they print does not depend on the LAPACK build.
+The first five run in a fresh interpreter: the benchmark, the parity check and
+the rates readout are scripts, and the test helpers import ``scipy.optimize``,
+which loads ``scipy.linalg`` itself. README's examples run the catalog, which
+loads no LAPACK module, so what they print does not depend on the LAPACK build.
 """
 
 import json
 import os
 import shlex
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from cubeq import CONVERGED_SOSP, SolverConfig, builtin_problem, problem_names, solve
 from cubeq.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +63,30 @@ def test_parity_check_of_the_catalog(tmp_path):
     assert _python(*parity, "--against", str(saved), returncode=1) == [
         "catalog/circle_quadratic: footer differs, first in x_final",
         "catalog/maratos: record 2 differs, first in f", "2 of 5 runs differ"]
+
+
+def test_rates_of_the_catalog():
+    """k(eps) and the accepted steps before it, read from one run per problem,
+    are the iterations and accepted steps of a solve at eps."""
+    lines = _python("tools/rates.py", "--group", "catalog")
+    assert lines[0] == "catalog: 5 runs"
+    eps = [float(token) for token in lines[1].split()[2:-2]]
+    assert eps == [10.0 ** -e for e in range(1, 9)]
+    table = {tuple(line.split()[:2]): line.split()[2:10] for line in lines[2:]}
+    solved = {value: [[] for _ in eps] for value in ("k", "accepted")}
+    for i, tolerance in enumerate(eps):
+        config = SolverConfig(eps_g=tolerance, eps_c=tolerance, eps_h=tolerance)
+        for name in problem_names():
+            result = solve(builtin_problem(name), config=config)
+            assert result.status == CONVERGED_SOSP
+            solved["k"][i].append(result.iterations)
+            solved["accepted"][i].append(result.counts.accepted)
+    for value, counts in solved.items():
+        assert table["all", f"{value}_max"] == [str(max(c)) for c in counts]
+        assert table["all", f"{value}_median"] == [f"{statistics.median(c):g}" for c in counts]
+    assert table["all", "never"] == ["0"] * len(eps)
+    assert table["all", "k_max"][1:5] == ["22"] * 4  # rosenbrock_sphere, 1e-2 to 1e-5
+    assert table["all", "accepted_max"][1:5] == ["13"] * 4
 
 
 _SOLVE_N5 = """

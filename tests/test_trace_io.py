@@ -193,7 +193,8 @@ class TestRoundTrip:
         assert data.records[0].x.tolist() == [0.9, 0.3]
         assert audit_run(builtin_problem("maratos"), data.records, data.config) == []
         # rewritten with the current writer, every record reads back unchanged
-        lines = [dump_line({**data.header, "version": FORMAT_VERSION})]
+        lines = [dump_line({**data.header, "version": FORMAT_VERSION,
+                            "config": dataclasses.asdict(data.config)})]
         lines += [dump_line(record_to_dict(r)) for r in data.records]
         lines.append(dump_line(data.footer))
         path = tmp_path / "rewritten.trace"
@@ -396,9 +397,20 @@ class TestStrictParsing:
                                              "object or null, got 5"),
         (lambda f: f.pop("counts"), "line 6: footer has no 'counts' field"),
         (lambda f: f.update(step=1), "line 6: footer has an unknown 'step' field"),
+        (lambda f: f.update(iterations=99), "line 6: footer field iterations must be 4 to "
+                                            "match the records, got 99"),
+        (lambda f: f.update(counts={"bogus": "x"}), "line 6: footer counts has an unknown "
+                                                    "'bogus' field"),
+        (lambda f: f["counts"].update(corrections=True), "line 6: footer counts field "
+                                                         "corrections must be an integer"),
+        (lambda f: f["counts"].update(corrections=0), "line 6: footer field counts must be "
+                                                      "\\{'successful': 1, 'very_successful': 3, "
+                                                      "'unsuccessful': 0, 'corrections': 3\\} "
+                                                      "to match the records, got"),
     ], ids=["status_bogus", "string_iterations", "null_message", "list_x_final", "null_x_final",
             "lambda_final_not_base64", "counts_not_an_object", "final_report_number",
-            "no_counts", "unknown_key"])
+            "no_counts", "unknown_key", "iterations_not_the_records", "unknown_count",
+            "boolean_count", "counts_not_the_tally"])
     def test_footer_with_wrong_fields(self, tmp_path, change, message):
         path, _, _ = _write_run(tmp_path, name="maratos")
         assert len(self._lines(path)) == 6
@@ -436,6 +448,8 @@ class TestStrictParsing:
         (2, lambda h: h.update(step=1), "line 1: header has an unknown 'step' field"),
         (2, lambda h: h.update(config=[]), "line 1: header field config must be an object"),
         (2, lambda h: h["config"].pop("gamma3"), "line 1: header config has no 'gamma3' field"),
+        (2, lambda h: h["config"].update(audit=False), "line 1: header config has an unknown "
+                                                       "'audit' field"),
         (2, lambda h: h["config"].update(eta1="abc"), "line 1: header config field eta1 must "
                                                       "be a number, got 'abc'"),
         (2, lambda h: h.update(x0=[0.0, 1.0]), "line 1: header field x0 must be a base64 string "
@@ -448,6 +462,7 @@ class TestStrictParsing:
         (2, lambda h: h.update(version=1), "line 1: header field x0 must be a list of numbers"),
     ], ids=["version_99", "version_string", "version_true", "no_version", "string_x0",
             "ragged_x0", "unknown_key", "config_not_an_object", "config_without_gamma3",
+            "v2_config_with_audit",
             "string_config_value", "v2_list_x0", "v2_number_x0", "v2_non_base64_x0",
             "v2_x0_of_3_bytes", "v1_read_as_v2", "v2_read_as_v1"])
     def test_header_with_wrong_fields(self, tmp_path, version, change, message):

@@ -10,6 +10,8 @@ reads it back and audits what it read.  The groups of the set (all by default):
     catalog   the built-in problems, default config
     corpus    the 200 seeded problems of tests/test_corpus.py, max_iter = 300
     small, curved, wide   every case of those benchmark workloads at seeds 0, 5, 7
+    elec      electrons on the sphere, N = 4, 6 and 12, from the 5 starts of
+              tests/test_corpus.py each (the equatorial N-gon first)
 
 It compares values, not trace bytes, so a change of the trace format moves
 no run.  For each run it keeps the SHA-256 of the bits of each field of each
@@ -45,7 +47,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-GROUPS = ("catalog", "corpus", "small", "curved", "wide")
+WORKLOADS = ("small", "curved", "wide")
+GROUPS = ("catalog", "corpus", *WORKLOADS, "elec")
 SEEDS = (0, 5, 7)
 END = ("status", "message", "x_final", "lambda_final", "final_report", "counts")
 
@@ -74,7 +77,7 @@ def runs(cubeq, groups):
             problem, _ = _corpus_problem(seed)
             yield (f"corpus/{seed}", problem, problem.default_start,
                    cubeq.SolverConfig(max_iter=300))
-    for workload in GROUPS[2:]:
+    for workload in WORKLOADS:
         if workload in groups:
             for seed in SEEDS:
                 problems = {}
@@ -86,6 +89,12 @@ def runs(cubeq, groups):
                             default_start=spec.default_start, **spec.callbacks)
                     yield (f"{workload}/{seed}/{case.label}", problems[id(spec)], case.x0,
                            cubeq.SolverConfig())
+    if "elec" in groups:
+        from test_corpus import ELEC_ENERGY, _elec_problem, _elec_starts
+        for N in sorted(ELEC_ENERGY):
+            problem = _elec_problem(N)
+            for start, x0 in enumerate(_elec_starts(N)):
+                yield f"elec/{N}/{start}", problem, x0, cubeq.SolverConfig()
 
 
 def _digest(data: bytes) -> str:
