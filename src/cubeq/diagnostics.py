@@ -29,7 +29,7 @@ import numpy as np
 from . import merit
 from .driver import SUCCESSFUL, VERY_SUCCESSFUL, IterationRecord, SolverConfig
 from .errors import InsufficientHistory
-from .linalg import (FactorizedJacobian, factorize_jacobian, norm, reduce_matrix,
+from .linalg import (FactorizedJacobian, _lapack, factorize_jacobian, norm, reduce_matrix,
                      rounding_bound, rounding_bound_l1, rounding_bound_l1_change)
 from .problems import EvalPoint, Problem, complete_point, evaluate_trial, lagrangian_hessian
 
@@ -59,18 +59,19 @@ class AuditContext:
 
 
 def clears_floor(M: Array, floor: float) -> bool:
-    """True when a Cholesky of M - t I (shifted in place, then restored) proves that
-    lambda_min(M) >= floor; t - floor covers its backward error (Higham, ch. 10) and eigvalsh's."""
+    """True when a Cholesky of a copy of M - t I proves that lambda_min(M) >= floor;
+    t - floor covers its backward error (Higham, ch. 10) and eigvalsh's.  It is
+    LAPACK's dpotrf for k > 2 and numpy's, which loads no ``_flapack``, for k <= 2."""
     k = len(M)
-    diagonal = M.diagonal().copy()
     t = floor + k * (k + 1) * _EPS * (math.sqrt(np.vdot(M, M)) + k**0.5 * abs(floor))
-    M.flat[::k + 1] -= t
+    S = np.array(M, order="F")
+    S.flat[::k + 1] -= t
+    if k > 2:
+        return _lapack().dpotrf(S, lower=1, clean=0, overwrite_a=1)[1] == 0 and math.isfinite(t)
     try:
-        np.linalg.cholesky(M)
+        np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return False
-    finally:
-        M.flat[::k + 1] = diagonal
     return math.isfinite(t)
 
 

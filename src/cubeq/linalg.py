@@ -14,8 +14,12 @@ here, which the audit's check of the same residual calls too.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +37,21 @@ _ROUNDING_KAPPA = 256.0
 
 def norm(x) -> float:  # np.linalg.norm's value for a vector, without its overhead
     return math.sqrt(np.dot(x, x))
+
+
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK module (what scipy.linalg.lapack re-exports), loaded
+    on first use from its file: importing the scipy.linalg package would add
+    about 27 MB of resident memory, this module about 2.6 MB."""
+    linalg = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [str(linalg)])
+    if spec is None:
+        from scipy.linalg import lapack
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @dataclass

@@ -44,18 +44,14 @@ enforces or2 (``SecularSolveFailed`` otherwise); the audit checks all three.
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import SecularSolveFailed
-from .linalg import norm
+from .linalg import _lapack, norm
 
 Array = np.ndarray
 
@@ -72,21 +68,6 @@ _NEWTON_ZONE = 1e-6  # below this relative gap a Newton step at least halves it
 # Below the shift kappa eps (|T| + floor), LDL^T of T + (floor + t) I can be
 # accurate to no better than 1/kappa, too little for Newton to converge on.
 _LDL_KAPPA = 1e5
-
-
-@functools.cache
-def _lapack():
-    """scipy's f2py LAPACK module (what scipy.linalg.lapack re-exports), loaded
-    on first use from its file: importing the scipy.linalg package would add
-    about 27 MB of resident memory, this module about 2.6 MB."""
-    linalg = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
-    spec = importlib.machinery.PathFinder.find_spec("_flapack", [str(linalg)])
-    if spec is None:
-        from scipy.linalg import lapack
-        return lapack
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class ReducedHessian:

@@ -13,7 +13,8 @@ header's version decides how.  Records of earlier writers also carry the step
 norms and the ``correction_computed`` and ``accepted`` flags, which the other
 fields determine, and their header config an ``audit`` key; a version 1 trace
 drops these, and a version 2 trace refuses them.  The footer's ``iterations``
-and ``counts`` must match the records.
+and ``counts`` must match the records, which number at most ``max_iter``, and
+exactly that for a budget status; its final report, if any, is a full report.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .diagnostics import Violation
-from .driver import (CONVERGED_FOSP, CONVERGED_SOSP, FIELD_RULES, LICQ_FAILURE,
-                     MAX_ITERATIONS, NUMERICAL_ERROR, SUCCESSFUL, UNSUCCESSFUL,
-                     VERY_SUCCESSFUL, Counts, IterationRecord, SolverConfig, tally)
+from .driver import (CONVERGED_FOSP, CONVERGED_SOSP, FIELD_RULES, LICQ_FAILURE, MAX_ITERATIONS,
+                     NUMERICAL_ERROR, SUCCESSFUL, UNSUCCESSFUL, VERY_SUCCESSFUL, Counts,
+                     IterationRecord, SolverConfig, StationarityReport, tally)
 from .errors import TraceError
 
 FORMAT_NAME = "cubeq-trace"
@@ -56,7 +57,7 @@ _OBJECT = ("an object", lambda value: isinstance(value, dict))
 _FIELDS = {  # what _read reads -> (the rule of each key, the keys it drops unread)
     cls: ({name: _RULES[hint] for name, hint in get_type_hints(cls).items()}, dropped)
     for cls, dropped in ((SolverConfig, set()), (IterationRecord, {"kind"}),
-                         (Violation, {"kind"}), (Counts, set()))}
+                         (Violation, {"kind"}), (Counts, set()), (StationarityReport, set()))}
 # The keys version 1 writers added that _read drops from a version 1 trace alone: a
 # config's audit flag, and a record's step norms and flags, which its fields determine.
 _V1_KEYS = {SolverConfig: {"audit"}, IterationRecord: {
@@ -196,11 +197,19 @@ def read_trace(path) -> TraceData:
             elif kind == "footer":
                 footer = _read("footer", obj, lineno, "footer", version)
                 _read(Counts, footer["counts"], lineno, "footer counts")
+                if footer["final_report"] is not None:
+                    _read(StationarityReport, footer["final_report"], lineno,
+                          "footer final_report")
                 for key, want in (("iterations", len(records)),
                                   ("counts", dataclasses.asdict(tally(records)))):
                     if footer[key] != want:
                         raise TraceError(f"line {lineno}: footer field {key} must be {want} "
                                          f"to match the records, got {footer[key]!r}")
+                budget = footer["status"] in (MAX_ITERATIONS, CONVERGED_FOSP)
+                if len(records) > config.max_iter or budget and len(records) < config.max_iter:
+                    raise TraceError(f"line {lineno}: footer field iterations must be "
+                                     f"{'' if budget else 'at most '}{config.max_iter} (max_iter) "
+                                     f"for status {footer['status']}, got {len(records)}")
             else:
                 raise TraceError(f"line {lineno}: unknown record kind {kind!r}")
     if header is None:

@@ -247,17 +247,38 @@ class TestTraceWorkflow:
         (5, lambda footer: footer.update(iterations=99), 2),
         (5, lambda footer: footer.update(counts={"bogus": "x"}), 2),
         (5, lambda footer: footer["counts"].update(corrections=0), 2),
+        (5, lambda footer: footer.update(final_report={"bogus": 1}), 2),
+        (5, lambda footer: footer["final_report"].update(grad_lagrangian_norm="x"), 2),
     ], ids=["record_without_u", "non_numeric_x", "header_without_problem",
             "violation_without_fields", "violation_of_wrong_types", "version_99",
             "version_string", "header_without_version", "non_numeric_x0",
             "config_without_gamma3", "violation_before_header", "footer_status_bogus",
             "v2_record_with_v1_keys", "v2_config_with_audit", "footer_iterations_99",
-            "footer_counts_bogus", "footer_counts_mistallied"])
+            "footer_counts_bogus", "footer_counts_mistallied", "footer_final_report_bogus",
+            "footer_final_report_string_norm"])
     def test_audit_malformed_trace(self, tmp_path, index, change, version):
         result = _run("audit", str(_edited_trace(tmp_path, index, change, version)))
         assert result.exit_code == EXIT_BAD_TRACE
         assert isinstance(result.exception, SystemExit)  # no other exception escaped
         assert result.output.startswith(f"error: line {index + 1}: ")
+
+    def test_audit_budget_status_short_of_its_records(self, tmp_path):
+        """A max_iterations footer comes with max_iter records: one that lost
+        its last record is refused, also with iterations and counts mended."""
+        trace = tmp_path / "run.trace"
+        solved = _run("solve", "--problem", "maratos", "--set", "max_iter=2",
+                      "--trace", str(trace))
+        assert "status=max_iterations" in solved.output
+        header, first, _, footer = map(json.loads, trace.read_text().splitlines())
+        assert footer["counts"] == {"successful": 0, "very_successful": 2,
+                                    "unsuccessful": 0, "corrections": 2}
+        footer.update(iterations=1, counts={"successful": 0, "very_successful": 1,
+                                            "unsuccessful": 0, "corrections": 1})
+        trace.write_text("\n".join(map(json.dumps, [header, first, footer])) + "\n")
+        result = _run("audit", str(trace))
+        assert result.exit_code == EXIT_BAD_TRACE
+        assert result.output == ("error: line 3: footer field iterations must be 2 (max_iter) "
+                                 "for status max_iterations, got 1\n")
 
     def test_audit_version_1_trace(self):
         """Version 1 records carry keys their other fields determine, and the

@@ -278,7 +278,7 @@ class TestCholeskyCertificate:
         M, floor = case
         original = M.tobytes()
         certified = clears_floor(M, floor)
-        assert M.tobytes() == original  # the shifted diagonal is restored bit for bit
+        assert M.tobytes() == original  # the shift is made on a copy: M is left bit for bit
         if certified:
             assert np.linalg.eigvalsh(M)[0] >= floor
 
@@ -289,6 +289,17 @@ class TestCholeskyCertificate:
         eigenvalues = np.linalg.eigvalsh(M)
         if eigenvalues[0] >= floor + 1e-8 * np.max(np.abs(eigenvalues)):
             assert clears_floor(M, floor)
+
+    @pytest.mark.parametrize("k", [2, 3, 60])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("at", [(-1, 0), (0, -1)], ids=["lower", "upper"])
+    def test_non_finite_entry_is_not_certified(self, k, value, at):
+        """Both Choleskys report success on an identity holding one NaN; the
+        shift t, non-finite with the matrix's norm, is what refuses it."""
+        M = np.eye(k)
+        M[at] = value
+        assert not clears_floor(M, 0.0)
+        assert clears_floor(np.eye(k), 0.0)
 
 
 class TestMeritRounding:

@@ -1,10 +1,10 @@
-"""The benchmark, the parity check and the rates readout run against this tree,
-a solve and its audit load no scipy.linalg, nor scipy's LAPACK module where the
-reduced Hessian is at most 2 x 2, and the outputs README quotes are the ones the
-code prints.
+"""The benchmark, the parity check, the rates readout and the A/B run against
+this tree, a solve and its audit load no scipy.linalg, nor scipy's LAPACK module
+where the reduced Hessian is at most 2 x 2, and the outputs README quotes are
+the ones the code prints.
 
-The first five run in a fresh interpreter: the benchmark, the parity check and
-the rates readout are scripts, and the test helpers import ``scipy.optimize``,
+The first six run in a fresh interpreter: the benchmark, the parity check, the
+rates readout and the A/B are scripts, and the test helpers import ``scipy.optimize``,
 which loads ``scipy.linalg`` itself. README's examples run the catalog, which
 loads no LAPACK module, so what they print does not depend on the LAPACK build.
 """
@@ -89,6 +89,25 @@ def test_rates_of_the_catalog():
     assert table["all", "accepted_max"][1:5] == ["13"] * 4
 
 
+def test_ab_of_the_tree_against_itself():
+    """Two pairs of one `small` round each, the tree against a copy of itself,
+    the sides alternating: every end-to-end metric of BENCHMARK.json and the
+    faults per operation are summarized, the counts equal on both sides."""
+    lines = _python("tools/ab.py", "--base", ".", "--head", ".", "--workload", "small",
+                    "--pairs", "2", "--seconds", "0")
+    assert lines[0] == ("small, seed 0, 2 pairs of 0 s runs, MALLOC_MMAP_THRESHOLD_=4194304 "
+                        "MALLOC_TRIM_THRESHOLD_=536870912")
+    assert lines[1].startswith("pair 1, base first: setup_s ")
+    assert lines[2].startswith("pair 2, head first: setup_s ")
+    assert lines[3].split()[:2] == ["metric", "base"]
+    rows = {line.split()[0]: line.split() for line in lines[4:]}
+    ends = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert list(rows) == [end["name"] for end in ends] + ["faults_per_op"]
+    for name in ("iterations_per_solve", "evals_per_solve", "hess_evals_per_solve"):
+        assert rows[name][1] == rows[name][4]  # the medians
+        assert rows[name][7:] == ["+0.0%", "0", "of", "2", "20%", "0", "of", "2"]
+
+
 _SOLVE_N5 = """
 import json, sys
 import numpy as np
@@ -118,9 +137,9 @@ print(json.dumps({"status": result.status,
 
 
 def test_solve_loads_flapack_without_scipy_linalg():
-    """The solver's LAPACK routines come from `_flapack` alone, and the audit's
-    Cholesky and eigvalsh from numpy: importing the scipy.linalg package would
-    add about 25 MB of resident memory."""
+    """The solver's LAPACK routines come from `_flapack` alone, and so, at
+    n - m > 2, does the audit's Cholesky (dpotrf); its eigvalsh is numpy's:
+    importing the scipy.linalg package would add about 25 MB of resident memory."""
     result = json.loads(_python("-c", _SOLVE_N5)[-1])
     assert result["status"] == "converged_sosp"
     assert result["violations"] == []

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeq.diagnostics import Violation, audit_run
-from cubeq.driver import MAX_ITERATIONS, SolverConfig, SolveResult, solve
+from cubeq.driver import NUMERICAL_ERROR, SolverConfig, SolveResult, solve
 from cubeq.errors import ConfigError, TraceError
 from cubeq.problems import builtin_problem
 from cubeq.trace_io import FORMAT_VERSION, dump_line, read_trace, record_to_dict, write_trace
@@ -86,7 +86,7 @@ class TestRoundTrip:
             return
         path = tmp_path_factory.getbasetemp() / "config.trace"
         write_trace(path, "circle_quadratic", np.zeros(2), config,
-                    SolveResult(MAX_ITERATIONS, np.zeros(2), None, [], None))
+                    SolveResult(NUMERICAL_ERROR, np.zeros(2), None, [], None))
         assert read_trace(path).config == config
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -99,7 +99,7 @@ class TestRoundTrip:
                                      x=x, lam=lam, v_c=v_c, v=v, u=u, w=w)
         path = tmp_path_factory.getbasetemp() / "bits.trace"
         write_trace(path, "maratos", x_final, SolverConfig(),
-                    SolveResult(MAX_ITERATIONS, x_final, lambda_final, [record], None))
+                    SolveResult(NUMERICAL_ERROR, x_final, lambda_final, [record], None))
         data = read_trace(path)
         (back,) = data.records
         read = [back.x, back.lam, back.v_c, back.v, back.u, back.w, data.header["x0"],
@@ -407,16 +407,57 @@ class TestStrictParsing:
                                                       "\\{'successful': 1, 'very_successful': 3, "
                                                       "'unsuccessful': 0, 'corrections': 3\\} "
                                                       "to match the records, got"),
+        (lambda f: f.update(final_report={"bogus": 1}), "line 6: footer final_report has an "
+                                                        "unknown 'bogus' field"),
+        (lambda f: f["final_report"].update(grad_lagrangian_norm="x"),
+         "line 6: footer final_report field grad_lagrangian_norm must be a number, got 'x'"),
+        (lambda f: f["final_report"].pop("sosp"), "line 6: footer final_report has no 'sosp'"),
     ], ids=["status_bogus", "string_iterations", "null_message", "list_x_final", "null_x_final",
             "lambda_final_not_base64", "counts_not_an_object", "final_report_number",
             "no_counts", "unknown_key", "iterations_not_the_records", "unknown_count",
-            "boolean_count", "counts_not_the_tally"])
+            "boolean_count", "counts_not_the_tally", "final_report_bogus",
+            "final_report_string_norm", "final_report_without_sosp"])
     def test_footer_with_wrong_fields(self, tmp_path, change, message):
         path, _, _ = _write_run(tmp_path, name="maratos")
         assert len(self._lines(path)) == 6
         self._edit_line(path, 5, change)
         with pytest.raises(TraceError, match=message):
             read_trace(path)
+
+    def test_footer_without_a_final_report(self, tmp_path):
+        """A run that fails at its start has no final report: null reads."""
+        path, _, _ = _write_run(tmp_path, name="maratos")
+        self._edit_line(path, 5, lambda f: f.update(final_report=None))
+        assert read_trace(path).footer["final_report"] is None
+
+    @pytest.mark.parametrize("max_iter, status, kept, message", [
+        (2, "max_iterations", 1, "must be 2 \\(max_iter\\) for status max_iterations, got 1"),
+        (2, "converged_fosp", 1, "must be 2 \\(max_iter\\) for status converged_fosp, got 1"),
+        (2, "converged_sosp", 2, None),
+        (3, "converged_sosp", 4, "must be at most 3 \\(max_iter\\) for status converged_sosp, "
+                                 "got 4"),
+        (4, "converged_sosp", 4, None),
+    ], ids=["max_iterations_short", "converged_fosp_short", "sosp_within_budget",
+            "sosp_over_budget", "sosp_at_budget"])
+    def test_records_against_the_budget(self, tmp_path, max_iter, status, kept, message):
+        """A budget status comes with exactly max_iter records, any status with
+        at most max_iter: the header config's, against the records kept of a
+        maratos run (4 iterations), the footer agreeing with them."""
+        path, result, _ = _write_run(tmp_path, name="maratos")
+        lines = self._lines(path)
+        header, footer = json.loads(lines[0]), json.loads(lines[-1])
+        header["config"]["max_iter"] = max_iter
+        footer.update(status=status, iterations=kept,
+                      counts=dataclasses.asdict(SolveResult(
+                          status, None, None, result.history[:kept], None).counts))
+        path.write_text("\n".join([json.dumps(header), *lines[1:1 + kept],
+                                   json.dumps(footer)]) + "\n")
+        if message is None:
+            assert len(read_trace(path).records) == kept
+        else:
+            with pytest.raises(TraceError, match=f"line {kept + 2}: footer field iterations "
+                                                 + message):
+                read_trace(path)
 
     @pytest.mark.parametrize("change, message", [
         (lambda v: v.pop("k"), "line 2: violation has no 'k' field"),
