@@ -47,10 +47,6 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-
-
 def _build_config(overrides, eps) -> SolverConfig:
     """``--eps`` as all three tolerances, then the ``--set`` pairs; later pairs win."""
     values = {} if eps is None else dict.fromkeys(("eps_g", "eps_c", "eps_h"), eps)
@@ -61,10 +57,9 @@ def _build_config(overrides, eps) -> SolverConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")
-        kind = kinds[key]
         try:
-            values[key] = _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
-        except (KeyError, ValueError):
+            values[key] = kinds[key](raw)
+        except ValueError:
             raise ConfigError(f"cannot parse {raw!r} for config key {key!r}") from None
     return SolverConfig(**values)
 

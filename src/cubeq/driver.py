@@ -127,7 +127,6 @@ class SolverConfig:
     eps_h: float = 1e-8
     max_iter: int = 1000
     rank_tol: float = 1e-10
-    corrections_enabled: bool = True
 
     def __post_init__(self) -> None:
         for name, (what, test) in CONFIG_RULES.items():
@@ -380,7 +379,6 @@ def solve(problem: Problem, x0=None, config: Optional[SolverConfig] = None) -> S
                                                      noise, config)
             w = rho_corr = None  # set when a correction is computed
             if (classification == UNSUCCESSFUL and trial is not None and delta_q > noise
-                    and config.corrections_enabled
                     and in_correction_region(norm_vc, sigma, config.zeta)):
                 w = compute_correction(fact, trial.c, config.r_w, norm_d)
                 trial, rho_corr, classification = _try_point(problem, x + d + w, phi_x, mu,

@@ -12,9 +12,11 @@ numbers, shortest round-tripping or with 17 digits, and is still read: the
 header's version decides how.  Records of earlier writers also carry the step
 norms and the ``correction_computed`` and ``accepted`` flags, which the other
 fields determine, and their header config an ``audit`` key; a version 1 trace
-drops these, and a version 2 trace refuses them.  The footer's ``iterations``
-and ``counts`` must match the records, which number at most ``max_iter``, and
-exactly that for a budget status; its final report, if any, is a full report.
+drops these, and a version 2 trace refuses them.  Both drop a config's retired
+``corrections_enabled``, a boolean.  Record k is the k-th, from 0.  The footer's
+``iterations`` and ``counts`` must match the records, which number at most
+``max_iter``, and exactly that for a budget status; its final report, if any, is
+a full report.
 """
 
 from __future__ import annotations
@@ -58,10 +60,13 @@ _FIELDS = {  # what _read reads -> (the rule of each key, the keys it drops unre
     cls: ({name: _RULES[hint] for name, hint in get_type_hints(cls).items()}, dropped)
     for cls, dropped in ((SolverConfig, set()), (IterationRecord, {"kind"}),
                          (Violation, {"kind"}), (Counts, set()), (StationarityReport, set()))}
-# The keys version 1 writers added that _read drops from a version 1 trace alone: a
-# config's audit flag, and a record's step norms and flags, which its fields determine.
-_V1_KEYS = {SolverConfig: {"audit"}, IterationRecord: {
-    "norm_v", "norm_u", "norm_d", "norm_w", "correction_computed", "accepted"}}
+# Retired key -> (the last version whose writers added it, the rule it passes before _read
+# drops it): version 1's audit flag in a config and a record's step norms and flags,
+# which its other fields determine, pass unread; the switch for corrections is a boolean.
+_ANY = ("anything", lambda value: True)
+_RETIRED = {SolverConfig: {"audit": (1, _ANY), "corrections_enabled": (2, _RULES[bool])},
+            IterationRecord: dict.fromkeys(("norm_v", "norm_u", "norm_d", "norm_w",
+                                            "correction_computed", "accepted"), (1, _ANY))}
 _FIELDS[IterationRecord][0]["classification"] = (
     f"one of {', '.join(_CLASSIFICATIONS)}", _CLASSIFICATIONS.__contains__)
 _FIELDS["header"] = ({  # the version first: it decides how x0 is read
@@ -81,13 +86,15 @@ def _read(cls, data: dict, lineno: int, what: str, version: int = FORMAT_VERSION
     line ``lineno`` of a trace of format ``version``: exactly its keys, apart from
     those dropped, each passing its rule, or a TraceError naming the line and key."""
     rules, dropped = _FIELDS[cls]
-    keys = data.keys() - dropped - (_V1_KEYS.get(cls, set()) if version == 1 else set())
+    retired = {key: rule for key, (last, rule) in _RETIRED.get(cls, {}).items()
+               if version <= last and key in data}
+    keys = data.keys() - dropped - retired.keys()
     if keys != rules.keys():
         key = min(keys ^ rules.keys())
         has = "an unknown" if key in keys else "no"
         raise TraceError(f"line {lineno}: {what} has {has} {key!r} field")
     values = {}
-    for key, (rule, test) in rules.items():
+    for key, (rule, test) in (rules | retired).items():
         value = data[key]
         try:
             if test is None:
@@ -101,7 +108,7 @@ def _read(cls, data: dict, lineno: int, what: str, version: int = FORMAT_VERSION
             raise TraceError(f"line {lineno}: {what} field {key} must be {rule}, "
                              f"got {data[key]!r}") from None
         values[key] = value
-    return cls(**values) if isinstance(cls, type) else values
+    return cls(**{key: values[key] for key in rules}) if isinstance(cls, type) else values
 
 
 def _encode(value):
@@ -192,6 +199,9 @@ def read_trace(path) -> TraceData:
                 config = _read(SolverConfig, header["config"], lineno, "header config", version)
             elif kind == "iteration":
                 records.append(_read(IterationRecord, obj, lineno, "iteration record", version))
+                if records[-1].k != len(records) - 1:
+                    raise TraceError(f"line {lineno}: iteration record field k must be "
+                                     f"{len(records) - 1} (its position), got {records[-1].k}")
             elif kind == "violation":
                 violations.append(_read(Violation, obj, lineno, "violation"))
             elif kind == "footer":

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output format, trace workflow."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from cubeq import cli, diagnostics
 from cubeq.cli import (EXIT_BAD_TRACE, EXIT_CONFIG, EXIT_UNKNOWN_PROBLEM,
                        EXIT_VIOLATIONS, main)
 from cubeq.diagnostics import Violation
+from cubeq.driver import SolverConfig
 from helpers import decode_vector, encode_vector
 
 # A maratos run in format version 1, its vectors written as lists of numbers.
@@ -53,12 +55,6 @@ class TestSolve:
     def test_unknown_problem(self):
         result = _run("solve", "--problem", "no_such_model")
         assert result.exit_code == EXIT_UNKNOWN_PROBLEM
-
-    def test_corrections_flag_plumbed(self):
-        with_corr = _run("solve", "--problem", "maratos")
-        without = _run("solve", "--problem", "maratos", "--set", "corrections_enabled=off")
-        assert "corrections=3" in with_corr.output
-        assert "corrections=0" in without.output
 
     def test_explicit_start_point(self):
         result = _run("solve", "--problem", "circle_quadratic",
@@ -152,11 +148,6 @@ class TestConfigFlags:
         config = self._config(tmp_path, "--eps", "1e-3", "--set", "eps_g=1e-6")
         assert (config["eps_g"], config["eps_c"], config["eps_h"]) == (1e-6, 1e-3, 1e-3)
 
-    def test_set_bool(self, tmp_path):
-        assert self._config(tmp_path)["corrections_enabled"] is True
-        config = self._config(tmp_path, "--set", "corrections_enabled=off")
-        assert config["corrections_enabled"] is False
-
     def test_set_int_comes_last(self, tmp_path):
         config = self._config(tmp_path, "--set", "max_iter=5", "--set", "max_iter=3")
         assert config["max_iter"] == 3 and isinstance(config["max_iter"], int)
@@ -167,8 +158,16 @@ class TestConfigFlags:
         assert result.exit_code == EXIT_CONFIG
         assert result.output.startswith("error: ") and "status=" not in result.output
 
-    def test_unparsable_bool_and_int(self):
-        for item in ("corrections_enabled=maybe", "max_iter=3.5"):
+    def test_every_field_is_a_number_that_parses_back(self):
+        """--set parses a value with its field's type, and every field is a float
+        or an int: a boolean field would read any nonempty word, "off" too, as True."""
+        fields = dataclasses.fields(SolverConfig)
+        assert {type(field.default) for field in fields} == {float, int}
+        items = [f"{field.name}={field.default}" for field in fields]
+        assert cli._build_config(items, None) == SolverConfig()
+
+    def test_unparsable_float_and_int(self):
+        for item in ("eta1=abc", "max_iter=3.5"):
             result = _run("solve", "--problem", "circle_quadratic", "--set", item)
             assert result.exit_code == EXIT_CONFIG
             assert "cannot parse" in result.output
@@ -282,7 +281,8 @@ class TestTraceWorkflow:
 
     def test_audit_version_1_trace(self):
         """Version 1 records carry keys their other fields determine, and the
-        header config an audit flag: read_trace drops them there."""
+        header config an audit flag and the retired corrections_enabled:
+        read_trace drops them there."""
         result = _run("audit", str(_V1_TRACE))
         assert result.exit_code == 0
         assert result.output == "audited 4 iterations: 0 violations\n"
@@ -316,11 +316,12 @@ class TestTraceWorkflow:
         (0, "corrections_enabled", "no"), (2, "sigma", "abc"), (2, "beta", None),
         (2, "classification", "bogus"), (2, "k", "x"), (2, "rho_corr", "x"),
         (2, "x", ["0.5", "0.5"]), (2, "lam", ["1.0"]), (2, "w", ["0", "0"]),
-        (2, "u", [True, False]), (2, "x", [1.0, None]), (2, "x", [True, 0.3]),
+        (2, "u", [True, False]), (2, "x", [1.0, None]), (2, "x", [True, 0.3]), (2, "k", 7),
     ])
     def test_audit_wrongly_typed_field(self, tmp_path, index, key, value):
-        """A header config or record value of the wrong JSON type is a malformed
-        trace, named by its line and key; a vector, as a list, in version 1."""
+        """A header config or record value of the wrong JSON type, or a record
+        numbered other than by its position, is a malformed trace, named by its
+        line and key; a vector, as a list, in version 1."""
         def change(obj):
             (obj["config"] if index == 0 else obj)[key] = value
         version = 1 if key in _VECTORS else 2

@@ -45,8 +45,8 @@ class TestConfig:
             dict(eps_g=math.inf), dict(sigma0=math.inf), dict(sigma0=math.inf, sigma_min=math.inf),
             dict(nu=math.inf), dict(gamma2=math.inf), dict(r_lambda=math.inf),
             dict(r_w=math.inf), dict(mu_init=math.inf), dict(max_iter=2.5),
-            dict(max_iter=True), dict(corrections_enabled="no"), dict(corrections_enabled=0),
-            dict(r_w=True), dict(gamma3=True), dict(eta1="0.1"), dict(max_iter="5"),
+            dict(max_iter=True), dict(r_w=True), dict(gamma3=True), dict(eta1="0.1"),
+            dict(max_iter="5"),
             dict(eps_g=None), dict(tau=10**400), dict(sigma0=10**400), dict(r_w=10**400),
         ]
         for overrides in bad:

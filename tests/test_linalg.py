@@ -1,9 +1,13 @@
 """Jacobian factorization, null-space maps, reduced eigenproblems, least-squares
 multiplier estimates, normal steps and correction steps."""
 
+import importlib.util
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from cubeq import linalg
 from cubeq.errors import RankDeficient
 from cubeq.linalg import (compute_correction, compute_vc, estimate_multipliers,
                           factorize_jacobian, range_least_squares, reduce_matrix)
@@ -287,3 +291,14 @@ class TestMultipliers:
             lhs = np.linalg.norm(g + A.T @ lam)
             rhs = np.linalg.norm(null_basis(fact).T @ g)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+def test_lapack_falls_back_to_scipy_linalg(monkeypatch, tmp_path):
+    """Where scipy's directory holds no ``_flapack``, ``_lapack`` returns the
+    routines by scipy.linalg.lapack instead."""
+    from scipy.linalg import lapack
+    find_spec = importlib.util.find_spec
+    elsewhere = SimpleNamespace(origin=str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: (
+        elsewhere if name == "scipy" else find_spec(name, *args)))
+    assert linalg._lapack.__wrapped__() is lapack  # the uncached body; the cache keeps _flapack

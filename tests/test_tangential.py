@@ -382,3 +382,55 @@ class TestEigenbasisOfT:
         hessian, _, sigma = _spectral_model(np.random.default_rng(31), 6, "generic")
         with pytest.raises(SecularSolveFailed, match="info=3"):
             solve_cubic(hessian, np.zeros(6), sigma, DELTA)
+
+
+class TestSecularSafeguards:
+    """The exits of ``_secular_shift`` that well-posed models do not reach,
+    driven by synthetic ``moments``: t -> (y, |p|^2, S3)."""
+
+    def test_bracket_doubles_up_to_the_root(self):
+        """An upper shift below the root doubles until the gap turns negative;
+        Newton then finds the root: for H_red = 1, |g| = 1 and sigma = 1,
+        |p| = 1 / (1 + t) = t at t = (sqrt 5 - 1) / 2."""
+        moments = tangential._moments(np.ones(1), None, np.ones(1))
+        evaluated = []
+
+        def recorded(t):
+            evaluated.append(t)
+            return moments(t)
+
+        t = tangential._secular_shift(recorded, 1.0, 0.0, 0.0, 1e-3)
+        assert evaluated[:3] == [1e-3, 2e-3, 4e-3]
+        assert t == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-14)
+
+    def test_bracket_that_never_closes_raises(self):
+        """A gap that stays positive through 60 doublings is a SecularSolveFailed."""
+        with pytest.raises(SecularSolveFailed, match="could not bracket the secular root"):
+            tangential._secular_shift(lambda t: (None, 1e300, 1.0), 1.0, 0.0, 0.0, 1.0)
+
+    def test_newton_step_below_rounding_ends_the_iteration(self):
+        """A Newton step within 16 eps of the shift ends the iteration there,
+        moved by the step if it is positive: here at lo, where the gap is
+        positive and S3 so large that the step is 5e-16."""
+        def moments(t):  # |p| = 2, and S3 = 0 above the root 1 but huge at lo
+            return None, 4.0, 0.0 if t > 1.0 else 4.8e15
+
+        lo = 0.25
+        gap, step = tangential._secular(lo, moments, 1.0, 1.0)
+        assert gap > 0.0 and 0.0 < step <= 16.0 * np.finfo(float).eps * lo
+        assert tangential._secular_shift(moments, 1.0, 1.0, lo, 4.0) == lo + step > lo
+
+    def test_step_cap_raises(self):
+        """A secular function that no step brings near the root (|p| = 0 and
+        a NaN Newton step) stops after 300 steps with a SecularSolveFailed."""
+        with pytest.raises(SecularSolveFailed, match="did not converge in 300 steps"):
+            tangential._secular_shift(lambda t: (None, 0.0, math.nan), 1.0, 0.0, 0.0, 1.0)
+
+    def test_failed_bisection_for_lam_min_raises(self, monkeypatch):
+        """A nonzero info from dstebz is a SecularSolveFailed when the reduced
+        Hessian is built, not a wrong lam_min."""
+        hessian, _, _ = _spectral_model(np.random.default_rng(37), 5, "generic")
+        lapack = tangential._lapack()
+        monkeypatch.setattr(lapack, "dstebz", _counted(lapack, "dstebz", [], info=2))
+        with pytest.raises(SecularSolveFailed, match=r"smallest eigenvalue failed \(info=2\)"):
+            ReducedHessian(hessian.matrix)

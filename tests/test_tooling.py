@@ -1,7 +1,7 @@
 """The benchmark, the parity check, the rates readout and the A/B run against
 this tree, a solve and its audit load no scipy.linalg, nor scipy's LAPACK module
-where the reduced Hessian is at most 2 x 2, and the outputs README quotes are
-the ones the code prints.
+where the reduced Hessian is at most 2 x 2, the outputs README quotes are the
+ones the code prints, and its ``--set`` examples are the ones the CLI takes.
 
 The first six run in a fresh interpreter: the benchmark, the parity check, the
 rates readout and the A/B are scripts, and the test helpers import ``scipy.optimize``,
@@ -11,6 +11,7 @@ loads no LAPACK module, so what they print does not depend on the LAPACK build.
 
 import json
 import os
+import re
 import shlex
 import statistics
 import subprocess
@@ -20,8 +21,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cubeq import CONVERGED_SOSP, SolverConfig, builtin_problem, problem_names, solve
-from cubeq.cli import main
+from cubeq import CONVERGED_SOSP, SolverConfig, builtin_problem, cli, problem_names, solve
+from cubeq.cli import EXIT_CONFIG, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -196,6 +197,23 @@ def test_readme_command_line_quotations(tmp_path, commands):
         results = [runner.invoke(main, shlex.split(command)[1:]) for command in commands]
     assert [result.exit_code for result in results] == [0] * len(commands)
     assert _quoted_output(commands[-1]) in results[-1].output.splitlines()
+
+
+def test_readme_set_examples():
+    """Every ``--set key=value`` README shows builds a config, except those
+    whose value is ``...``: README names them as keys that are not config
+    fields, which ``cubeq solve`` refuses with exit 15."""
+    pairs = re.findall(r"--set\s+([a-z0-9_]+)=([^\s`),]+)", README)
+    examples = [f"{key}={value}" for key, value in pairs if value != "..."]
+    assert len(examples) >= 3
+    for item in examples:
+        cli._build_config([item], None)
+    unknown = sorted({key for key, value in pairs if value == "..."})
+    assert unknown == ["audit", "corrections_enabled"]
+    for key in unknown:
+        result = CliRunner().invoke(main, ["solve", "--problem", "maratos", "--set", f"{key}=off"])
+        assert result.exit_code == EXIT_CONFIG
+        assert result.output == f"error: unknown config key {key!r}\n"
 
 
 def test_readme_quickstart_quotations():

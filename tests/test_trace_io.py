@@ -22,13 +22,14 @@ _ARRAY_FIELDS = ("x", "lam", "v_c", "v", "u", "w")
 _DERIVED_KEYS = ("norm_v", "norm_u", "norm_d", "norm_w", "accepted", "correction_computed")
 # A maratos run written by the earlier emitter, every float with %.17g.
 _V1_17G_TRACE = Path(__file__).parent / "data" / "maratos_v1.trace"
+# A version 2 maratos run written while corrections could still be switched off, with
+# corrections_enabled = false in its header config.
+_V2_NO_CORRECTIONS_TRACE = Path(__file__).parent / "data" / "maratos_no_corrections_v2.trace"
 
 
 def _kinds(default):
     """Right- and wrong-kind values around a config field's default: Python and
     numpy ints and floats, bools, strings and None."""
-    if isinstance(default, bool):
-        return [default, not default, np.bool_(default), int(default), "yes", None]
     return [default, int(default), np.int64(default), np.float64(default),
             np.float32(default), float(default), 10**400, True, False, str(default), None]
 
@@ -211,6 +212,16 @@ class TestRoundTrip:
                 else:
                     assert a == b, field.name
 
+    def test_earlier_trace_without_corrections_reads_and_audits(self):
+        """The retired corrections_enabled is read as a boolean and dropped; the
+        run it switched off holds no correction and still audits clean."""
+        stored = json.loads(_V2_NO_CORRECTIONS_TRACE.read_text().splitlines()[0])
+        assert stored["version"] == 2 and stored["config"]["corrections_enabled"] is False
+        data = read_trace(_V2_NO_CORRECTIONS_TRACE)
+        assert data.config == SolverConfig() and not hasattr(data.config, "corrections_enabled")
+        assert data.footer["status"] == "converged_sosp"
+        assert len(data.records) == 6 and data.footer["counts"]["corrections"] == 0
+        assert audit_run(builtin_problem("maratos"), data.records, data.config) == []
 
     def test_earlier_derived_keys_agree_with_the_records(self, tmp_path):
         """Earlier writers also stored each record's step norms and its
@@ -493,6 +504,9 @@ class TestStrictParsing:
                                                        "'audit' field"),
         (2, lambda h: h["config"].update(eta1="abc"), "line 1: header config field eta1 must "
                                                       "be a number, got 'abc'"),
+        (1, lambda h: h["config"].update(corrections_enabled=0), "line 1: header config field "
+                                                                 "corrections_enabled must be a "
+                                                                 "boolean, got 0"),
         (2, lambda h: h.update(x0=[0.0, 1.0]), "line 1: header field x0 must be a base64 string "
                                                "of float64 bytes, got \\[0.0, 1.0\\]"),
         (2, lambda h: h.update(x0=0.5), "line 1: header field x0 must be a base64 string"),
@@ -504,7 +518,8 @@ class TestStrictParsing:
     ], ids=["version_99", "version_string", "version_true", "no_version", "string_x0",
             "ragged_x0", "unknown_key", "config_not_an_object", "config_without_gamma3",
             "v2_config_with_audit",
-            "string_config_value", "v2_list_x0", "v2_number_x0", "v2_non_base64_x0",
+            "string_config_value", "v1_numeric_corrections_enabled", "v2_list_x0",
+            "v2_number_x0", "v2_non_base64_x0",
             "v2_x0_of_3_bytes", "v1_read_as_v2", "v2_read_as_v1"])
     def test_header_with_wrong_fields(self, tmp_path, version, change, message):
         path = self._v1_trace(tmp_path) if version == 1 else _write_run(tmp_path)[0]
