@@ -7,9 +7,12 @@ footer with the final state.  Each line is read by one function against one
 table of field rules.  Scalars are JSON, non-finite floats the tokens
 ``Infinity`` and ``NaN`` that ``json.loads`` accepts back.  In format version 2
 each float array is one string, the base64 of its little-endian float64 bytes,
-so it reads back bit for bit, NaN payloads included.  Version 1 wrote lists of
-numbers, shortest round-tripping or with 17 digits, and is still read: the
-header's version decides how.  Records of earlier writers also carry the step
+so it reads back bit for bit, NaN payloads included.  A line's float arrays
+follow its other values, each appended as it is, since base64 holds nothing
+``json`` would escape; key order is not part of the format, and traces whose
+arrays come first read the same.  Version 1 wrote lists of numbers, shortest
+round-tripping or with 17 digits, and is still read: the header's version
+decides how.  Records of earlier writers also carry the step
 norms and the ``correction_computed`` and ``accepted`` flags, which the other
 fields determine, and their header config an ``audit`` key; a version 1 trace
 drops these, and a version 2 trace refuses them.  Both drop a config's retired
@@ -22,9 +25,9 @@ a full report.
 from __future__ import annotations
 
 import binascii
-import dataclasses
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -111,19 +114,35 @@ def _read(cls, data: dict, lineno: int, what: str, version: int = FORMAT_VERSION
     return cls(**{key: values[key] for key in rules}) if isinstance(cls, type) else values
 
 
+def _base64(array: np.ndarray) -> str:
+    """The base64 of the array's little-endian float64 bytes."""
+    return binascii.b2a_base64(array.astype("<f8", copy=False).tobytes(), newline=False).decode()
+
+
 def _encode(value):
-    """A numpy array as the base64 of its little-endian float64 bytes, and a
-    numpy scalar as the Python scalar ``json`` writes."""
+    """A numpy array as its ``_base64``, and a numpy scalar as the Python scalar
+    ``json`` writes."""
     if isinstance(value, np.ndarray):
-        return binascii.b2a_base64(value.astype("<f8", copy=False).tobytes(),
-                                   newline=False).decode()
+        return _base64(value)
     if isinstance(value, np.generic):
         return value.item()
     raise TypeError(f"cannot serialize {type(value).__name__} into a trace")
 
 
 def dump_line(obj: dict) -> str:
-    return json.dumps(obj, default=_encode)
+    """``obj`` as one JSON object: its other values through ``json.dumps``, then
+    each top-level float array as ``"key": "<base64>"``, the text ``json.dumps``
+    writes for it, without its scan for characters to escape (base64 has none)."""
+    rest, arrays = {}, []
+    for key, value in obj.items():
+        if type(value) is np.ndarray and type(key) is str:
+            arrays.append(f'{encode_basestring_ascii(key)}: "{_base64(value)}"')
+        else:
+            rest[key] = value
+    text = json.dumps(rest, default=_encode)
+    if not arrays:
+        return text
+    return f"{text[:-1]}{', ' if rest else ''}{', '.join(arrays)}}}"
 
 
 def record_to_dict(record: IterationRecord) -> dict:
@@ -136,15 +155,15 @@ def write_trace(path, problem_name: str, x0, config: SolverConfig, result,
     file, the header first, then one line at a time."""
     report = result.final_report
     body = [*map(record_to_dict, result.history),
-            *({"kind": "violation", **dataclasses.asdict(v)} for v in violations),
+            *({"kind": "violation", **vars(v)} for v in violations),
             {"kind": "footer", "status": result.status, "message": result.message,
              "iterations": result.iterations, "x_final": result.x_final,
-             "lambda_final": result.lambda_final, "counts": dataclasses.asdict(result.counts),
-             "final_report": None if report is None else dataclasses.asdict(report)}]
+             "lambda_final": result.lambda_final, "counts": vars(result.counts),
+             "final_report": None if report is None else vars(report)}]
     header = dump_line({  # before the file is opened: a header it cannot write leaves none
         "kind": "header", "format": FORMAT_NAME, "version": FORMAT_VERSION,
         "problem": problem_name, "x0": np.asarray(x0, dtype=float),
-        "config": dataclasses.asdict(config)})
+        "config": vars(config)})
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for obj in body:
@@ -211,7 +230,7 @@ def read_trace(path) -> TraceData:
                     _read(StationarityReport, footer["final_report"], lineno,
                           "footer final_report")
                 for key, want in (("iterations", len(records)),
-                                  ("counts", dataclasses.asdict(tally(records)))):
+                                  ("counts", vars(tally(records)))):
                     if footer[key] != want:
                         raise TraceError(f"line {lineno}: footer field {key} must be {want} "
                                          f"to match the records, got {footer[key]!r}")

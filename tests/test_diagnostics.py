@@ -388,6 +388,63 @@ class TestAuditRun:
         assert rebuilt_at[:3] == [0, 1, 3]
 
 
+class TestCurvatureCertificatePerIterate:
+    """audit_run proves or3 once per iterate, at the strongest of its records'
+    floors; where that fails, each record is audited as if alone."""
+
+    def _counted(self, monkeypatch):
+        floors = []
+
+        def counted(M, floor):
+            floors.append(floor)
+            return clears_floor(M, floor)
+
+        monkeypatch.setattr(diagnostics, "clears_floor", counted)
+        return floors
+
+    def test_one_certificate_per_iterate(self, monkeypatch):
+        """circle_quadratic rejects its first two steps: records 0-2 share x."""
+        problem = builtin_problem("circle_quadratic")
+        config = SolverConfig()
+        records = solve(problem, config=config).history
+        assert [r.classification for r in records[:3]] == ["unsuccessful"] * 2 + [SUCCESSFUL]
+        iterates = {(r.x.tobytes(), r.lam.tobytes()) for r in records}
+        assert len(iterates) == len(records) - 2
+        floors = self._counted(monkeypatch)
+        assert audit_run(problem, records, config) == []
+        assert len(floors) == len(iterates)
+        assert floors[0] == max(diagnostics.or3_floor(r.sigma, np.linalg.norm(r.u))
+                                for r in records[:3])
+
+    def test_failed_certificate_audits_each_record_alone(self, monkeypatch):
+        """Record 1's floor, tampered up to near 0, is above lambda_min = -1 at
+        records 0-2: after the failed certificate each of the three makes its
+        own, and the violations are those of each record audited alone."""
+        problem = builtin_problem("circle_quadratic")
+        config = SolverConfig()
+        records = list(solve(problem, config=config).history)
+        records[1] = perturb(records[1], u=1e-3 * records[1].u)
+        alone = [v for record in records for v in audit_run(problem, [record], config)]
+        assert [(v.k, v.code) for v in alone] == [  # as the whole run audited one by one
+            (1, "or1_cauchy_dominance"), (1, "or2_model_gradient"), (1, "or3_curvature"),
+            (1, "decrease_vs_gradient")]
+        floors = self._counted(monkeypatch)
+        assert audit_run(problem, records, config) == alone
+        own = [diagnostics.or3_floor(r.sigma, np.linalg.norm(r.u)) for r in records]
+        assert floors[:4] == [own[1], *own[:3]]
+        assert len(floors) == 4 + len(records) - 3  # and one per later iterate
+
+    def test_malformed_record_is_an_audit_error_there(self):
+        """A record whose floor cannot be computed takes no part in the
+        certificate: its own audit reports the error, the others audit clean."""
+        problem = builtin_problem("circle_quadratic")
+        config = SolverConfig()
+        records = list(solve(problem, config=config).history)
+        records[1] = perturb(records[1], u="not an array")
+        violations = audit_run(problem, records, config)
+        assert [(v.k, v.code) for v in violations] == [(1, "audit_error")]
+
+
 class TestFiniteDifferences:
     def test_catalog_derivatives_are_consistent(self):
         rng = np.random.default_rng(37)

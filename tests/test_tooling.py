@@ -1,9 +1,10 @@
-"""The benchmark, the parity check, the rates readout and the A/B run against
-this tree, a solve and its audit load no scipy.linalg, nor scipy's LAPACK module
-where the reduced Hessian is at most 2 x 2, the outputs README quotes are the
-ones the code prints, and its ``--set`` examples are the ones the CLI takes.
+"""The benchmark, the parity check, the rates readout and the A/B runs, of one
+workload and of the benchmark's own command, against this tree, a solve and its
+audit load no scipy.linalg, nor scipy's LAPACK module where the reduced Hessian
+is at most 2 x 2, the outputs README quotes are the ones the code prints, and
+its ``--set`` examples are the ones the CLI takes.
 
-The first six run in a fresh interpreter: the benchmark, the parity check, the
+The first seven run in a fresh interpreter: the benchmark, the parity check, the
 rates readout and the A/B are scripts, and the test helpers import ``scipy.optimize``,
 which loads ``scipy.linalg`` itself. README's examples run the catalog, which
 loads no LAPACK module, so what they print does not depend on the LAPACK build.
@@ -107,6 +108,32 @@ def test_ab_of_the_tree_against_itself():
     for name in ("iterations_per_solve", "evals_per_solve", "hess_evals_per_solve"):
         assert rows[name][1] == rows[name][4]  # the medians
         assert rows[name][7:] == ["+0.0%", "0", "of", "2", "20%", "0", "of", "2"]
+
+
+def test_ab_of_every_workload_by_the_benchmark_command():
+    """One pair of one round of every workload, by the benchmark's own command:
+    each workload's runs and summary, with its counts equal on both sides, and
+    the faults per operation of the whole run."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [workload["name"] for workload in bench["workloads"]]
+    lines = _python("tools/ab.py", "--base", ".", "--head", ".", "--workload", "all",
+                    "--pairs", "1", "--seconds", "0")
+    assert lines[0].startswith("all, seed 0, 1 pairs of 0 s runs, ")
+    assert [line.split(":")[0] for line in lines[1:5]] == [
+        f"pair 1, base first, {name}" for name in [*names, "all"]]
+    assert lines[4].startswith("pair 1, base first, all: faults_per_op ")
+    sections = {}
+    for line in lines[5:]:
+        if line.endswith(":"):
+            rows = sections.setdefault(line[:-1], {})
+        elif not line.startswith("metric "):
+            rows[line.split()[0]] = line.split()
+    assert list(sections) == [*names, "all"]
+    assert list(sections.pop("all")) == ["faults_per_op"]
+    for rows in sections.values():
+        assert list(rows) == [end["name"] for end in bench["end_to_end"]]
+        for count in ("iterations_per_solve", "evals_per_solve", "hess_evals_per_solve"):
+            assert rows[count][1] == rows[count][4]  # the medians
 
 
 _SOLVE_N5 = """

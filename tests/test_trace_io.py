@@ -14,7 +14,8 @@ from cubeq.diagnostics import Violation, audit_run
 from cubeq.driver import NUMERICAL_ERROR, SolverConfig, SolveResult, solve
 from cubeq.errors import ConfigError, TraceError
 from cubeq.problems import builtin_problem
-from cubeq.trace_io import FORMAT_VERSION, dump_line, read_trace, record_to_dict, write_trace
+from cubeq.trace_io import (FORMAT_VERSION, _encode, dump_line, read_trace, record_to_dict,
+                            write_trace)
 from helpers import decode_vector, encode_vector
 
 _ARRAY_FIELDS = ("x", "lam", "v_c", "v", "u", "w")
@@ -91,10 +92,13 @@ class TestRoundTrip:
         assert read_trace(path).config == config
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-    @given(st.lists(_VECTOR, min_size=8, max_size=8))
-    def test_vectors_read_back_bit_for_bit(self, tmp_path_factory, vectors):
+    @given(st.lists(_VECTOR, min_size=8, max_size=8), st.booleans(), st.booleans())
+    def test_vectors_read_back_bit_for_bit(self, tmp_path_factory, vectors, no_w, no_lambda):
         """Every float array of a trace reads back with its bits, as a writable
-        float array: -0.0, subnormals, infinities and NaN payloads included."""
+        float array: -0.0, subnormals, infinities and NaN payloads included; and
+        an absent correction w or final lambda_final as None."""
+        vectors[5] = None if no_w else vectors[5]
+        vectors[7] = None if no_lambda else vectors[7]
         x, lam, v_c, v, u, w, x_final, lambda_final = vectors
         record = dataclasses.replace(read_trace(_V1_17G_TRACE).records[0],
                                      x=x, lam=lam, v_c=v_c, v=v, u=u, w=w)
@@ -106,6 +110,9 @@ class TestRoundTrip:
         read = [back.x, back.lam, back.v_c, back.v, back.u, back.w, data.header["x0"],
                 data.footer["x_final"], data.footer["lambda_final"]]
         for loaded, original in zip(read, [*vectors[:6], x_final, *vectors[6:]], strict=True):
+            if original is None:
+                assert loaded is None
+                continue
             assert loaded.dtype == float and loaded.flags.writeable
             assert loaded.tobytes() == original.tobytes()
 
@@ -186,6 +193,8 @@ class TestRoundTrip:
         assert back["flag"] is True and back["k"] == 7
 
     def test_earlier_17_digit_traces_read_back(self, tmp_path):
+        record = json.loads(_V1_17G_TRACE.read_text().splitlines()[1])
+        assert list(record)[:4] == ["kind", "k", "x", "f"]  # an array before the scalars
         data = read_trace(_V1_17G_TRACE)
         assert data.problem_name == "maratos"
         assert data.footer["status"] == "converged_sosp"
@@ -215,13 +224,56 @@ class TestRoundTrip:
     def test_earlier_trace_without_corrections_reads_and_audits(self):
         """The retired corrections_enabled is read as a boolean and dropped; the
         run it switched off holds no correction and still audits clean."""
-        stored = json.loads(_V2_NO_CORRECTIONS_TRACE.read_text().splitlines()[0])
-        assert stored["version"] == 2 and stored["config"]["corrections_enabled"] is False
+        header, record = map(json.loads, _V2_NO_CORRECTIONS_TRACE.read_text().splitlines()[:2])
+        assert header["version"] == 2 and header["config"]["corrections_enabled"] is False
+        assert list(header)[:6] == ["kind", "format", "version", "problem", "x0", "config"]
+        assert list(record)[:4] == ["kind", "k", "x", "f"]  # arrays before the scalars
         data = read_trace(_V2_NO_CORRECTIONS_TRACE)
         assert data.config == SolverConfig() and not hasattr(data.config, "corrections_enabled")
         assert data.footer["status"] == "converged_sosp"
         assert len(data.records) == 6 and data.footer["counts"]["corrections"] == 0
         assert audit_run(builtin_problem("maratos"), data.records, data.config) == []
+
+    def test_arrays_follow_the_scalars_on_every_line(self, tmp_path):
+        """Header, records with and without a correction, a violation and a
+        footer with and without lambda_final: on each line every field that
+        is not a float array comes before the first that is."""
+        arrays = {*_ARRAY_FIELDS, "x0", "x_final", "lambda_final"}
+        problem = builtin_problem("maratos")
+        result = solve(problem)
+        violation = Violation("beta_interval", "synthetic", 0.5, 1.0, 1)
+        lines = []
+        for name, run in (("run", result), ("unsolved", dataclasses.replace(
+                result, status=NUMERICAL_ERROR, lambda_final=None, final_report=None))):
+            path = tmp_path / f"{name}.trace"
+            write_trace(path, "maratos", problem.default_start, SolverConfig(), run, [violation])
+            lines += [json.loads(line) for line in path.read_text().splitlines()]
+        assert [obj["w"] is None for obj in lines if obj["kind"] == "iteration"] == [
+            False, False, False, True] * 2
+        assert [obj["lambda_final"] is None for obj in lines if obj["kind"] == "footer"] == [
+            False, True]
+        for obj in lines:
+            kinds = [key in arrays and value is not None for key, value in obj.items()]
+            assert kinds == sorted(kinds), obj["kind"]
+            assert any(kinds) == (obj["kind"] != "violation")
+
+    def test_lines_of_arrays_alone_and_arrays_in_objects(self):
+        """A line whose values are all float arrays, and one with arrays inside an
+        object, are the text json.dumps writes with the top-level arrays last,
+        and read back; an unknown type inside an object is still refused."""
+        a, b = np.array([-0.0, np.nan, 1.5]), np.arange(300.0)
+        for obj, order in (({"a": a, "b": b}, ["a", "b"]),
+                           ({"a": a, "nested": {"b": b, "k": np.int64(2)}, "k": 1},
+                            ["nested", "k", "a"]),
+                           ({}, [])):
+            line = dump_line(obj)
+            assert line == json.dumps({key: obj[key] for key in order}, default=_encode)
+            assert list(json.loads(line)) == order
+        back = json.loads(dump_line({"a": a, "nested": {"b": b}}))
+        assert decode_vector(back["a"]).tobytes() == a.tobytes()
+        assert decode_vector(back["nested"]["b"]).tobytes() == b.tobytes()
+        with pytest.raises(TypeError, match=r"cannot serialize \w*Path into a trace"):
+            dump_line({"a": a, "nested": {"p": Path("x")}})
 
     def test_earlier_derived_keys_agree_with_the_records(self, tmp_path):
         """Earlier writers also stored each record's step norms and its
