@@ -6,16 +6,17 @@ rounding floors, the beta interval, the tangential-step properties or1-or3,
 the step-size and decrease floors, the merit-reduction bound, subspace
 memberships, and the legality of the sigma update — and reports violations
 as data, each with a stable code and all with one relative tolerance (1e-9)
-on top of those floors; of its context it writes only the cache of |H|_2.
-The checks on |H|_2 and lambda_min(Z^T H Z) first try max |H_ii| and a
-Cholesky, algorithms the solver does not use; ``eigvalsh`` runs only where
-those do not pass, for |H|_2 once per context.  ``audit_run``, beside
-``solve``, is the one loop over a run's records: it rebuilds one context per
-group of consecutive records at the same x and multipliers (bit for bit) from
-the callbacks, through the two evaluations the solver makes, proves the
-group's strongest curvature floor there once, evaluates c(x + d) for each
-record with a correction, and reports an exception while one record is
-audited as an ``audit_error`` violation there.
+on top of those floors; of its context it writes only the highest
+curvature floor a Cholesky has proven there, so that a later record at that
+iterate whose floor is no higher makes none of its own.  The checks on
+|H|_2 and lambda_min(Z^T H Z) first try max |H_ii| and a Cholesky,
+algorithms the solver does not use; ``eigvalsh`` runs, for the record at hand, only where
+those do not pass.  ``audit_run``, beside ``solve``, is the one loop over a
+run's records: it rebuilds one context per group of consecutive records at
+the same x and multipliers (bit for bit) from the callbacks, through the two
+evaluations the solver makes, evaluates c(x + d) for each record with a
+correction, and reports an exception while one record is audited as an
+``audit_error`` violation there.
 """
 
 from __future__ import annotations
@@ -57,19 +58,16 @@ class AuditContext:
     fact: FactorizedJacobian
     H: Array
     H_red: Array  # Z^T H Z
-    proven: float = math.nan  # a floor clears_floor proved lambda_min(H_red) above; NaN: none
-    norm_H: Optional[float] = None  # |H|_2, once a check has needed it
+    proven: float = -math.inf  # the highest floor clears_floor proved lambda_min(H_red) above
 
 
 def clears_floor(M: Array, floor: float) -> bool:
     """True when a Cholesky of a copy of M - t I proves that lambda_min(M) >= floor;
     t - floor covers its backward error (Higham, ch. 10) and eigvalsh's.  It is
-    LAPACK's dpotrf for k > 2 and numpy's, which loads no ``_flapack``, for k <= 2.
-    M must be exactly symmetric: it is copied through its transpose, which is
-    Fortran-ordered where M is C-ordered."""
+    LAPACK's dpotrf for k > 2 and numpy's, which loads no ``_flapack``, for k <= 2."""
     k = len(M)
     t = floor + k * (k + 1) * _EPS * (math.sqrt(np.vdot(M, M)) + k**0.5 * abs(floor))
-    S = np.array(M.T, order="F")
+    S = np.array(M, order="F")
     S.flat[::k + 1] -= t
     if k > 2:
         return _lapack().dpotrf(S, lower=1, clean=0, overwrite_a=1)[1] == 0 and math.isfinite(t)
@@ -78,12 +76,6 @@ def clears_floor(M: Array, floor: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return math.isfinite(t)
-
-
-def or3_floor(sigma: float, norm_u: float) -> float:
-    """The floor or3 certifies lambda_min(Z^T H Z) against: -sigma |u|, less its slack."""
-    curv_floor = -sigma * norm_u
-    return curv_floor - TOLERANCE * max(1.0, abs(curv_floor))
 
 
 def rebuild_context(problem: Problem, record: IterationRecord,
@@ -193,8 +185,12 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
              "model gradient at the tangential step exceeds its budget")
 
     curv_floor = -sigma * norm_u
-    floor = or3_floor(sigma, norm_u)
-    if not (floor <= context.proven or clears_floor(context.H_red, floor)):
+    floor = curv_floor - slack(curv_floor)
+    if floor <= context.proven:
+        pass  # a record at this iterate has proven a floor at least as high
+    elif clears_floor(context.H_red, floor):
+        context.proven = floor
+    else:
         lam_min = float(np.linalg.eigvalsh(context.H_red)[0])
         if min(lam_min, 0.0) < curv_floor - slack(curv_floor, lam_min):
             flag("or3_curvature", lam_min, curv_floor, "reduced curvature below -sigma |u|")
@@ -213,9 +209,7 @@ def audit_iteration(record: IterationRecord, context: AuditContext,
         gradient_trips = delta_m < gradient_floor - slack(gradient_floor, delta_m)
         if exact or not (size_trips or gradient_trips):
             break
-        if context.norm_H is None:
-            context.norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))  # |H|_2
-        norm_H = context.norm_H
+        norm_H = float(np.max(np.abs(np.linalg.eigvalsh(H))))  # |H|_2
     if size_trips:
         flag("tangential_size", norm_u, size_bound,
              "|u| exceeds 3 max(|H|/sigma, sqrt(|g_red|/sigma))")
@@ -278,30 +272,19 @@ def audit_run(problem: Problem, records, config: SolverConfig) -> list:
     """Audit the records of one run in order; returns the concatenated violations.
 
     Consecutive records at the same x and multipliers, bit for bit, share one
-    rebuilt context, and one or3 certificate at the strongest of their floors,
-    which spares each record whose floor is no higher its own; if it fails,
-    each record tries its own.  c(x + d) is evaluated for each record with a
-    correction.  An exception while auditing a record is an ``audit_error``
-    violation there, and the next record at that iterate tries the rebuild again.
+    rebuilt context; c(x + d) is evaluated for each record with a correction.
+    An exception while auditing a record is an ``audit_error`` violation
+    there, and the next record at that iterate tries the rebuild again.
     """
     violations: list = []
     by_iterate = itertools.groupby(records, key=lambda r: (
         np.asarray(r.x, dtype=float).tobytes(), np.asarray(r.lam, dtype=float).tobytes()))
     for _, group in by_iterate:
         context = None  # frees the last iterate's Hessians before the next are evaluated
-        group = list(group)
-        floors = []
-        for record in group:
-            try:
-                floors.append(or3_floor(record.sigma, norm(record.u)))
-            except Exception:  # a malformed record: its own audit below reports it
-                pass
         for record in group:
             try:
                 if context is None:
                     context = rebuild_context(problem, record, config.rank_tol)
-                    if floors and clears_floor(context.H_red, max(floors)):
-                        context.proven = max(floors)
                 c_trial = None
                 if record.correction_computed:
                     c_trial = evaluate_trial(problem, record.x + (record.v + record.u)).c

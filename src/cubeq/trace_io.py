@@ -135,7 +135,7 @@ def dump_line(obj: dict) -> str:
     writes for it, without its scan for characters to escape (base64 has none)."""
     rest, arrays = {}, []
     for key, value in obj.items():
-        if type(value) is np.ndarray and type(key) is str:
+        if type(value) is np.ndarray:
             arrays.append(f'{encode_basestring_ascii(key)}: "{_base64(value)}"')
         else:
             rest[key] = value

@@ -389,8 +389,9 @@ class TestAuditRun:
 
 
 class TestCurvatureCertificatePerIterate:
-    """audit_run proves or3 once per iterate, at the strongest of its records'
-    floors; where that fails, each record is audited as if alone."""
+    """A record whose or3 floor is no higher than one a record at the same
+    iterate has proven makes no Cholesky of its own; a failed one proves
+    nothing, so the verdicts are those of each record audited alone."""
 
     def _counted(self, monkeypatch):
         floors = []
@@ -402,8 +403,14 @@ class TestCurvatureCertificatePerIterate:
         monkeypatch.setattr(diagnostics, "clears_floor", counted)
         return floors
 
+    @staticmethod
+    def _floor(record):
+        curv_floor = -record.sigma * np.linalg.norm(record.u)
+        return curv_floor - diagnostics.TOLERANCE * max(1.0, abs(curv_floor))
+
     def test_one_certificate_per_iterate(self, monkeypatch):
-        """circle_quadratic rejects its first two steps: records 0-2 share x."""
+        """circle_quadratic rejects its first two steps: records 0-2 share x,
+        and record 0's floor is the highest of the three."""
         problem = builtin_problem("circle_quadratic")
         config = SolverConfig()
         records = solve(problem, config=config).history
@@ -413,30 +420,29 @@ class TestCurvatureCertificatePerIterate:
         floors = self._counted(monkeypatch)
         assert audit_run(problem, records, config) == []
         assert len(floors) == len(iterates)
-        assert floors[0] == max(diagnostics.or3_floor(r.sigma, np.linalg.norm(r.u))
-                                for r in records[:3])
+        assert floors[0] == self._floor(records[0]) == max(map(self._floor, records[:3]))
 
     def test_failed_certificate_audits_each_record_alone(self, monkeypatch):
-        """Record 1's floor, tampered up to near 0, is above lambda_min = -1 at
-        records 0-2: after the failed certificate each of the three makes its
-        own, and the violations are those of each record audited alone."""
+        """Record 0's floor, tampered up to near 0, is above lambda_min = -1 at
+        records 0-2: its certificate fails, record 1 makes its own, which
+        covers record 2, and the violations are those of each record audited
+        alone."""
         problem = builtin_problem("circle_quadratic")
         config = SolverConfig()
         records = list(solve(problem, config=config).history)
-        records[1] = perturb(records[1], u=1e-3 * records[1].u)
+        records[0] = perturb(records[0], u=1e-3 * records[0].u)
         alone = [v for record in records for v in audit_run(problem, [record], config)]
         assert [(v.k, v.code) for v in alone] == [  # as the whole run audited one by one
-            (1, "or1_cauchy_dominance"), (1, "or2_model_gradient"), (1, "or3_curvature"),
-            (1, "decrease_vs_gradient")]
+            (0, "or1_cauchy_dominance"), (0, "or2_model_gradient"), (0, "or3_curvature"),
+            (0, "decrease_vs_gradient")]
         floors = self._counted(monkeypatch)
         assert audit_run(problem, records, config) == alone
-        own = [diagnostics.or3_floor(r.sigma, np.linalg.norm(r.u)) for r in records]
-        assert floors[:4] == [own[1], *own[:3]]
-        assert len(floors) == 4 + len(records) - 3  # and one per later iterate
+        assert floors[:2] == [self._floor(records[0]), self._floor(records[1])]
+        assert len(floors) == 2 + len(records) - 3  # and one per later iterate
 
     def test_malformed_record_is_an_audit_error_there(self):
-        """A record whose floor cannot be computed takes no part in the
-        certificate: its own audit reports the error, the others audit clean."""
+        """A record whose floor cannot be computed reports its own error; the
+        others at its iterate audit clean."""
         problem = builtin_problem("circle_quadratic")
         config = SolverConfig()
         records = list(solve(problem, config=config).history)
